@@ -34,6 +34,7 @@ __all__ = [
     "ApTable",
     "SumCondition",
     "primes_in_window",
+    "primes_upto",
     "legendre",
     "curve_ap",
     "ap_table",
@@ -128,18 +129,22 @@ class Interval:
         return self.lo <= value <= self.hi
 
 
-def primes_in_window(x: float) -> PrimeWindow:
-    """Sieve-exact list of primes in (x/2, x]; requires x >= 10."""
-    if x < 10:
-        raise ValueError("window operations require x >= 10")
-    limit = int(math.floor(x))
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
+def primes_upto(limit: int) -> tuple[int, ...]:
+    """All primes p <= limit in ascending order (sieve of Eratosthenes)."""
+    limit = max(limit, 1)
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
     for q in range(2, math.isqrt(limit) + 1):
         if sieve[q]:
             start = q * q
             sieve[start:limit + 1:q] = b"\x00" * ((limit - start) // q + 1)
-    primes = tuple(q for q in range(2, limit + 1) if sieve[q] and q > x / 2)
+    return tuple(q for q in range(2, limit + 1) if sieve[q])
+
+
+def primes_in_window(x: float) -> PrimeWindow:
+    """Sieve-exact list of primes in (x/2, x]; requires x >= 10."""
+    if x < 10:
+        raise ValueError("window operations require x >= 10")
+    primes = tuple(q for q in primes_upto(int(math.floor(x))) if q > x / 2)
     return PrimeWindow(x=x, primes=primes)
 
 

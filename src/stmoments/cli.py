@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import cache as cache_mod
-from .arith_curves import CurveParams, Interval, SumCondition, ap_table, curve_ap, primes_in_window
+from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window, primes_upto
 from .classnumbers import build_hurwitz_table, eichler_mass
 from .errors import BudgetError, CacheError
 from .hecke import TraceStore, hecke_trace, trace_average_probe, traces_via_birch
@@ -31,25 +30,11 @@ from .st_approx import CoeffMode, coeffs_to_csv, exact_st_coeffs, parseval_check
 from .verify import SUITES, run_suites, soft_diagnostics
 
 
-@dataclass
-class RunConfig:
-    cache_dir: str | None = None
-    threads: int = 1
-    profile: Profile = Profile.UNCONDITIONAL
-    c: float = 1.0
-    max_table_p: int = 3000
-    tolerance_overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.threads < 1 or self.max_table_p < 5:
-            raise ValueError("caps must be positive")
-
-
 def _interval_from_args(args) -> Interval:
     return Interval(alpha=args.alpha, beta=args.beta)
 
 
-def _cmd_primes(args, cfg: RunConfig) -> int:
+def _cmd_primes(args) -> int:
     window = primes_in_window(args.x)
     print(window.count)
     if args.list:
@@ -57,7 +42,7 @@ def _cmd_primes(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_ap(args, cfg: RunConfig) -> int:
+def _cmd_ap(args) -> int:
     if args.a is not None and args.b is not None:
         tv = curve_ap(args.p, CurveParams(args.a, args.b))
         print(f"{tv.kind.value} {tv.ap}")
@@ -65,9 +50,9 @@ def _cmd_ap(args, cfg: RunConfig) -> int:
     if not args.table:
         print("need --a and --b, or --table", file=sys.stderr)
         return 2
-    table = ap_table(args.p, max_p=cfg.max_table_p)
+    table = ap_table(args.p)
     if args.cache:
-        path = cache_mod.cache_path(cfg.cache_dir, args.p)
+        path = cache_mod.cache_path(args.cache_dir, args.p)
         cache_mod.cache_write(cache_mod.entry_from_table(table), path)
         print(f"wrote {path}")
     good = int(table.good.sum())
@@ -75,7 +60,7 @@ def _cmd_ap(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_hurwitz(args, cfg: RunConfig) -> int:
+def _cmd_hurwitz(args) -> int:
     table = build_hurwitz_table(args.max_n)
     if args.out:
         table.to_csv(args.out)
@@ -87,12 +72,10 @@ def _cmd_hurwitz(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eichler_check(args, cfg: RunConfig) -> int:
+def _cmd_eichler_check(args) -> int:
     table = build_hurwitz_table(4 * args.max_p)
     bad = []
-    for p in range(5, args.max_p + 1):
-        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            continue
+    for p in primes_upto(args.max_p)[2:]:  # p >= 5
         r = eichler_mass(p, table)
         if r != 0:
             bad.append((p, r))
@@ -103,7 +86,7 @@ def _cmd_eichler_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_trace(args, cfg: RunConfig) -> int:
+def _cmd_trace(args) -> int:
     if args.method == "miller":
         rec = hecke_trace(args.k, args.p)
     else:
@@ -115,14 +98,10 @@ def _cmd_trace(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_birch_check(args, cfg: RunConfig) -> int:
-    from .classnumbers import build_hurwitz_table
-
+def _cmd_birch_check(args) -> int:
     table = build_hurwitz_table(4 * args.p_max)
     store = TraceStore(max_prime=args.p_max, max_weight=2 * args.j_max + 2)
-    for p in range(5, args.p_max + 1):
-        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            continue
+    for p in primes_upto(args.p_max)[2:]:  # p >= 5
         for rec in traces_via_birch(p, args.j_max, table):
             if rec.trace != store.trace(rec.k, p):
                 print(f"FAIL k={rec.k} p={p}")
@@ -131,14 +110,14 @@ def _cmd_birch_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_s0(args, cfg: RunConfig) -> int:
+def _cmd_s0(args) -> int:
     brute = s0_brute(args.p, args.m)
     formula = s0_formula(args.p, args.m)
     print(f"brute={brute!r} formula={formula!r} gap={abs(brute - formula):.3e}")
     return 0
 
 
-def _cmd_bs(args, cfg: RunConfig) -> int:
+def _cmd_bs(args) -> int:
     interval = _interval_from_args(args)
     if args.mode == "exact":
         coeffs = exact_st_coeffs(interval, args.M)
@@ -152,14 +131,16 @@ def _cmd_bs(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_parseval(args, cfg: RunConfig) -> int:
+def _cmd_parseval(args) -> int:
     res = parseval_check(_interval_from_args(args), args.M)
     bound = 20.0 * math.log(2 * args.M) / args.M
     print(f"Z={res.z!r} mu_term={res.mu_term!r} gap={res.gap:.6e} bound={bound:.6e}")
     return 0 if res.gap <= bound else 1
 
 
-def _plan_from_args(args, cfg: RunConfig, t_list=None) -> MomentPlan:
+def _plan_from_args(args, t_list=None) -> MomentPlan:
+    if args.A < 1 or args.B < 1:
+        raise ValueError(f"the box |a| <= A, |b| <= B needs A >= 1 and B >= 1, got A = {args.A}, B = {args.B}")
     return MomentPlan(
         x=args.x,
         A=args.A,
@@ -167,13 +148,13 @@ def _plan_from_args(args, cfg: RunConfig, t_list=None) -> MomentPlan:
         interval=_interval_from_args(args),
         t_list=tuple(t_list or getattr(args, "t", None) or (1, 2)),
         M=args.M,
-        profile=cfg.profile,
-        c=cfg.c,
+        profile=Profile(args.profile),
+        c=args.c,
     )
 
 
-def _cmd_moments(args, cfg: RunConfig) -> int:
-    plan = _plan_from_args(args, cfg)
+def _cmd_moments(args) -> int:
+    plan = _plan_from_args(args)
     report = family_moments(plan)
     for r in report.results:
         ratio = "n/a" if r.ratio is None else f"{r.ratio:.4f}"
@@ -184,8 +165,8 @@ def _cmd_moments(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_clt(args, cfg: RunConfig) -> int:
-    plan = _plan_from_args(args, cfg, t_list=(2,))
+def _cmd_clt(args) -> int:
+    plan = _plan_from_args(args, t_list=(2,))
     sample = clt_histogram(plan, bins=args.bins)
     print(f"n={sample.size} mean={sample.mean:.4f} var={sample.variance:.4f} KS={sample.ks:.4f}")
     if args.out:
@@ -194,9 +175,9 @@ def _cmd_clt(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_almost_all(args, cfg: RunConfig) -> int:
-    plan = _plan_from_args(args, cfg, t_list=(2,))
-    rep = almost_all_report(plan, args.y, cfg.profile)
+def _cmd_almost_all(args) -> int:
+    plan = _plan_from_args(args, t_list=(2,))
+    rep = almost_all_report(plan, args.y)
     print(
         f"threshold={rep.threshold:.4f} exceptions={rep.exceptions}/{rep.total} "
         f"fraction={rep.fraction:.5f} y^-2={rep.y_power:.5f} "
@@ -205,19 +186,19 @@ def _cmd_almost_all(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_probe(args, cfg: RunConfig) -> int:
+def _cmd_probe(args) -> int:
     if args.which == "hyp1":
         res = trace_average_probe(args.K, args.x)
         print(f"value={res.value!r} scale={res.scale!r} ratio={res.ratio!r}")
     else:
         probe: Hypothesis2Probe = hypothesis2_probe(
-            CurveParams(args.a, args.b), args.m, args.y, args.x, cfg.c
+            CurveParams(args.a, args.b), args.m, args.y, args.x, args.c
         )
         print(f"value={probe.value!r} scale={probe.scale!r} ratio={probe.ratio!r}")
     return 0
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = run_suites(names)
     if args.soft:
@@ -230,7 +211,6 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stmoments", description=__doc__)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--profile", choices=[p.value for p in Profile], default="unconditional")
     parser.add_argument("--c", type=float, default=1.0, help="log-power knob used in reported scalings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,14 +323,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        cache_dir=args.cache_dir,
-        threads=args.threads,
-        profile=Profile(args.profile),
-        c=args.c,
-    )
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

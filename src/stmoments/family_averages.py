@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,13 +96,9 @@ class FactoredInteger:
         return len(self.factors)
 
 
-_TABLE_CACHE: dict[int, ApTable] = {}
-
-
+@lru_cache(maxsize=None)
 def _cached_table(p: int) -> ApTable:
-    if p not in _TABLE_CACHE:
-        _TABLE_CACHE[p] = ap_table(p)
-    return _TABLE_CACHE[p]
+    return ap_table(p)
 
 
 def s0_brute(p: int, m: int, table: ApTable | None = None, max_p: int = S_BRUTE_MAX_P) -> float:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .arith_curves import (
     _trace_rows,
     count_in_interval,
     primes_in_window,
+    primes_upto,
 )
 from .chebycomb import gaussian_moment_constant, set_partitions
 from .errors import BudgetError
@@ -50,6 +52,7 @@ __all__ = [
     "CltSample",
     "AlmostAllReport",
     "Hypothesis2Probe",
+    "FamilyGrid",
     "eta",
     "delta",
     "error_term",
@@ -194,13 +197,32 @@ def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
     return ap_box, good_box
 
 
+class FamilyGrid(NamedTuple):
+    """The result of one box sweep (see `family_error_grid`); its arrays are read-only."""
+
+    a_vals: np.ndarray
+    b_vals: np.ndarray
+    counts: np.ndarray
+    admissible: np.ndarray
+    pi_tilde: int
+
+    def box(self, A: int, B: int) -> "FamilyGrid":
+        """The centred sub-box |a| <= A, |b| <= B as views; ValueError unless the grid covers it."""
+        ga, gb = len(self.a_vals) // 2, len(self.b_vals) // 2
+        if not (0 <= A <= ga and 0 <= B <= gb):
+            raise ValueError(f"box |a| <= {A}, |b| <= {B} is not inside the grid's box |a| <= {ga}, |b| <= {gb}")
+        rows, cols = slice(ga - A, ga + A + 1), slice(gb - B, gb + B + 1)
+        a_vals, b_vals, counts, admissible, pi_tilde = self
+        return FamilyGrid(a_vals[rows], b_vals[cols], counts[rows, cols], admissible[rows, cols], pi_tilde)
+
+
 def family_error_grid(
     x: float,
     A: int,
     B: int,
     interval: Interval,
     budget: int = DEFAULT_BOX_BUDGET,
-):
+) -> FamilyGrid:
     """Exact interval counts over the box |a| <= A, |b| <= B.
 
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
@@ -210,7 +232,8 @@ def family_error_grid(
     window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
     if n_pairs * max(window.count, 1) > budget:
-        raise BudgetError("box sweep exceeds the configured budget")
+        raise BudgetError(f"box sweep of {n_pairs} pairs x {window.count} primes = "
+                          f"{n_pairs * window.count} exceeds the cap of {budget}")
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     delta_grid = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
@@ -225,21 +248,29 @@ def family_error_grid(
         else:
             inside = (tilde >= interval.lo) & (tilde <= interval.hi)
         counts += (good_box & inside).astype(np.int64)
-    return a_vals, b_vals, counts, admissible, window.count
+    for arr in (a_vals, b_vals, counts, admissible):
+        arr.setflags(write=False)
+    return FamilyGrid(a_vals, b_vals, counts, admissible, window.count)
 
 
-def _plan_selection(plan: MomentPlan, a_vals, b_vals, admissible):
+def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, np.ndarray]:
+    """The plan's box of ``grid`` (swept here when None) and the pairs the plan
+    selects.  A given grid must be swept at the plan's x and interval over a
+    covering box; only pi~(x) is checked, so another interval goes unnoticed."""
+    if grid is None:
+        grid = family_error_grid(plan.x, plan.A, plan.B, plan.interval)
+    elif grid.pi_tilde != (pi_tilde := primes_in_window(plan.x).count):
+        raise ValueError(f"grid has pi~ = {grid.pi_tilde}, but x = {plan.x} has pi~ = {pi_tilde}")
+    grid = grid.box(plan.A, plan.B)
     if not plan.exclude_axes:
-        return admissible
-    return admissible & (a_vals != 0)[:, None] & (b_vals != 0)[None, :]
+        return grid, grid.admissible
+    return grid, grid.admissible & (grid.a_vals != 0)[:, None] & (grid.b_vals != 0)[None, :]
 
 
-def family_moments(plan: MomentPlan) -> MomentReport:
-    """Direct family moments of the interval-count error over the box."""
-    a_vals, b_vals, counts, admissible, pi_tilde = family_error_grid(
-        plan.x, plan.A, plan.B, plan.interval
-    )
-    admissible = _plan_selection(plan, a_vals, b_vals, admissible)
+def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentReport:
+    """Direct family moments of the interval-count error over the box; a given
+    ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
+    (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
     mu = st_measure(plan.interval)
     errors = np.where(admissible, counts - pi_tilde * mu, 0.0)
     norm = 4.0 * plan.A * plan.B
@@ -456,15 +487,13 @@ def _ks_against_normal(sample: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def clt_histogram(plan: MomentPlan, bins: int = 40) -> CltSample:
-    """Standardized error sample over the box, with histogram and KS distance."""
-    a_vals, b_vals, counts, admissible, pi_tilde = family_error_grid(
-        plan.x, plan.A, plan.B, plan.interval
-    )
+def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = None) -> CltSample:
+    """Standardized error sample over the box, with histogram and KS distance;
+    a given ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
+    (a_vals, b_vals, counts, _, pi_tilde), sel = _plan_grid(plan, grid)
     mu = st_measure(plan.interval)
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
     aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
-    sel = _plan_selection(plan, a_vals, b_vals, admissible)
     errors = (counts - pi_tilde * mu)[sel].ravel()
     standardized = errors / scale
     bin_counts, bin_edges = np.histogram(standardized, bins=bins)
@@ -503,17 +532,16 @@ def _profile_threshold(x: float, mu: float, pi_tilde: int, profile: Profile, c: 
     return math.sqrt((mu - mu * mu) * pi_tilde) + math.sqrt(x) / math.log(x) ** c
 
 
-def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None) -> AlmostAllReport:
+def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None,
+                      grid: FamilyGrid | None = None) -> AlmostAllReport:
     """Count box pairs whose error exceeds y times the profile threshold.
 
     Also fits the per-curve exponent log |error| / log x, the quantity the
-    square-root-cancellation conjecture predicts to hover near 1/2.
+    square-root-cancellation conjecture predicts to hover near 1/2.  A given
+    ``grid`` must be swept at the same x and interval (see `_plan_grid`).
     """
     profile = profile or plan.profile
-    a_vals, b_vals, counts, admissible, pi_tilde = family_error_grid(
-        plan.x, plan.A, plan.B, plan.interval
-    )
-    admissible = _plan_selection(plan, a_vals, b_vals, admissible)
+    (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
     mu = st_measure(plan.interval)
     errors = np.abs((counts - pi_tilde * mu)[admissible].ravel())
     threshold = _profile_threshold(plan.x, mu, pi_tilde, profile, plan.c)
@@ -551,17 +579,9 @@ def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float =
     from .arith_curves import curve_ap
     from .chebycomb import f_eval
 
-    limit = int(math.floor(x))
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, math.isqrt(limit) + 1):
-        if sieve[q]:
-            sieve[q * q::q] = b"\x00" * ((limit - q * q) // q + 1)
     total = 0.0
-    for p in range(5, limit + 1):
-        if not sieve[p] or p <= y:
-            continue
-        if curve.delta % p == 0:
+    for p in primes_upto(int(math.floor(x))):
+        if p < 5 or p <= y or curve.delta % p == 0:
             continue
         total += f_eval(m, curve_ap(p, curve).ap / math.sqrt(p))
     scale = max(m, 1) * x / math.log(x) ** c

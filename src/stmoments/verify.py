@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chebycomb as cc
 from . import classnumbers as cn
-from .arith_curves import CurveParams, Interval, SumCondition, ap_table, count_in_interval, primes_in_window
+from .arith_curves import CurveParams, Interval, SumCondition, ap_table, count_in_interval, primes_in_window, primes_upto
 from .family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
 from .hecke import TraceStore, delta_qexp, dim_cusp_forms, traces_via_birch
 from .moments_engine import (
@@ -26,6 +26,7 @@ from .moments_engine import (
     almost_all_report,
     clt_histogram,
     expansion_c_coefficient,
+    family_error_grid,
     family_moments,
     moment_via_expansion,
     psum_moment_direct,
@@ -87,7 +88,7 @@ def suite_classnum(max_mass_p: int = 2000, max_dapalem_p: int = 100) -> list[Che
                      for n in range(3, 500) if n % 4 in (0, 3))
     out.append(_check("table vs single-N enumeration (N < 500)", consistent))
 
-    primes = [p for p in range(5, max_mass_p + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes = primes_upto(max_mass_p)[2:]  # p >= 5
     worst = max(abs(cn.eichler_mass(p, table)) for p in primes)
     out.append(_check(f"mass identity residual, 5 <= p <= {max_mass_p}", worst == 0, f"max |residual| = {worst}"))
 
@@ -112,7 +113,7 @@ def suite_classnum(max_mass_p: int = 2000, max_dapalem_p: int = 100) -> list[Che
 
 def suite_trace(max_p: int = 200, max_weight: int = 26, tau_max_p: int = 50) -> list[CheckResult]:
     out = []
-    primes = [p for p in range(5, max_p + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes = primes_upto(max_p)[2:]  # p >= 5
     table = cn.build_hurwitz_table(4 * max_p)
     store = TraceStore(max_prime=max_p)
     J = (max_weight - 2) // 2
@@ -151,7 +152,7 @@ _COPRIME_PAIRS = [
 
 def suite_family(max_p: int = 100, max_m: int = 12) -> list[CheckResult]:
     out = []
-    primes = [p for p in range(5, max_p + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes = primes_upto(max_p)[2:]  # p >= 5
     store = TraceStore()
     worst = 0.0
     for p in primes:
@@ -322,9 +323,9 @@ def run_suites(names: list[str], printer=print) -> bool:
 
 
 def soft_diagnostics(x: float = 2000.0, half_box: int = 50, clt_half_box: int = 60) -> dict:
-    """Warn-only family statistics: second-moment ratio, CLT distance,
-    exception counts.  Desk-scale boxes sit far below the theory's ranges,
-    so these are reported, never asserted.
+    """Warn-only family statistics from one box sweep: second-moment ratio,
+    CLT distance, exception counts.  Desk-scale boxes sit far below the
+    theory's ranges, so these are reported, never asserted.
 
     Both variants are reported: with the full box (the summation convention
     of the moment statements) and with the two complex-multiplication lines
@@ -333,20 +334,22 @@ def soft_diagnostics(x: float = 2000.0, half_box: int = 50, clt_half_box: int = 
     density vanishes only as the box grows.
     """
     iv = Interval(0.0, math.pi / 2)
+    wide = max(half_box, clt_half_box)
+    grid = family_error_grid(x, wide, wide, iv)
     out: dict = {"moment_ratio_window": (0.5, 1.5), "clt_ks_threshold": 0.1}
     for tag, excl in (("", False), ("_no_cm_axes", True)):
         plan = MomentPlan(x=x, A=half_box, B=half_box, interval=iv, t_list=(1, 2), M=64,
                           exclude_axes=excl)
-        report = family_moments(plan)
+        report = family_moments(plan, grid)
         out["moment_ratio_t2" + tag] = next(r.ratio for r in report.results if r.t == 2)
         clt_plan = MomentPlan(x=x, A=clt_half_box, B=clt_half_box, interval=iv, M=64,
                               exclude_axes=excl)
-        sample = clt_histogram(clt_plan)
+        sample = clt_histogram(clt_plan, grid=grid)
         out["clt_ks" + tag] = sample.ks
         out["clt_mean" + tag] = sample.mean
         out["clt_variance" + tag] = sample.variance
         if not excl:
-            aa = almost_all_report(plan, y=3.0, profile=Profile.HYPOTHESES)
+            aa = almost_all_report(plan, y=3.0, profile=Profile.HYPOTHESES, grid=grid)
             out["exception_fraction"] = aa.fraction
             out["exception_scale_y2"] = aa.y_power
     return out

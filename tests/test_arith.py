@@ -15,6 +15,7 @@ from stmoments.arith_curves import (
     legendre,
     normalized_coeff,
     primes_in_window,
+    primes_upto,
 )
 from stmoments.errors import BudgetError
 
@@ -38,6 +39,8 @@ def test_prime_window_against_trial_division(x):
     pi_x = len(trial_division_primes(int(x)))
     pi_half = len(trial_division_primes(int(x / 2)))
     assert window.count == pi_x - pi_half
+    for limit in (-1, 0, 1, 2, 3, int(x)):
+        assert primes_upto(limit) == tuple(trial_division_primes(limit))
 
 
 def test_legendre_examples():

@@ -9,6 +9,7 @@ from stmoments import cache
 from stmoments.arith_curves import ap_table
 from stmoments.cli import run
 from stmoments.errors import CacheError
+from stmoments.verify import SUITES
 
 MOMENTS_SCHEMA = {
     "type": "object",
@@ -119,6 +120,21 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert run(["primes", "--x", "5"]) == 2  # domain error below the window floor
     capsys.readouterr()
+    assert run(["--threads", "0", "primes", "--x", "100"]) == 2  # the option is gone
+    capsys.readouterr()
+    interval = ["--alpha", "0", "--beta", "1.5707963267948966"]
+    for argv, (A, B) in (
+        (["moments", "--x", "100", "--A", "0", "--B", "3"], (0, 3)),
+        (["clt", "--x", "100", "--A", "0", "--B", "0"], (0, 0)),
+        (["moments", "--x", "100", "--A", "-2", "--B", "3"], (-2, 3)),
+        (["almost-all", "--x", "100", "--A", "3", "--B", "0", "--y", "1"], (3, 0)),
+    ):
+        assert run(argv + interval) == 2
+        err = capsys.readouterr().err
+        assert "needs A >= 1 and B >= 1" in err and f"got A = {A}, B = {B}" in err
+        assert "Traceback" not in err
+    assert run(["moments", "--x", "2000", "--A", "2000", "--B", "2000"] + interval) == 3
+    assert "135 primes = 2161080135 exceeds the cap of 500000000" in capsys.readouterr().err
 
 
 def test_cli_moments_json_schema(tmp_path, capsys):
@@ -178,8 +194,9 @@ def test_cli_probe(capsys):
     assert "value=" in out
 
 
-def test_cli_verify_single_suite(capsys):
-    assert run(["verify", "--suite", "arith"]) == 0
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_cli_verify_single_suite(suite, capsys):
+    assert run(["verify", "--suite", suite]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 

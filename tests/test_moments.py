@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_moment_symmetry_under_b_negation():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="16008001 pairs x 135 primes = 2161080135 exceeds the cap of 500000000"):
         family_error_grid(2000.0, 2000, 2000, HALF)
 
 
@@ -236,3 +237,70 @@ def test_resolved_m_profiles():
     assert th["unconditional"] == pytest.approx(2000.0 ** 2)
     assert th["mrh"] == pytest.approx(2000.0 ** 3)
     assert th["hypothesis1"] == pytest.approx(2000.0 ** 4)
+
+
+@pytest.mark.parametrize("A, B", [(6, 5), (3, 3), (5, 2), (0, 4), (2, 0)])
+def test_grid_box_equals_fresh_sweep(A, B):
+    wide = family_error_grid(200.0, 6, 5, GEN)
+    box, fresh = wide.box(A, B), family_error_grid(200.0, A, B, GEN)
+    for name in ("a_vals", "b_vals", "counts", "admissible"):
+        got, want = getattr(box, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable and not want.flags.writeable, name
+    assert box.pi_tilde == fresh.pi_tilde == primes_in_window(200.0).count
+
+
+def test_grid_rejects_uncovered_box_and_other_x():
+    grid = family_error_grid(200.0, 4, 3, HALF)
+    with pytest.raises(ValueError, match=r"\|a\| <= 5, \|b\| <= 3 .* \|a\| <= 4, \|b\| <= 3"):
+        grid.box(5, 3)
+    for A, B in ((4, 4), (-1, 2)):
+        with pytest.raises(ValueError):
+            grid.box(A, B)
+    with pytest.raises(ValueError, match=r"\|a\| <= 5"):
+        clt_histogram(MomentPlan(x=200.0, A=5, B=2, interval=HALF, M=8), grid=grid)
+    with pytest.raises(ValueError, match="pi~"):
+        family_moments(MomentPlan(x=300.0, A=2, B=2, interval=HALF, M=8), grid)
+
+
+def _assert_same_result(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b), field.name
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+def test_statistics_same_with_and_without_grid(exclude_axes):
+    plan = MomentPlan(x=200.0, A=5, B=4, interval=GEN, t_list=(1, 2, 3), M=8, exclude_axes=exclude_axes)
+    grid = family_error_grid(200.0, 7, 6, GEN)
+    _assert_same_result(family_moments(plan, grid), family_moments(plan))
+    _assert_same_result(clt_histogram(plan, bins=10, grid=grid), clt_histogram(plan, bins=10))
+    for profile in Profile:
+        _assert_same_result(almost_all_report(plan, 0.5, profile, grid=grid), almost_all_report(plan, 0.5, profile))
+
+
+def test_soft_diagnostics_runs_one_sweep(monkeypatch):
+    from stmoments import moments_engine, verify
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return family_error_grid(*args, **kwargs)
+
+    monkeypatch.setattr(moments_engine, "family_error_grid", counting)
+    monkeypatch.setattr(verify, "family_error_grid", counting)
+    diag = verify.soft_diagnostics(x=200.0, half_box=6, clt_half_box=7)
+    assert len(calls) == 1
+
+    want = {"moment_ratio_window": (0.5, 1.5), "clt_ks_threshold": 0.1}
+    for tag, excl in (("", False), ("_no_cm_axes", True)):
+        plan = MomentPlan(x=200.0, A=6, B=6, interval=HALF, t_list=(1, 2), M=64, exclude_axes=excl)
+        want["moment_ratio_t2" + tag] = family_moments(plan).results[1].ratio
+        sample = clt_histogram(MomentPlan(x=200.0, A=7, B=7, interval=HALF, M=64, exclude_axes=excl))
+        want.update({"clt_ks" + tag: sample.ks, "clt_mean" + tag: sample.mean, "clt_variance" + tag: sample.variance})
+        if not excl:
+            aa = almost_all_report(plan, y=3.0, profile=Profile.HYPOTHESES)
+            want.update({"exception_fraction": aa.fraction, "exception_scale_y2": aa.y_power})
+    assert len(calls) == 6  # each statistic without a grid sweeps its own box
+    assert diag == want
