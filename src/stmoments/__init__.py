@@ -43,7 +43,7 @@ from .classnumbers import (
     hurwitz,
     reduced_forms,
 )
-from .errors import BudgetError, CacheError
+from .errors import BudgetError
 from .family_averages import (
     FactoredInteger,
     box_average,

@@ -6,11 +6,23 @@ p | Delta(a, b) with Delta = 4a^3 + 27b^2; a pair with p | Delta reduces to a
 nodal cubic (trace +1 when the tangents at the node split over F_p, -1
 otherwise) or to a cusp (trace 0, exactly when a = b = 0 mod p).
 
-The full residue grid of traces for one prime, needed by the family sums, is
-built from a single Legendre lookup table: for each residue a the histogram
-of x^3 + ax over x is circularly correlated against the Legendre table, which
-gives -a_p for every b at once.  Rounding the length-p FFT correlation back
-to integers is safe because every value is an integer bounded by p.
+Residue grids of traces T(a, b) = -sum_x chi(x^3 + ax + b) for one prime
+come from its twist orbits.  Substituting x = d x' gives T(d^2 a, d^3 b) =
+chi(d) T(a, b), so every row a != 0 is a permuted, sign-flipped copy of row 1
+(a a square) or of row n (a a non-square, n the least non-residue), and a
+prime needs only the three base rows a = 0, 1, n (`_twist_traces`).  The
+character sum is already the trace at singular pairs: at a node with double
+root e it is chi(3e), the split-tangent sign, and at the cusp it is
+-sum_x chi(x^3) = 0, so no entry is overwritten and only the good mask
+(Delta != 0 mod p) is needed.
+
+`_trace_rows` builds rows one at a time from a single Legendre lookup table:
+for each residue a the histogram of x^3 + ax over x is circularly correlated
+against the Legendre table, which gives T(a, b) for every b at once.
+Rounding the length-p FFT correlation back to integers is safe because every
+value is an integer bounded by p.  It serves the base rows, and over all
+residues it is an independent oracle for the twist construction, as are
+`curve_ap` and `_singular_pairs`/`_classify_singular`.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ __all__ = [
 ]
 
 AP_TABLE_MAX_P = 3000
+CACHE_MAXSIZE = 128  # entries of each per-prime cache (Legendre and root tables, trace grids)
 
 _GOOD, _NODE, _CUSP = 0, 1, 2
 
@@ -161,7 +174,7 @@ def legendre(n: int, p: int) -> int:
     return 1 if pow(n, (p - 1) // 2, p) == 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _legendre_table(p: int) -> np.ndarray:
     """chi(c) for c = 0..p-1 as an int8 array (read-only)."""
     tab = np.full(p, -1, dtype=np.int8)
@@ -172,7 +185,7 @@ def _legendre_table(p: int) -> np.ndarray:
     return tab
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _sqrt_lists(p: int) -> tuple[tuple[int, ...], ...]:
     """For each residue r, the y with y^2 = r mod p."""
     roots: list[list[int]] = [[] for _ in range(p)]
@@ -212,9 +225,11 @@ def curve_ap(p: int, curve: CurveParams) -> TraceValue:
 def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     """-sum_x chi(x^3 + a x + b) for the given a residues and every b.
 
-    Returns an int64 array of shape (len(a_residues), p); entries at pairs
-    with p | Delta carry the raw character sum and must be overwritten by the
-    caller.  One batched complex FFT computes all circular correlations.
+    Returns an int64 array of shape (len(a_residues), p).  At pairs with
+    p | Delta the character sum already is the nodal sign or the cusp's 0 (see
+    the module docstring).  One batched complex FFT computes all circular
+    correlations; the sweep and `ap_table` ask only for the base rows of
+    `_twist_traces`, and tests compare the twist grids with all p rows.
     """
     chi = _legendre_table(p).astype(np.float64)
     xs = np.arange(p, dtype=np.int64)
@@ -225,6 +240,41 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
         counts[i] = np.bincount(t, minlength=p)
     corr = np.fft.ifft(np.conj(np.fft.fft(counts, axis=1)) * np.fft.fft(chi)).real
     return -np.rint(corr).astype(np.int64)
+
+
+def _twist_base(p: int) -> tuple[int, int, int]:
+    """The base residues (0, 1, n) of `_twist_traces`, n the least non-residue mod p."""
+    return 0, 1, int(np.argmax(_legendre_table(p) < 0))
+
+
+def _twist_traces(p: int, base: np.ndarray, a_res: np.ndarray, b_res: np.ndarray):
+    """Traces and good mask at the residue pairs (a_res x b_res) of one prime.
+
+    ``base`` holds `_trace_rows(p, _twist_base(p))`.  Row a != 0 is read off
+    base row a0 = 1 or n through T(a, b) = chi(d) T(a0, b d^-3) with
+    d^2 = a / a0; d comes from a table of square roots, d^-3 = d^(p-4).  The
+    work is O(p + len(a_res) len(b_res)).  Returns int64 traces and the
+    boolean mask Delta != 0 mod p, both of shape (len(a_res), len(b_res)).
+    """
+    chi = _legendre_table(p).astype(np.int64)
+    n = _twist_base(p)[2]
+    a_res = np.asarray(a_res, dtype=np.int64)
+    b_res = np.asarray(b_res, dtype=np.int64)
+    ys = np.arange((p + 1) // 2, dtype=np.int64)
+    root = np.zeros(p, dtype=np.int64)
+    root[ys * ys % p] = ys  # y^2 are distinct for 0 <= y <= (p - 1) / 2
+    square = chi[a_res] == 1
+    d = np.where(a_res == 0, 1, root[np.where(square, a_res, a_res * pow(n, p - 2, p) % p)])
+    row = np.where(a_res == 0, 0, np.where(square, 1, 2))
+    d_inv3 = np.ones_like(d)  # d^(p-4) by square-and-multiply, entries stay below p^2
+    power, e = d, p - 4
+    while e:
+        if e & 1:
+            d_inv3 = d_inv3 * power % p
+        power, e = power * power % p, e >> 1
+    ap = chi[d][:, None] * base[row[:, None], b_res[None, :] * d_inv3[:, None] % p]
+    good = (4 * (a_res ** 3 % p) % p)[:, None] != (-27 * (b_res ** 2 % p) % p)[None, :]  # Delta != 0 mod p
+    return ap, good
 
 
 def _singular_pairs(p: int, a: int) -> list[int]:
@@ -262,18 +312,15 @@ class ApTable:
 
 
 def ap_table(p: int, max_p: int = AP_TABLE_MAX_P) -> ApTable:
-    """Build the p x p trace grid; O(p^2 log p) work, O(p^2) memory."""
+    """Build the p x p trace grid from the twist orbits; O(p^2) work and memory."""
     if p < 5:
         raise ValueError("curve operations require p >= 5")
     if p > max_p:
         raise BudgetError(f"ap_table capped at p <= {max_p}")
-    ap = _trace_rows(p, np.arange(p))
-    kind = np.zeros((p, p), dtype=np.uint8)
-    for a in range(p):
-        for b in _singular_pairs(p, a):
-            tv = _classify_singular(p, a, b)
-            kind[a, b] = _NODE if tv.kind is Reduction.NODE else _CUSP
-            ap[a, b] = tv.ap
+    residues = np.arange(p)
+    ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), residues, residues)
+    kind = np.where(good, np.uint8(_GOOD), np.uint8(_NODE))
+    kind[0, 0] = _CUSP
     ap.setflags(write=False)
     kind.setflags(write=False)
     return ApTable(p=p, ap=ap, kind=kind)

@@ -1,8 +1,7 @@
-"""Command-line surface: computations, persistence, reports, verify suites.
+"""Command-line surface: computations, reports, verify suites.
 
 Exit codes: 0 success, 1 verify-suite failure, 2 usage error, 3 budget cap.
-All numeric inputs are decimal; angles are radians.  The trace-grid cache
-directory comes from --cache-dir or the STMOMENTS_CACHE_DIR variable.
+All numeric inputs are decimal; angles are radians.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ import argparse
 import math
 import sys
 
-from . import cache as cache_mod
 from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window, primes_upto
 from .classnumbers import build_hurwitz_table, eichler_mass
-from .errors import BudgetError, CacheError
+from .errors import BudgetError
 from .hecke import TraceStore, hecke_trace, trace_average_probe, traces_via_birch
 from .family_averages import s0_brute, s0_formula
 from .moments_engine import (
@@ -51,10 +49,6 @@ def _cmd_ap(args) -> int:
         print("need --a and --b, or --table", file=sys.stderr)
         return 2
     table = ap_table(args.p)
-    if args.cache:
-        path = cache_mod.cache_path(args.cache_dir, args.p)
-        cache_mod.cache_write(cache_mod.entry_from_table(table), path)
-        print(f"wrote {path}")
     good = int(table.good.sum())
     print(f"p={args.p} good={good} bad={args.p * args.p - good} trace_sum={int(table.ap[table.good].sum())}")
     return 0
@@ -72,10 +66,19 @@ def _cmd_hurwitz(args) -> int:
     return 0
 
 
+def _primes_from_5(limit: int, flag: str) -> tuple[int, ...]:
+    """The primes 5 <= p <= limit; ValueError when there are none."""
+    primes = primes_upto(limit)[2:]
+    if not primes:
+        raise ValueError(f"no prime p >= 5 is at most {flag} = {limit}")
+    return primes
+
+
 def _cmd_eichler_check(args) -> int:
+    primes = _primes_from_5(args.max_p, "--max-p")
     table = build_hurwitz_table(4 * args.max_p)
     bad = []
-    for p in primes_upto(args.max_p)[2:]:  # p >= 5
+    for p in primes:
         r = eichler_mass(p, table)
         if r != 0:
             bad.append((p, r))
@@ -99,9 +102,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_birch_check(args) -> int:
+    primes = _primes_from_5(args.p_max, "--p-max")
     table = build_hurwitz_table(4 * args.p_max)
     store = TraceStore(max_prime=args.p_max, max_weight=2 * args.j_max + 2)
-    for p in primes_upto(args.p_max)[2:]:  # p >= 5
+    for p in primes:
         for rec in traces_via_birch(p, args.j_max, table):
             if rec.trace != store.trace(rec.k, p):
                 print(f"FAIL k={rec.k} p={p}")
@@ -210,7 +214,6 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stmoments", description=__doc__)
-    parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--profile", choices=[p.value for p in Profile], default="unconditional")
     parser.add_argument("--c", type=float, default=1.0, help="log-power knob used in reported scalings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--table", action="store_true")
-    p.add_argument("--cache", action="store_true")
     p.set_defaults(func=_cmd_ap)
 
     p = sub.add_parser("hurwitz", help="class-number table")
@@ -328,7 +330,7 @@ def run(argv: list[str]) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, CacheError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,3 @@
 class BudgetError(RuntimeError):
     """A computation would exceed a configured size/time cap."""
 
-
-class CacheError(ValueError):
-    """A persisted trace table failed magic, version, length or checksum validation."""

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith_curves import ApTable, SumCondition, ap_table, _legendre_table
+from .arith_curves import CACHE_MAXSIZE, ApTable, SumCondition, ap_table, _legendre_table
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -96,7 +96,7 @@ class FactoredInteger:
         return len(self.factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _cached_table(p: int) -> ApTable:
     return ap_table(p)
 

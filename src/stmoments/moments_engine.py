@@ -5,8 +5,8 @@ The direct route is elementary: for every admissible pair (a, b) in the box,
 count the window primes of good reduction whose normalized trace lands in I,
 subtract pi~(x) mu(I), and average powers of the result over the box.  All
 counting is exact integer work; floats appear only in the final
-normalization.  The per-prime residue tables are produced by the same
-correlation trick as the full trace grid, restricted to the residues the box
+normalization.  The per-prime residue tables come from the same twist-orbit
+construction as the full trace grid, restricted to the residues the box
 actually meets.
 
 `moment_via_expansion` recomputes the t-th moment of the truncated
@@ -34,8 +34,9 @@ from .arith_curves import (
     CurveParams,
     Interval,
     SumCondition,
-    _singular_pairs,
     _trace_rows,
+    _twist_base,
+    _twist_traces,
     count_in_interval,
     primes_in_window,
     primes_upto,
@@ -177,24 +178,14 @@ def error_term(curve: CurveParams, x: float, interval: Interval) -> float:
 def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
     """Traces and good-reduction mask of one window prime over the box.
 
-    Rows are computed per distinct a-residue, columns gathered per b-residue,
-    so the work is O(min(2A+1, p) (p + p log p)) regardless of the box shape.
+    The three twist base rows give the traces at the distinct residue pairs
+    the box meets, which are then expanded to the box, so the work is
+    O(p log p + residues met) plus the expansion, whatever the box shape.
     """
-    a_res = (a_vals % p).astype(np.int64)
-    b_res = (b_vals % p).astype(np.int64)
-    uniq, inverse = np.unique(a_res, return_inverse=True)
-    rows = _trace_rows(p, uniq)
-    ap_small = rows  # (n_uniq, p), raw character sums at singular pairs
-    good_small = np.ones_like(ap_small, dtype=bool)
-    from .arith_curves import _classify_singular
-
-    for i, a in enumerate(uniq):
-        for b in _singular_pairs(p, int(a)):
-            good_small[i, b] = False
-            ap_small[i, b] = _classify_singular(p, int(a), b).ap
-    ap_box = ap_small[inverse][:, b_res]
-    good_box = good_small[inverse][:, b_res]
-    return ap_box, good_box
+    ua, ia = np.unique(a_vals % p, return_inverse=True)
+    ub, ib = np.unique(b_vals % p, return_inverse=True)
+    ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), ua, ub)
+    return ap[ia][:, ib], good[ia][:, ib]
 
 
 class FamilyGrid(NamedTuple):
@@ -321,11 +312,9 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     window = primes_in_window(plan.x)
     a_vals = np.arange(-plan.A, plan.A + 1, dtype=np.int64)
     b_vals = np.arange(-plan.B, plan.B + 1, dtype=np.int64)
-    delta_ok = (4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2) != 0
     tables = []
     for p in window.primes:
-        ap_box, good_box = _box_prime_data(p, a_vals, b_vals)
-        mask = good_box & delta_ok
+        ap_box, mask = _box_prime_data(p, a_vals, b_vals)  # good at p implies Delta != 0
         if plan.condition is SumCondition.SKIP_BAD_AND_AB:
             mask &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
         tilde = (ap_box / math.sqrt(p)).ravel()
@@ -491,6 +480,9 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     """Standardized error sample over the box, with histogram and KS distance;
     a given ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
     (a_vals, b_vals, counts, _, pi_tilde), sel = _plan_grid(plan, grid)
+    if not sel.any():
+        raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
+                         f"exclude_axes = {plan.exclude_axes}")
     mu = st_measure(plan.interval)
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
     aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from stmoments import family_averages
 from stmoments.arith_curves import (
+    CACHE_MAXSIZE,
     CurveParams,
     Interval,
     Reduction,
+    _classify_singular,
+    _legendre_table,
+    _singular_pairs,
+    _sqrt_lists,
+    _trace_rows,
+    _twist_base,
+    _twist_traces,
     ap_table,
     count_in_interval,
     curve_ap,
@@ -107,6 +116,65 @@ def test_ap_table_matches_scalar():
                 assert (entry.kind, entry.ap) == (tv.kind, tv.ap)
             elif 4 * a ** 3 + 27 * b ** 2 != 0:
                 assert table.entry(a, b).ap == curve_ap(p, CurveParams(a, b)).ap
+
+
+def _twist_grid(p, a_res, b_res):
+    return _twist_traces(p, _trace_rows(p, _twist_base(p)), np.asarray(a_res), np.asarray(b_res))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_twist_traces_equal_fft_rows_on_full_grid(p):
+    # p = 5, 13, 101, 1009 are 1 mod 4 and 7, 11 are 3 mod 4: both signs of chi(-1)
+    residues = np.arange(p)
+    ap, good = _twist_grid(p, residues, residues)
+    assert ap.dtype == np.int64
+    assert np.array_equal(ap, _trace_rows(p, residues))
+    assert np.array_equal(good, (4 * residues[:, None] ** 3 + 27 * residues[None, :] ** 2) % p != 0)
+
+
+_PRIMES_TO_3000 = primes_upto(3000)[2:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st_.sampled_from(_PRIMES_TO_3000),
+    st_.integers(-10 ** 6, 10 ** 6),
+    st_.integers(-10 ** 6, 10 ** 6),
+    st_.booleans(),
+)
+def test_twist_traces_entry_against_curve_ap(p, a, b, singular):
+    if singular and _singular_pairs(p, a % p):
+        b = _singular_pairs(p, a % p)[0] + p * (b // p)
+    (ap,), (good,) = _twist_grid(p, [a % p], [b % p])
+    delta = 4 * a ** 3 + 27 * b ** 2
+    assert bool(good[0]) == (delta % p != 0)
+    expected = curve_ap(p, CurveParams(a, b)) if delta % p else _classify_singular(p, a, b)
+    assert ap[0] == expected.ap
+
+
+def _ap_table_oracle(p):
+    """ap_table as built from all p FFT rows and the singular-pair loop."""
+    ap = _trace_rows(p, np.arange(p))
+    kind = np.zeros((p, p), dtype=np.uint8)
+    for a in range(p):
+        for b in _singular_pairs(p, a):
+            tv = _classify_singular(p, a, b)
+            kind[a, b] = 1 if tv.kind is Reduction.NODE else 2
+            ap[a, b] = tv.ap
+    return ap, kind
+
+
+@pytest.mark.parametrize("p", primes_upto(101)[2:])
+def test_ap_table_equals_fft_and_singular_loop(p):
+    table = ap_table(p)
+    ap, kind = _ap_table_oracle(p)
+    assert np.array_equal(table.ap, ap)
+    assert np.array_equal(table.kind, kind)
+
+
+def test_per_prime_caches_share_one_bound():
+    for cached in (_legendre_table, _sqrt_lists, family_averages._cached_table):
+        assert cached.cache_info().maxsize == CACHE_MAXSIZE
 
 
 def test_ap_table_budget_guard():

@@ -1,14 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
 import jsonschema
 
-from stmoments import cache
-from stmoments.arith_curves import ap_table
 from stmoments.cli import run
-from stmoments.errors import CacheError
 from stmoments.verify import SUITES
 
 MOMENTS_SCHEMA = {
@@ -46,50 +42,6 @@ MOMENTS_SCHEMA = {
 }
 
 
-def test_cache_roundtrip(tmp_path):
-    table = ap_table(5)
-    entry = cache.entry_from_table(table)
-    path = tmp_path / "ap_5.stap"
-    cache.cache_write(entry, path)
-    back = cache.cache_read(path)
-    assert back.p == 5
-    assert np.array_equal(back.ap, entry.ap)
-    assert int((back.ap == cache.SENTINEL).sum()) == 5
-    rebuilt = cache.table_from_entry(back)
-    assert np.array_equal(rebuilt.ap, table.ap)
-    assert np.array_equal(rebuilt.kind, table.kind)
-
-
-def test_cache_tamper_detection(tmp_path):
-    entry = cache.entry_from_table(ap_table(7))
-    path = tmp_path / "ap_7.stap"
-    cache.cache_write(entry, path)
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = bytearray(raw)
-    bad_magic[0] ^= 0xFF
-    path.write_bytes(bytes(bad_magic))
-    with pytest.raises(CacheError, match="magic"):
-        cache.cache_read(path)
-
-    bad_payload = bytearray(raw)
-    bad_payload[30] ^= 0x01
-    path.write_bytes(bytes(bad_payload))
-    with pytest.raises(CacheError, match="checksum"):
-        cache.cache_read(path)
-
-    path.write_bytes(bytes(raw[:-10]))
-    with pytest.raises(CacheError, match="size|short"):
-        cache.cache_read(path)
-
-
-def test_cache_env_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "envcache"))
-    path = cache.cache_path(None, 11)
-    assert str(tmp_path / "envcache") in str(path)
-    assert cache.cache_path("explicit", 11).parts[0] == "explicit"
-
-
 def test_cli_primes(capsys):
     assert run(["primes", "--x", "20"]) == 0
     assert capsys.readouterr().out.strip() == "4"
@@ -102,13 +54,11 @@ def test_cli_trace(capsys):
     assert capsys.readouterr().out.strip() == "4830"
 
 
-def test_cli_ap_and_cache(tmp_path, capsys):
+def test_cli_ap_table(capsys):
     assert run(["ap", "--p", "5", "--a", "1", "--b", "1"]) == 0
     assert capsys.readouterr().out.strip() == "good -3"
-    assert run(["--cache-dir", str(tmp_path), "ap", "--p", "5", "--table", "--cache"]) == 0
-    capsys.readouterr()
-    entry = cache.cache_read(cache.cache_path(tmp_path, 5))
-    assert entry.p == 5
+    assert run(["ap", "--p", "5", "--table"]) == 0
+    assert capsys.readouterr().out.strip() == "p=5 good=20 bad=5 trace_sum=0"
 
 
 def test_cli_exit_codes(capsys):
@@ -122,6 +72,11 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert run(["--threads", "0", "primes", "--x", "100"]) == 2  # the option is gone
     capsys.readouterr()
+    for argv in (["eichler-check", "--max-p", "3"], ["birch-check", "--p-max", "4", "--j-max", "2"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert f"no prime p >= 5 is at most {argv[1]} = {argv[2]}" in err
+        assert "PASS" not in out and "Traceback" not in err
     interval = ["--alpha", "0", "--beta", "1.5707963267948966"]
     for argv, (A, B) in (
         (["moments", "--x", "100", "--A", "0", "--B", "3"], (0, 3)),

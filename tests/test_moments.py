@@ -4,13 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from stmoments.arith_curves import CurveParams, Interval, SumCondition, count_in_interval, primes_in_window
+from stmoments.arith_curves import (
+    CurveParams,
+    Interval,
+    SumCondition,
+    _trace_rows,
+    count_in_interval,
+    primes_in_window,
+)
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
     MomentPlan,
     Profile,
     almost_all_report,
     clt_histogram,
+    _box_prime_data,
     delta,
     error_term,
     eta,
@@ -150,6 +158,27 @@ def test_clt_degenerate_box():
     sample = clt_histogram(plan, bins=4)
     assert sample.size == 2
     assert sample.ks <= 1.0
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+def test_clt_empty_selection_names_the_box(exclude_axes):
+    # (0, 0) is the only pair of the first box; the second has only axis pairs
+    A, B = (0, 0) if not exclude_axes else (0, 2)
+    plan = MomentPlan(x=60.0, A=A, B=B, interval=HALF, exclude_axes=exclude_axes)
+    with pytest.raises(ValueError, match=f"x = 60.0, A = {A}, B = {B}, exclude_axes = {exclude_axes}"):
+        clt_histogram(plan)
+
+
+@pytest.mark.parametrize("p, A, B", [(7, 9, 2), (11, 3, 20), (13, 7, 9)])
+def test_box_prime_data_against_fft_rows(p, A, B):
+    # boxes wider than p in a, in b, and in both, all with A != B
+    a_vals = np.arange(-A, A + 1, dtype=np.int64)
+    b_vals = np.arange(-B, B + 1, dtype=np.int64)
+    ap_box, good_box = _box_prime_data(p, a_vals, b_vals)
+    rows = _trace_rows(p, np.arange(p))
+    assert np.array_equal(ap_box, rows[np.ix_(a_vals % p, b_vals % p)])
+    delta = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
+    assert np.array_equal(good_box, delta % p != 0)
 
 
 def test_clt_sample_statistics():
