@@ -136,10 +136,11 @@ class Interval:
     def hi(self) -> float:
         return _snap(2.0 * math.cos(self.alpha))
 
-    def contains(self, value: float) -> bool:
-        if self.half_open:
-            return self.lo <= value < self.hi
-        return self.lo <= value <= self.hi
+    def contains(self, value: float | np.ndarray) -> bool | np.ndarray:
+        """Whether ``value`` lies in the interval: a bool for a float, a boolean
+        array for an array.  The one membership rule of the package; the box
+        sweep applies it to a prime's residue table."""
+        return (self.lo <= value) & ((value < self.hi) if self.half_open else (value <= self.hi))
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:

@@ -151,7 +151,7 @@ def _plan_from_args(args, t_list=None) -> MomentPlan:
         B=args.B,
         interval=_interval_from_args(args),
         t_list=tuple(t_list or getattr(args, "t", None) or (1, 2)),
-        M=args.M,
+        M=getattr(args, "M", None),
         profile=Profile(args.profile),
         c=args.c,
     )
@@ -269,35 +269,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.set_defaults(func=_cmd_parseval)
 
-    p = sub.add_parser("moments", help="family moments over a box")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
+    box = argparse.ArgumentParser(add_help=False)  # x, the family box and the interval
+    for name, kind in (("--x", float), ("--A", int), ("--B", int), ("--alpha", float), ("--beta", float)):
+        box.add_argument(name, type=kind, required=True)
+
+    p = sub.add_parser("moments", parents=[box], help="family moments over a box")
     p.add_argument("--t", type=int, nargs="+", default=[1, 2])
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("clt", help="standardized error sample and KS distance")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--M", type=int, default=None)
+    p = sub.add_parser("clt", parents=[box], help="standardized error sample and KS distance")
     p.add_argument("--bins", type=int, default=40)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("almost-all", help="exception counts at level y")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--M", type=int, default=None)
+    p = sub.add_parser("almost-all", parents=[box], help="exception counts at level y")
     p.add_argument("--y", type=float, required=True)
     p.set_defaults(func=_cmd_almost_all)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .arith_curves import primes_in_window
 from .classnumbers import HurwitzTable, build_hurwitz_table
 from .errors import BudgetError
 
@@ -236,16 +237,13 @@ class TraceStore:
             raise BudgetError(f"trace prime capped at {self.max_prime}")
         key = (k, p)
         if key not in self._traces:
-            if k % 2 == 1 or dim_cusp_forms(k) == 0:
-                self._traces[key] = 0
-            else:
-                d = dim_cusp_forms(k)
-                needed = d * p + 1
-                basis = self._bases.get(k)
-                if basis is None or basis[0].precision < needed:
-                    basis = miller_basis(k, needed)
-                    self._bases[k] = basis
-                self._traces[key] = hecke_trace(k, p, basis).trace
+            d = dim_cusp_forms(k)
+            basis = self._bases.get(k)
+            if d and (basis is None or basis[0].precision < d * p + 1):
+                # at least double the precision, so an ascending sweep rebuilds O(log) times
+                n_terms = max(d * p + 1, 2 * basis[0].precision if basis else 0)
+                basis = self._bases[k] = miller_basis(k, min(n_terms, d * self.max_prime + 1))
+            self._traces[key] = hecke_trace(k, p, basis).trace
         return self._traces[key]
 
     def record(self, k: int, p: int) -> TraceRecord:
@@ -285,8 +283,6 @@ def trace_average_probe(K: int, x: float, store: TraceStore | None = None) -> Tr
     averaging regime of interest is far out of reach, so this is a small-K
     diagnostic and never a pass/fail quantity.
     """
-    from .arith_curves import primes_in_window
-
     store = store or _default_store()
     window = primes_in_window(x)
     per_weight = []
@@ -308,8 +304,6 @@ def trace_average_probe(K: int, x: float, store: TraceStore | None = None) -> Tr
 
 def trace_pair_probe(k: int, l: int, x: float, store: TraceStore | None = None) -> float:
     """sum over window primes of the product of two normalized traces."""
-    from .arith_curves import primes_in_window
-
     store = store or _default_store()
     window = primes_in_window(x)
     return sum(

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -38,12 +38,13 @@ from .arith_curves import (
     _twist_base,
     _twist_traces,
     count_in_interval,
+    curve_ap,
     primes_in_window,
     primes_upto,
 )
-from .chebycomb import gaussian_moment_constant, set_partitions
+from .chebycomb import f_eval, gaussian_moment_constant, set_partitions
 from .errors import BudgetError
-from .st_approx import BSCoefficients, exact_st_coeffs, profile_M, st_measure
+from .st_approx import BSCoefficients, _f_rows, exact_st_coeffs, profile_M, st_measure
 
 __all__ = [
     "Profile",
@@ -176,16 +177,17 @@ def error_term(curve: CurveParams, x: float, interval: Interval) -> float:
 
 
 def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
-    """Traces and good-reduction mask of one window prime over the box.
+    """Residue table of one window prime over the box: (ap, good, ia, ib).
 
-    The three twist base rows give the traces at the distinct residue pairs
-    the box meets, which are then expanded to the box, so the work is
-    O(p log p + residues met) plus the expansion, whatever the box shape.
+    ``ap`` and ``good`` are the traces and the good-reduction mask at the
+    distinct residue pairs the box meets, from the three twist base rows, so
+    the work is O(p log p + residues met) whatever the box shape.  ``ia`` and
+    ``ib`` map the box rows and columns to them: ``ap[ia][:, ib]`` is the box.
     """
     ua, ia = np.unique(a_vals % p, return_inverse=True)
     ub, ib = np.unique(b_vals % p, return_inverse=True)
     ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), ua, ub)
-    return ap[ia][:, ib], good[ia][:, ib]
+    return ap, good, ia, ib
 
 
 class FamilyGrid(NamedTuple):
@@ -217,8 +219,10 @@ def family_error_grid(
     """Exact interval counts over the box |a| <= A, |b| <= B.
 
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    integer N_I grid and ``admissible`` masks Delta != 0.  Primes are
-    processed in ascending order, so the result is bit-reproducible.
+    integer N_I grid and ``admissible`` masks Delta != 0.  Each prime's
+    residue table is tested with `Interval.contains` and expanded to the box
+    in one gather.  Primes are processed in ascending order, so the result is
+    bit-reproducible.
     """
     window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
@@ -231,14 +235,8 @@ def family_error_grid(
     admissible = delta_grid != 0
     counts = np.zeros((len(a_vals), len(b_vals)), dtype=np.int64)
     for p in window.primes:
-        ap_box, good_box = _box_prime_data(p, a_vals, b_vals)
-        sqrt_p = math.sqrt(p)
-        tilde = ap_box / sqrt_p
-        if interval.half_open:
-            inside = (tilde >= interval.lo) & (tilde < interval.hi)
-        else:
-            inside = (tilde >= interval.lo) & (tilde <= interval.hi)
-        counts += (good_box & inside).astype(np.int64)
+        ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
+        counts += (good & interval.contains(ap / math.sqrt(p)))[ia][:, ib]
     for arr in (a_vals, b_vals, counts, admissible):
         arr.setflags(write=False)
     return FamilyGrid(a_vals, b_vals, counts, admissible, window.count)
@@ -314,21 +312,12 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     b_vals = np.arange(-plan.B, plan.B + 1, dtype=np.int64)
     tables = []
     for p in window.primes:
-        ap_box, mask = _box_prime_data(p, a_vals, b_vals)  # good at p implies Delta != 0
+        ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
+        mask = good[ia][:, ib]  # good at p implies Delta != 0
         if plan.condition is SumCondition.SKIP_BAD_AND_AB:
             mask &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
-        tilde = (ap_box / math.sqrt(p)).ravel()
-        flat_mask = mask.ravel().astype(float)
-        rows = np.empty((mmax + 1, tilde.size))
-        rows[0] = flat_mask
-        if mmax >= 1:
-            rows[1] = tilde * flat_mask
-        prev = np.ones_like(tilde)
-        cur = tilde.copy()
-        for m in range(2, mmax + 1):
-            prev, cur = cur, tilde * cur - prev
-            rows[m] = cur * flat_mask
-        tables.append(rows)
+        tilde = (ap[ia][:, ib] / math.sqrt(p)).ravel()
+        tables.append(_f_rows(tilde, mmax) * mask.ravel())
     return tables
 
 
@@ -389,7 +378,7 @@ def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None
             return tuple_cache[key]
         u = len(alphas)
         total = 0.0
-        for primes in _distinct_tuples(n_primes, u):
+        for primes in permutations(range(n_primes), u):
             prod = tables[primes[0]][alphas[0]]
             for j in range(1, u):
                 prod = prod * tables[primes[j]][alphas[j]]
@@ -408,13 +397,6 @@ def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None
                 continue
             total += coeff * distinct_tuple_sum(alphas)
     return total
-
-
-def _distinct_tuples(n: int, u: int):
-    """Ordered u-tuples of distinct indices from range(n)."""
-    from itertools import permutations
-
-    return permutations(range(n), u)
 
 
 def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ...]) -> float:
@@ -464,7 +446,9 @@ class CltSample:
 
 
 def _normal_cdf(values: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in values])
+    """Phi at each value; erf runs once per distinct value (at most pi~ + 1 of them)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in distinct])[inverse]
 
 
 def _ks_against_normal(sample: np.ndarray) -> float:
@@ -568,9 +552,6 @@ def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float =
         raise ValueError("Delta(a, b) = 0 is not an elliptic curve")
     if not 0 <= y < x:
         raise ValueError("need 0 <= y < x")
-    from .arith_curves import curve_ap
-    from .chebycomb import f_eval
-
     total = 0.0
     for p in primes_upto(int(math.floor(x))):
         if p < 5 or p <= y or curve.delta % p == 0:

@@ -97,12 +97,20 @@ class BSCoefficients:
         const_term + sum_m u[m] f_m(2 cos t)."""
         x = 2.0 * np.cos(np.asarray(thetas, dtype=float))
         out = np.full_like(x, self.const_term)
-        prev = np.ones_like(x)
-        cur = x.copy()
-        for m in range(1, self.M + 1):
-            out += self.u[m] * cur
-            prev, cur = cur, x * cur - prev
+        for um, fm in zip(self.u[1:], _f_rows(x, self.M)[1:]):
+            out += um * fm
         return out
+
+
+def _f_rows(x: np.ndarray, mmax: int) -> np.ndarray:
+    """Rows f_0(x), ..., f_mmax(x) by f_m = x f_(m-1) - f_(m-2), f_0 = 1, f_1 = x."""
+    rows = np.empty((mmax + 1, *np.shape(x)))
+    rows[0] = 1.0
+    if mmax >= 1:
+        rows[1] = x
+    for m in range(2, mmax + 1):
+        rows[m] = x * rows[m - 1] - rows[m - 2]
+    return rows
 
 
 def _telescope(s: np.ndarray, M: int) -> np.ndarray:
@@ -258,18 +266,7 @@ def _window_coeff_sums(
         if condition is SumCondition.SKIP_BAD_AND_AB and (curve.a % p == 0 or curve.b % p == 0):
             continue
         traces.append(curve_ap(p, curve).ap / math.sqrt(p))
-    sums = np.zeros(M + 1)
-    if not traces:
-        sums[0] = 0.0
-        return sums
-    t = np.array(traces)
-    prev = np.ones_like(t)
-    cur = t.copy()
-    sums[0] = len(traces)
-    for m in range(1, M + 1):
-        sums[m] = cur.sum()
-        prev, cur = cur, t * cur - prev
-    return sums
+    return _f_rows(np.array(traces, dtype=float), M).sum(axis=1)
 
 
 def p_polynomial_sum(

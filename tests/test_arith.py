@@ -221,6 +221,19 @@ def test_interval_validation_and_membership():
     assert half.contains(0.0) and not half.contains(2.0)
 
 
+@pytest.mark.parametrize("half_open", [False, True])
+@pytest.mark.parametrize("alpha, beta", [(0.0, math.pi / 2), (0.7, 2.0), (math.pi / 2, math.pi)])
+def test_interval_contains_array_equals_scalar(alpha, beta, half_open):
+    iv = Interval(alpha, beta, half_open)
+    probes = [v for e in (iv.lo, iv.hi) for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    probes += [(iv.lo + iv.hi) / 2, -3.0, 3.0]
+    values = np.array(probes)
+    expected = [iv.contains(float(v)) for v in probes]
+    assert all(type(r) is bool for r in expected)
+    assert iv.contains(values).tolist() == expected
+    assert expected[1] and expected[4] == (not half_open) and not expected[0] and not expected[5]
+
+
 def test_count_in_interval_examples():
     full = Interval(0.0, math.pi)
     # no bad primes in the window for this curve

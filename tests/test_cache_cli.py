@@ -92,6 +92,14 @@ def test_cli_exit_codes(capsys):
     assert "135 primes = 2161080135 exceeds the cap of 500000000" in capsys.readouterr().err
 
 
+def test_cli_m_is_moments_only(capsys):
+    # clt and almost-all never read the coefficient degree
+    box = ["--x", "60", "--A", "3", "--B", "3", "--alpha", "0", "--beta", "1.5707963267948966", "--M", "4"]
+    for argv in (["clt"], ["almost-all", "--y", "1"]):
+        assert run(argv + box) == 2
+        assert "unrecognized arguments: --M 4" in capsys.readouterr().err
+
+
 def test_cli_moments_json_schema(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = run([
@@ -109,7 +117,7 @@ def test_cli_clt_csv(tmp_path, capsys):
     out = tmp_path / "clt.csv"
     rc = run([
         "clt", "--x", "60", "--A", "3", "--B", "3",
-        "--alpha", "0", "--beta", "1.5707963267948966", "--M", "4",
+        "--alpha", "0", "--beta", "1.5707963267948966",
         "--bins", "8", "--out", str(out),
     ])
     assert rc == 0

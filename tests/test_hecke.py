@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from stmoments import hecke
 from stmoments.errors import BudgetError
 from stmoments.hecke import (
     TraceStore,
@@ -132,6 +133,26 @@ def test_store_caps():
         store.trace(22, 5)
     with pytest.raises(BudgetError):
         store.trace(12, 53)
+
+
+def test_store_grows_basis_geometrically(monkeypatch):
+    # weight 24 has dim 2, so p needs 2p + 1 terms: rebuilding at every new
+    # prime of an ascending sweep would build the basis 46 times
+    built = []
+
+    def counting_basis(k, n_terms):
+        built.append(n_terms)
+        return miller_basis(k, n_terms)
+
+    monkeypatch.setattr(hecke, "miller_basis", counting_basis)
+    store = TraceStore(max_prime=200)
+    primes = trial_division_primes(200)
+    traces = [store.trace(24, p) for p in primes]
+    assert built == [5, 10, 20, 40, 80, 160, 320, 2 * 200 + 1]  # doubled, capped at the largest prime
+    monkeypatch.undo()
+    reference = miller_basis(24, 2 * 200 + 1)
+    assert traces == [hecke_trace(24, p, reference).trace for p in primes]
+    assert store.trace(13, 7) == store.trace(14, 7) == 0 and 13 not in store._bases
 
 
 def test_normalized_trace(trace_store):

@@ -19,6 +19,7 @@ from stmoments.moments_engine import (
     almost_all_report,
     clt_histogram,
     _box_prime_data,
+    _normal_cdf,
     delta,
     error_term,
     eta,
@@ -65,6 +66,25 @@ def test_engine_matches_scalar_counts_large_x():
         for j, b in enumerate(b_vals):
             if adm[i, j]:
                 assert counts[i, j] == count_in_interval(CurveParams(int(a), int(b)), 2000.0, GEN)
+
+
+def test_engine_matches_scalar_counts_at_hit_endpoints():
+    # a_p = 0 on b = 0 for p = 3 mod 4 (and on a = 0 for p = 2 mod 3), so traces
+    # land on the endpoint 0; the box is wider than every window prime
+    lower_open = Interval(math.pi / 2, math.pi, half_open=True)  # [-2, 0)
+    lower = Interval(math.pi / 2, math.pi)  # [-2, 0]
+    grids = {iv: family_error_grid(60.0, 40, 40, iv) for iv in (lower_open, lower, HALF)}
+    a_vals, b_vals, _, adm, _ = grids[HALF]
+    for i, a in enumerate(a_vals):
+        for j, b in enumerate(b_vals):
+            if adm[i, j]:
+                curve = CurveParams(int(a), int(b))
+                for iv in (lower_open, HALF):
+                    assert grids[iv].counts[i, j] == count_in_interval(curve, 60.0, iv)
+    assert (grids[lower].counts > grids[lower_open].counts).any()
+    n_good = sum(((4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2) % p != 0).astype(int)
+                 for p in primes_in_window(60.0).primes)
+    assert np.array_equal((grids[lower_open].counts + grids[HALF].counts)[adm], n_good[adm])
 
 
 def test_engine_wraps_residues_when_box_exceeds_p():
@@ -174,7 +194,8 @@ def test_box_prime_data_against_fft_rows(p, A, B):
     # boxes wider than p in a, in b, and in both, all with A != B
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
-    ap_box, good_box = _box_prime_data(p, a_vals, b_vals)
+    ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
+    ap_box, good_box = ap[ia][:, ib], good[ia][:, ib]
     rows = _trace_rows(p, np.arange(p))
     assert np.array_equal(ap_box, rows[np.ix_(a_vals % p, b_vals % p)])
     delta = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
@@ -195,6 +216,12 @@ def test_clt_sample_statistics():
     second = float((sample.standardized ** 2).sum()) / (4 * 15 * 15)
     assert second == pytest.approx(ratio, rel=1e-12)
     assert abs(sample.mean) < 1.0
+
+
+def test_normal_cdf_on_tied_sample():
+    sample = np.array([0.5, -1.25, 0.5, 0.0, 3.0, -1.25, 0.5, 0.0, 7.5])
+    expected = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in sample])
+    assert np.array_equal(_normal_cdf(sample), expected)
 
 
 def test_clt_csv(tmp_path):
