@@ -49,7 +49,7 @@ from .family_averages import (
     box_average,
     s0_brute,
     s0_formula,
-    s12_brute,
+    s12,
     s_grid_brute,
     s_multiplicative,
 )

@@ -16,13 +16,17 @@ root e it is chi(3e), the split-tangent sign, and at the cusp it is
 -sum_x chi(x^3) = 0, so no entry is overwritten and only the good mask
 (Delta != 0 mod p) is needed.
 
-`_trace_rows` builds rows one at a time from a single Legendre lookup table:
-for each residue a the histogram of x^3 + ax over x is circularly correlated
-against the Legendre table, which gives T(a, b) for every b at once.
-Rounding the length-p FFT correlation back to integers is safe because every
-value is an integer bounded by p.  It serves the base rows, and over all
-residues it is an independent oracle for the twist construction, as are
-`curve_ap` and `_singular_pairs`/`_classify_singular`.
+`_trace_rows` gives T(a, b) for every b at once: for each residue a the
+histogram of x^3 + ax over x is circularly correlated against the Legendre
+table.  A prime length p would send numpy's FFT to Bluestein's algorithm, so
+the correlation is taken as a linear one, by real FFTs of the least 5-smooth
+length L >= 2p - 1 (`_smooth_length`).  Rounding back to integers is safe
+because every value is an integer bounded by p.  It serves the base rows, and
+over all residues it is an independent oracle for the twist construction, as
+are `curve_ap` and `_singular_pairs`/`_classify_singular`.
+
+Every O(p) table and the prime sieve stop at MAX_PRIME with a `BudgetError`
+before they allocate.
 """
 
 from __future__ import annotations
@@ -53,9 +57,12 @@ __all__ = [
     "normalized_coeff",
     "count_in_interval",
     "AP_TABLE_MAX_P",
+    "MAX_PRIME",
+    "require_prime",
 ]
 
 AP_TABLE_MAX_P = 3000
+MAX_PRIME = 1_000_000  # largest prime (and sieve limit) of any O(p) or O(x) table
 CACHE_MAXSIZE = 128  # entries of each per-prime cache (Legendre and root tables, trace grids)
 
 _GOOD, _NODE, _CUSP = 0, 1, 2
@@ -143,8 +150,24 @@ class Interval:
         return (self.lo <= value) & ((value < self.hi) if self.half_open else (value <= self.hi))
 
 
+def _check_prime_cap(n: int, name: str = "p") -> None:
+    """BudgetError naming n when it exceeds MAX_PRIME, before any O(n) allocation."""
+    if n > MAX_PRIME:
+        raise BudgetError(f"{name} = {n} exceeds the largest-prime cap MAX_PRIME = {MAX_PRIME}")
+
+
+def require_prime(p: int) -> None:
+    """BudgetError above MAX_PRIME; ValueError naming p unless it is a prime >= 5."""
+    _check_prime_cap(p)
+    if p < 5:
+        raise ValueError(f"curve operations require p >= 5, got p = {p}")
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def primes_upto(limit: int) -> tuple[int, ...]:
     """All primes p <= limit in ascending order (sieve of Eratosthenes)."""
+    _check_prime_cap(limit, "sieve limit")
     limit = max(limit, 1)
     sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
     for q in range(2, math.isqrt(limit) + 1):
@@ -178,9 +201,10 @@ def legendre(n: int, p: int) -> int:
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _legendre_table(p: int) -> np.ndarray:
     """chi(c) for c = 0..p-1 as an int8 array (read-only)."""
+    _check_prime_cap(p)
     tab = np.full(p, -1, dtype=np.int8)
-    squares = (np.arange(p, dtype=np.int64) ** 2) % p
-    tab[squares] = 1
+    ys = np.arange((p + 1) // 2, dtype=np.int64)
+    tab[ys * ys % p] = 1  # y and -y have the same square
     tab[0] = 0
     tab.setflags(write=False)
     return tab
@@ -209,6 +233,7 @@ def _classify_singular(p: int, a: int, b: int) -> TraceValue:
 
 def curve_ap(p: int, curve: CurveParams) -> TraceValue:
     """Trace of Frobenius at p, or the nodal/cuspidal marker if p | Delta."""
+    _check_prime_cap(p)
     if p < 5:
         raise ValueError("curve operations require p >= 5")
     if curve.delta == 0:
@@ -223,29 +248,59 @@ def curve_ap(p: int, curve: CurveParams) -> TraceValue:
     return TraceValue(Reduction.GOOD, ap)
 
 
+def _smooth_length(n: int) -> int:
+    """The least 5-smooth integer L >= n (1 for n <= 1): a length numpy's FFT
+    runs without Bluestein's algorithm."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     """-sum_x chi(x^3 + a x + b) for the given a residues and every b.
 
     Returns an int64 array of shape (len(a_residues), p).  At pairs with
     p | Delta the character sum already is the nodal sign or the cusp's 0 (see
-    the module docstring).  One batched complex FFT computes all circular
-    correlations; the sweep and `ap_table` ask only for the base rows of
-    `_twist_traces`, and tests compare the twist grids with all p rows.
+    the module docstring).  Row a is the circular correlation of the histogram
+    h_a of x^3 + a x with chi, taken as a linear one: h_a reversed against
+    [chi, chi] by one batched real FFT of 5-smooth length L >= 2p - 1, read at
+    entries p - 1 .. 2p - 2.  The sweep and `ap_table` ask only for the base
+    rows of `_twist_traces`, and tests compare the twist grids with all p rows.
     """
-    chi = _legendre_table(p).astype(np.float64)
+    chi = _legendre_table(p)
+    size = _smooth_length(2 * p - 1)
+    rows = len(a_residues)
     xs = np.arange(p, dtype=np.int64)
-    cubes = xs * xs % p * xs % p
-    counts = np.empty((len(a_residues), p), dtype=np.float64)
+    cubes = xs * xs
+    cubes *= xs  # exact in int64 for p <= MAX_PRIME
+    cubes %= p
+    series = np.zeros((rows + 1, size))  # reversed histograms, then [chi, chi] in the last row
     for i, a in enumerate(a_residues):
-        t = (cubes + int(a) * xs) % p
-        counts[i] = np.bincount(t, minlength=p)
-    corr = np.fft.ifft(np.conj(np.fft.fft(counts, axis=1)) * np.fft.fft(chi)).real
-    return -np.rint(corr).astype(np.int64)
+        t = int(a) * xs
+        t += cubes
+        t %= p
+        series[i, p - 1::-1] = np.bincount(t, minlength=p)
+    series[rows, :p] = chi
+    series[rows, p:2 * p - 1] = chi[:-1]
+    spectra = np.fft.rfft(series, axis=1)
+    spectra[:rows] *= spectra[rows]
+    corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])  # reuses touched memory
+    return -np.rint(corr[:, p - 1:2 * p - 1]).astype(np.int64)
 
 
 def _twist_base(p: int) -> tuple[int, int, int]:
     """The base residues (0, 1, n) of `_twist_traces`, n the least non-residue mod p."""
-    return 0, 1, int(np.argmax(_legendre_table(p) < 0))
+    chi = _legendre_table(p)
+    n = 2
+    while chi[n] != -1:
+        n += 1
+    return 0, 1, n
 
 
 def _twist_traces(p: int, base: np.ndarray, a_res: np.ndarray, b_res: np.ndarray):
@@ -257,7 +312,7 @@ def _twist_traces(p: int, base: np.ndarray, a_res: np.ndarray, b_res: np.ndarray
     work is O(p + len(a_res) len(b_res)).  Returns int64 traces and the
     boolean mask Delta != 0 mod p, both of shape (len(a_res), len(b_res)).
     """
-    chi = _legendre_table(p).astype(np.int64)
+    chi = _legendre_table(p)
     n = _twist_base(p)[2]
     a_res = np.asarray(a_res, dtype=np.int64)
     b_res = np.asarray(b_res, dtype=np.int64)
@@ -273,7 +328,7 @@ def _twist_traces(p: int, base: np.ndarray, a_res: np.ndarray, b_res: np.ndarray
         if e & 1:
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
-    ap = chi[d][:, None] * base[row[:, None], b_res[None, :] * d_inv3[:, None] % p]
+    ap = chi[d][:, None] * np.take(base, row[:, None] * p + b_res[None, :] * d_inv3[:, None] % p)
     good = (4 * (a_res ** 3 % p) % p)[:, None] != (-27 * (b_res ** 2 % p) % p)[None, :]  # Delta != 0 mod p
     return ap, good
 
@@ -314,10 +369,9 @@ class ApTable:
 
 def ap_table(p: int, max_p: int = AP_TABLE_MAX_P) -> ApTable:
     """Build the p x p trace grid from the twist orbits; O(p^2) work and memory."""
-    if p < 5:
-        raise ValueError("curve operations require p >= 5")
     if p > max_p:
-        raise BudgetError(f"ap_table capped at p <= {max_p}")
+        raise BudgetError(f"ap_table capped at p <= {max_p}, got p = {p}")
+    require_prime(p)
     residues = np.arange(p)
     ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), residues, residues)
     kind = np.where(good, np.uint8(_GOOD), np.uint8(_NODE))

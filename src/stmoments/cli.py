@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window, primes_upto
+from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window, primes_upto, require_prime
 from .classnumbers import build_hurwitz_table, eichler_mass
 from .errors import BudgetError
 from .hecke import TraceStore, hecke_trace, trace_average_probe, traces_via_birch
@@ -41,6 +41,7 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_ap(args) -> int:
+    require_prime(args.p)
     if args.a is not None and args.b is not None:
         tv = curve_ap(args.p, CurveParams(args.a, args.b))
         print(f"{tv.kind.value} {tv.ap}")

@@ -15,7 +15,8 @@ which is the identity this module exercises from both ends: `s0_brute` sums
 the residue grid, `s0_formula` evaluates the trace expression.
 
 Grid sums are the test oracle; the production path for S(n) multiplies the
-prime-power values (exact traces and rationals, floats only at the end).
+prime-power values (exact traces and rationals, floats only at the end), with
+the axis averages S1 and S2 read off the twist base rows of `arith_curves`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith_curves import CACHE_MAXSIZE, ApTable, SumCondition, ap_table, _legendre_table
+from .arith_curves import CACHE_MAXSIZE, ApTable, SumCondition, _trace_rows, _twist_base, _twist_traces, ap_table
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -37,7 +38,7 @@ __all__ = [
     "BoxAverageResult",
     "s0_brute",
     "s0_formula",
-    "s12_brute",
+    "s12",
     "s_prime_power",
     "s_multiplicative",
     "s0_multiplicative",
@@ -135,23 +136,18 @@ def s0_formula(p: int, m: int, store: TraceStore | None = None) -> float:
     return float(Fraction(-(p - 1) * (trace + 1), p ** (m // 2 + 2)))
 
 
-def s12_brute(p: int, m: int, max_p: int = S_BRUTE_MAX_P) -> tuple[float, float]:
-    """One-parameter family averages (b = 0 and a = 0 lines), directly.
+def s12(p: int, m: int) -> tuple[float, float]:
+    """One-parameter family averages S1 (the line b = 0) and S2 (the line a = 0).
 
     Every curve on the punctured axes has good reduction at p, so the
-    normalized coefficient is f_m of the normalized trace.
+    normalized coefficient is f_m of the normalized trace.  The traces come
+    from the twist base rows: the b = 0 line through `_twist_traces`, the
+    a = 0 line is base row 0.
     """
-    if p > max_p:
-        raise BudgetError(f"grid average capped at p <= {max_p}")
-    chi = _legendre_table(p)
-    xs = np.arange(p, dtype=np.int64)
-    cubes = xs * xs % p * xs % p
+    base = _trace_rows(p, _twist_base(p))
+    ap_a = _twist_traces(p, base, np.arange(1, p), np.zeros(1, dtype=np.int64))[0][:, 0]
+    ap_b = base[0, 1:]
     sqrt_p = math.sqrt(p)
-    params = np.arange(1, p, dtype=np.int64)
-    # y^2 = x^3 + a x
-    ap_a = -chi[(cubes[None, :] + params[:, None] * xs[None, :]) % p].sum(axis=1)
-    # y^2 = x^3 + b
-    ap_b = -chi[(cubes[None, :] + params[:, None]) % p].sum(axis=1)
     s1 = float(f_eval(m, ap_a / sqrt_p).sum()) / p ** 2
     s2 = float(f_eval(m, ap_b / sqrt_p).sum()) / p ** 2
     return s1, s2
@@ -159,7 +155,7 @@ def s12_brute(p: int, m: int, max_p: int = S_BRUTE_MAX_P) -> tuple[float, float]
 
 def s_prime_power(p: int, m: int, store: TraceStore | None = None) -> float:
     """S(p^m) = S0 - S1 - S2 via the trace formula and the axis sums."""
-    s1, s2 = s12_brute(p, m)
+    s1, s2 = s12(p, m)
     return s0_formula(p, m, store) - s1 - s2
 
 

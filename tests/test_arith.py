@@ -8,12 +8,14 @@ from hypothesis import strategies as st_
 from stmoments import family_averages
 from stmoments.arith_curves import (
     CACHE_MAXSIZE,
+    MAX_PRIME,
     CurveParams,
     Interval,
     Reduction,
     _classify_singular,
     _legendre_table,
     _singular_pairs,
+    _smooth_length,
     _sqrt_lists,
     _trace_rows,
     _twist_base,
@@ -25,6 +27,7 @@ from stmoments.arith_curves import (
     normalized_coeff,
     primes_in_window,
     primes_upto,
+    require_prime,
 )
 from stmoments.errors import BudgetError
 
@@ -118,6 +121,70 @@ def test_ap_table_matches_scalar():
                 assert table.entry(a, b).ap == curve_ap(p, CurveParams(a, b)).ap
 
 
+def _trace_rows_prime_length(p, a_residues):
+    """Oracle for `_trace_rows`: the circular correlation by complex FFTs of length p."""
+    chi = _legendre_table(p).astype(np.float64)
+    xs = np.arange(p, dtype=np.int64)
+    cubes = xs * xs % p * xs % p
+    counts = np.empty((len(a_residues), p), dtype=np.float64)
+    for i, a in enumerate(a_residues):
+        counts[i] = np.bincount((cubes + int(a) * xs) % p, minlength=p)
+    corr = np.fft.ifft(np.conj(np.fft.fft(counts, axis=1)) * np.fft.fft(chi)).real
+    return -np.rint(corr).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 49999, 99991])
+def test_trace_rows_base_rows_equal_prime_length_fft(p):
+    base = _twist_base(p)
+    rows = _trace_rows(p, base)
+    assert rows.dtype == np.int64 and rows.shape == (3, p)
+    assert np.array_equal(rows, _trace_rows_prime_length(p, base))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+def test_trace_rows_full_grid_equal_prime_length_fft(p):
+    residues = np.arange(p)
+    assert np.array_equal(_trace_rows(p, residues), _trace_rows_prime_length(p, residues))
+
+
+def test_smooth_length_is_least_5_smooth_at_or_above():
+    def is_smooth(n):
+        for q in (2, 3, 5):
+            while n % q == 0:
+                n //= q
+        return n == 1
+
+    for n in range(1, 5001):
+        least = n
+        while not is_smooth(least):
+            least += 1
+        assert _smooth_length(n) == least
+    assert _smooth_length(0) == 1
+
+
+def test_prime_cap_stops_before_allocating():
+    over = MAX_PRIME + 1
+    with pytest.raises(BudgetError, match=f"sieve limit = {over} exceeds the largest-prime cap MAX_PRIME = {MAX_PRIME}"):
+        primes_upto(over)
+    with pytest.raises(BudgetError, match=f"p = 1000000007 exceeds the largest-prime cap MAX_PRIME = {MAX_PRIME}"):
+        curve_ap(1_000_000_007, CurveParams(1, 1))
+    with pytest.raises(BudgetError, match=f"p = {over}"):
+        _legendre_table(over)
+    assert primes_upto(100_000)[-1] == 99991  # the x = 1e5 frontier is inside the cap
+
+
+def test_require_prime_rejects_composites():
+    for p in (5, 7, 1009, 99991):
+        require_prime(p)
+    for n in (9, 25, 2997, 999_999):
+        with pytest.raises(ValueError, match=f"p = {n} is not prime"):
+            require_prime(n)
+    with pytest.raises(ValueError, match="got p = 3"):
+        require_prime(3)
+    with pytest.raises(ValueError, match="p = 2997 is not prime"):
+        ap_table(2997)
+
+
 def _twist_grid(p, a_res, b_res):
     return _twist_traces(p, _trace_rows(p, _twist_base(p)), np.asarray(a_res), np.asarray(b_res))
 
@@ -154,7 +221,7 @@ def test_twist_traces_entry_against_curve_ap(p, a, b, singular):
 
 def _ap_table_oracle(p):
     """ap_table as built from all p FFT rows and the singular-pair loop."""
-    ap = _trace_rows(p, np.arange(p))
+    ap = _trace_rows_prime_length(p, np.arange(p))
     kind = np.zeros((p, p), dtype=np.uint8)
     for a in range(p):
         for b in _singular_pairs(p, a):

@@ -90,6 +90,17 @@ def test_cli_exit_codes(capsys):
         assert "Traceback" not in err
     assert run(["moments", "--x", "2000", "--A", "2000", "--B", "2000"] + interval) == 3
     assert "135 primes = 2161080135 exceeds the cap of 500000000" in capsys.readouterr().err
+    for argv, code, message in (
+        (["ap", "--p", "9", "--a", "1", "--b", "1"], 2, "p = 9 is not prime"),
+        (["ap", "--p", "2997", "--table"], 2, "p = 2997 is not prime"),
+        (["ap", "--p", "1000000007", "--a", "1", "--b", "1"], 3,
+         "p = 1000000007 exceeds the largest-prime cap MAX_PRIME = 1000000"),
+        (["moments", "--x", "1e9", "--A", "1", "--B", "1"] + interval, 3,
+         "sieve limit = 1000000000 exceeds the largest-prime cap MAX_PRIME = 1000000"),
+    ):
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err and not out
 
 
 def test_cli_m_is_moments_only(capsys):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from stmoments.arith_curves import SumCondition, ap_table
+from stmoments.arith_curves import SumCondition, _legendre_table, ap_table
+from stmoments.chebycomb import f_eval
 from stmoments.errors import BudgetError
 from stmoments.family_averages import (
     FactoredInteger,
     box_average,
     s0_brute,
     s0_formula,
-    s12_brute,
+    s12,
     s_grid_brute,
     s_multiplicative,
     s_prime_power,
@@ -71,28 +72,51 @@ def test_s0_brute_equals_formula(p):
         assert abs(s0_brute(p, m) - s0_formula(p, m)) <= 1e-10
 
 
+def s12_brute(p: int, m: int) -> tuple[float, float]:
+    """Oracle for `s12`: the axis traces by direct character sums, O(p^2)."""
+    chi = _legendre_table(p)
+    xs = np.arange(p, dtype=np.int64)
+    cubes = xs * xs % p * xs % p
+    sqrt_p = math.sqrt(p)
+    params = np.arange(1, p, dtype=np.int64)
+    # y^2 = x^3 + a x
+    ap_a = -chi[(cubes[None, :] + params[:, None] * xs[None, :]) % p].sum(axis=1)
+    # y^2 = x^3 + b
+    ap_b = -chi[(cubes[None, :] + params[:, None]) % p].sum(axis=1)
+    s1 = float(f_eval(m, ap_a / sqrt_p).sum()) / p ** 2
+    s2 = float(f_eval(m, ap_b / sqrt_p).sum()) / p ** 2
+    return s1, s2
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 103, 211, 293])
+def test_s12_equals_brute_bit_for_bit(p):
+    # every class mod 12 of a prime >= 5: 13 (1), 5, 101, 293 (5), 7, 103, 211 (7), 11 (11)
+    for m in range(7):
+        assert s12(p, m) == s12_brute(p, m)
+        assert s_prime_power(p, m) == s0_formula(p, m) - s12_brute(p, m)[0] - s12_brute(p, m)[1]
+
+
 def test_s12_examples():
-    s1, s2 = s12_brute(7, 2)
+    s1, s2 = s12(7, 2)
     assert s1 == pytest.approx(-6 / 49, abs=1e-12)
     # supersingular family: p = 3 mod 4, odd m kills the a-axis sum
     for m in (1, 3, 5):
-        s1, _ = s12_brute(7, m)
+        s1, _ = s12(7, m)
         assert abs(s1) <= 1e-12
     for p in (5, 7, 13):
         for m in (1, 2, 3, 6):
-            s1, s2 = s12_brute(p, m)
+            s1, s2 = s12(p, m)
             assert abs(s1) <= (m + 1) / p + 1e-12
             assert abs(s2) <= (m + 1) / p + 1e-12
 
 
 def test_s12_matches_scalar_loop():
     from stmoments.arith_curves import CurveParams, curve_ap
-    from stmoments.chebycomb import f_eval
 
     p, m = 11, 4
     s1 = sum(f_eval(m, curve_ap(p, CurveParams(a, 0)).ap / math.sqrt(p)) for a in range(1, p)) / p ** 2
     s2 = sum(f_eval(m, curve_ap(p, CurveParams(0, b)).ap / math.sqrt(p)) for b in range(1, p)) / p ** 2
-    got = s12_brute(p, m)
+    got = s12(p, m)
     assert got[0] == pytest.approx(s1, abs=1e-12)
     assert got[1] == pytest.approx(s2, abs=1e-12)
 
