@@ -233,9 +233,7 @@ def _classify_singular(p: int, a: int, b: int) -> TraceValue:
 
 def curve_ap(p: int, curve: CurveParams) -> TraceValue:
     """Trace of Frobenius at p, or the nodal/cuspidal marker if p | Delta."""
-    _check_prime_cap(p)
-    if p < 5:
-        raise ValueError("curve operations require p >= 5")
+    require_prime(p)
     if curve.delta == 0:
         raise ValueError("Delta(a, b) = 0 is not an elliptic curve")
     a, b = curve.a % p, curve.b % p
@@ -270,28 +268,35 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     the module docstring).  Row a is the circular correlation of the histogram
     h_a of x^3 + a x with chi, taken as a linear one: h_a reversed against
     [chi, chi] by one batched real FFT of 5-smooth length L >= 2p - 1, read at
-    entries p - 1 .. 2p - 2.  The sweep and `ap_table` ask only for the base
-    rows of `_twist_traces`, and tests compare the twist grids with all p rows.
+    entries p - 1 .. 2p - 2.  For p = 2 mod 3 cubing permutes F_p, so row
+    a = 0 is -sum_y chi(y + b) = 0 and skips the transforms.  The sweep and
+    `ap_table` ask only for the base rows of `_twist_traces`, and tests
+    compare the twist grids with all p rows.
     """
+    live = [i for i, a in enumerate(a_residues) if p % 3 != 2 or a % p]
+    if not live:
+        return np.zeros((len(a_residues), p), dtype=np.int64)
     chi = _legendre_table(p)
     size = _smooth_length(2 * p - 1)
-    rows = len(a_residues)
+    rows = len(live)
     xs = np.arange(p, dtype=np.int64)
     cubes = xs * xs
     cubes *= xs  # exact in int64 for p <= MAX_PRIME
     cubes %= p
     series = np.zeros((rows + 1, size))  # reversed histograms, then [chi, chi] in the last row
-    for i, a in enumerate(a_residues):
-        t = int(a) * xs
+    for k, i in enumerate(live):
+        t = int(a_residues[i]) * xs
         t += cubes
         t %= p
-        series[i, p - 1::-1] = np.bincount(t, minlength=p)
+        series[k, p - 1::-1] = np.bincount(t, minlength=p)
     series[rows, :p] = chi
     series[rows, p:2 * p - 1] = chi[:-1]
     spectra = np.fft.rfft(series, axis=1)
     spectra[:rows] *= spectra[rows]
     corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])  # reuses touched memory
-    return -np.rint(corr[:, p - 1:2 * p - 1]).astype(np.int64)
+    traces = np.zeros((len(a_residues), p), dtype=np.int64)
+    traces[live] = -np.rint(corr[:, p - 1:2 * p - 1])
+    return traces
 
 
 def _twist_base(p: int) -> tuple[int, int, int]:

@@ -7,7 +7,14 @@ subtract pi~(x) mu(I), and average powers of the result over the box.  All
 counting is exact integer work; floats appear only in the final
 normalization.  The per-prime residue tables come from the same twist-orbit
 construction as the full trace grid, restricted to the residues the box
-actually meets.
+actually meets.  The box axes are runs of consecutive integers, so the box is
+a periodic tiling of each prime's hit table, added into the count grid tile
+by tile in a narrow integer accumulator.
+
+Every statistic (moments, the CLT sample's KS distance and histogram, the
+almost-all exceptions) depends only on the multiset of selected counts,
+which take at most pi~ + 1 values: they run on its (value, multiplicity)
+table from `np.bincount`, not on box-sized float arrays.
 
 `moment_via_expansion` recomputes the t-th moment of the truncated
 polynomial sums by the algebraic route: open the t-th power, group equal
@@ -179,15 +186,17 @@ def error_term(curve: CurveParams, x: float, interval: Interval) -> float:
 def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
     """Residue table of one window prime over the box: (ap, good, ia, ib).
 
-    ``ap`` and ``good`` are the traces and the good-reduction mask at the
-    distinct residue pairs the box meets, from the three twist base rows, so
-    the work is O(p log p + residues met) whatever the box shape.  ``ia`` and
-    ``ib`` map the box rows and columns to them: ``ap[ia][:, ib]`` is the box.
+    ``a_vals`` and ``b_vals`` are runs of consecutive integers, so their first
+    min(n, p) residues are distinct and the rest repeat them with period p.
+    ``ap`` and ``good`` are the traces and the good-reduction mask at those
+    residue pairs, in box order, from the three twist base rows, so the work
+    is O(p log p + residues met) whatever the box shape.  ``ia`` and ``ib``
+    map the box rows and columns to them (i -> i mod the period):
+    ``ap[ia][:, ib]`` is the box.
     """
-    ua, ia = np.unique(a_vals % p, return_inverse=True)
-    ub, ib = np.unique(b_vals % p, return_inverse=True)
+    ua, ub = a_vals[:p] % p, b_vals[:p] % p
     ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), ua, ub)
-    return ap, good, ia, ib
+    return ap, good, np.arange(len(a_vals)) % len(ua), np.arange(len(b_vals)) % len(ub)
 
 
 class FamilyGrid(NamedTuple):
@@ -219,10 +228,15 @@ def family_error_grid(
     """Exact interval counts over the box |a| <= A, |b| <= B.
 
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    integer N_I grid and ``admissible`` masks Delta != 0.  Each prime's
-    residue table is tested with `Interval.contains` and expanded to the box
-    in one gather.  Primes are processed in ascending order, so the result is
-    bit-reproducible.
+    read-only int64 N_I grid and ``admissible`` masks Delta != 0.  Each
+    prime's residue table (`_box_prime_data`, residues in box order) is
+    tested with `Interval.contains`.  The box is a periodic tiling of that
+    hit table, so the table is tiled once along b and added into the box one
+    block of rows at a time; no box-sized gather is made per prime.  The
+    accumulator has the narrowest unsigned dtype that holds pi~ (a count
+    never exceeds it): uint8 up to pi~ = 255, uint16 above, which always
+    suffices since MAX_PRIME keeps pi~ below 2^16.  All work is exact integer
+    work, so the result is bit-reproducible.
     """
     window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
@@ -233,10 +247,16 @@ def family_error_grid(
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     delta_grid = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
     admissible = delta_grid != 0
-    counts = np.zeros((len(a_vals), len(b_vals)), dtype=np.int64)
+    n_a, n_b = len(a_vals), len(b_vals)
+    acc = np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count))
     for p in window.primes:
-        ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
-        counts += (good & interval.contains(ap / math.sqrt(p)))[ia][:, ib]
+        ap, good, _, _ = _box_prime_data(p, a_vals, b_vals)
+        hits = (good & interval.contains(ap / math.sqrt(p))).astype(acc.dtype)
+        period_a, period_b = hits.shape
+        tile = np.tile(hits, -(-n_b // period_b))[:, :n_b] if period_b < n_b else hits
+        for i in range(0, n_a, period_a):
+            acc[i:i + period_a] += tile[:n_a - i]
+    counts = acc.astype(np.int64)
     for arr in (a_vals, b_vals, counts, admissible):
         arr.setflags(write=False)
     return FamilyGrid(a_vals, b_vals, counts, admissible, window.count)
@@ -256,18 +276,27 @@ def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, n
     return grid, grid.admissible & (grid.a_vals != 0)[:, None] & (grid.b_vals != 0)[None, :]
 
 
+def _count_table(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the selected counts, ascending, and their
+    multiplicities; every statistic of the sample is a function of this table."""
+    mult = np.bincount(selected)
+    values = np.flatnonzero(mult)
+    return values, mult[values]
+
+
 def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentReport:
     """Direct family moments of the interval-count error over the box; a given
     ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
     (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
     mu = st_measure(plan.interval)
-    errors = np.where(admissible, counts - pi_tilde * mu, 0.0)
+    values, mult = _count_table(counts[admissible])
+    errors = values - pi_tilde * mu
     norm = 4.0 * plan.A * plan.B
     M = plan.resolved_m()
     z = exact_st_coeffs(plan.interval, M).z if M >= 3 else float("nan")
     results = []
     for t in plan.t_list:
-        empirical = float((errors ** t)[admissible].sum()) / norm
+        empirical = math.fsum((mult * errors ** t).tolist()) / norm
         main = delta(t) * gaussian_moment_constant(t) * (mu - mu * mu) ** (t / 2) * pi_tilde ** (t / 2) if t % 2 == 0 else 0.0
         ratio = empirical / main if main else None
         results.append(MomentResult(t=t, empirical=empirical, main_term=main, ratio=ratio))
@@ -446,42 +475,49 @@ class CltSample:
 
 
 def _normal_cdf(values: np.ndarray) -> np.ndarray:
-    """Phi at each value; erf runs once per distinct value (at most pi~ + 1 of them)."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in distinct])[inverse]
+    """Phi at each value."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in values])
 
 
-def _ks_against_normal(sample: np.ndarray) -> float:
-    s = np.sort(sample)
-    n = len(s)
-    cdf = _normal_cdf(s)
-    upper = np.max(np.arange(1, n + 1) / n - cdf)
-    lower = np.max(cdf - np.arange(0, n) / n)
+def _ks_against_normal(values: np.ndarray, mult: np.ndarray) -> float:
+    """KS distance from N(0, 1) of the sample with distinct ascending ``values``
+    of multiplicities ``mult``.  In the sorted sample a run of n entries equal
+    to v, ending at cumulative count c, has its largest steps c/N - Phi(v) and
+    Phi(v) - (c - n)/N, so this equals the sorted-sample formula bit for bit;
+    erf runs once per distinct value."""
+    cum = np.cumsum(mult)
+    cdf = _normal_cdf(values)
+    upper = np.max(cum / cum[-1] - cdf)
+    lower = np.max(cdf - (cum - mult) / cum[-1])
     return float(max(upper, lower))
 
 
 def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = None) -> CltSample:
     """Standardized error sample over the box, with histogram and KS distance;
-    a given ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
+    a given ``grid`` must be swept at the same x and interval (see `_plan_grid`).
+    The per-pair arrays are gathered once; the histogram and the KS distance
+    run on the count table."""
     (a_vals, b_vals, counts, _, pi_tilde), sel = _plan_grid(plan, grid)
     if not sel.any():
         raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
                          f"exclude_axes = {plan.exclude_axes}")
     mu = st_measure(plan.interval)
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
-    aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
-    errors = (counts - pi_tilde * mu)[sel].ravel()
+    selected = counts[sel]
+    errors = selected - pi_tilde * mu
     standardized = errors / scale
-    bin_counts, bin_edges = np.histogram(standardized, bins=bins)
+    values, mult = _count_table(selected)
+    table = (values - pi_tilde * mu) / scale
+    bin_counts, bin_edges = np.histogram(table, bins=bins, weights=mult)
     return CltSample(
-        a=aa[sel].ravel(),
-        b=bb[sel].ravel(),
-        counts=counts[sel].ravel(),
+        a=np.repeat(a_vals, sel.sum(1)),
+        b=np.broadcast_to(b_vals, sel.shape)[sel],
+        counts=selected,
         errors=errors,
         standardized=standardized,
         bin_edges=bin_edges,
         bin_counts=bin_counts,
-        ks=_ks_against_normal(standardized),
+        ks=_ks_against_normal(table, mult),
         mean=float(standardized.mean()),
         variance=float(standardized.var()),
     )
@@ -515,16 +551,18 @@ def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None
     Also fits the per-curve exponent log |error| / log x, the quantity the
     square-root-cancellation conjecture predicts to hover near 1/2.  A given
     ``grid`` must be swept at the same x and interval (see `_plan_grid`).
+    Everything is read from the count table.
     """
     profile = profile or plan.profile
     (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
     mu = st_measure(plan.interval)
-    errors = np.abs((counts - pi_tilde * mu)[admissible].ravel())
+    values, mult = _count_table(counts[admissible])
+    errors = np.abs(values - pi_tilde * mu)
     threshold = _profile_threshold(plan.x, mu, pi_tilde, profile, plan.c)
-    exceptions = int((errors > y * threshold).sum())
-    total = int(errors.size)
-    nonzero = errors[errors > 0]
-    fits = np.log(nonzero) / math.log(plan.x)
+    exceptions = int(mult[errors > y * threshold].sum())
+    total = int(mult.sum())
+    nonzero = errors > 0
+    fits, weights = np.log(errors[nonzero]) / math.log(plan.x), mult[nonzero]
     return AlmostAllReport(
         y=y,
         profile=profile,
@@ -533,7 +571,7 @@ def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None
         total=total,
         fraction=exceptions / total if total else 0.0,
         y_power=y ** -2,
-        exponent_fit_mean=float(fits.mean()) if len(fits) else 0.0,
+        exponent_fit_mean=math.fsum((weights * fits).tolist()) / int(weights.sum()) if len(fits) else 0.0,
         exponent_fit_max=float(fits.max()) if len(fits) else 0.0,
     )
 

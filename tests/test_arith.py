@@ -147,6 +147,22 @@ def test_trace_rows_full_grid_equal_prime_length_fft(p):
     assert np.array_equal(_trace_rows(p, residues), _trace_rows_prime_length(p, residues))
 
 
+@pytest.mark.parametrize("p", [5, 11, 101, 10007])
+def test_trace_rows_zero_row_vanishes_at_p_2_mod_3(p):
+    # cubing permutes F_p, so row a = 0 is identically 0 and skips the transforms
+    assert p % 3 == 2
+    base = _twist_base(p)
+    rows = _trace_rows(p, base)
+    assert rows.dtype == np.int64 and rows.shape == (3, p) and not rows[0].any()
+    assert np.array_equal(rows, _trace_rows_prime_length(p, base))
+    mixed = [0, 1, 0, p - 1, base[2], 0]
+    assert np.array_equal(_trace_rows(p, mixed), _trace_rows_prime_length(p, mixed))
+    assert np.array_equal(_trace_rows(p, [0, 0]), np.zeros((2, p), dtype=np.int64))
+    if p < 10007:  # the full grid at 10007 would take 800 MB
+        residues = np.arange(p)
+        assert np.array_equal(_trace_rows(p, residues), _trace_rows_prime_length(p, residues))
+
+
 def test_smooth_length_is_least_5_smooth_at_or_above():
     def is_smooth(n):
         for q in (2, 3, 5):
@@ -183,6 +199,18 @@ def test_require_prime_rejects_composites():
         require_prime(3)
     with pytest.raises(ValueError, match="p = 2997 is not prime"):
         ap_table(2997)
+
+
+def test_curve_ap_requires_a_prime():
+    # a composite modulus used to give a_p = -15 at p = 25, outside the Hasse bound
+    with pytest.raises(ValueError, match="p = 25 is not prime"):
+        curve_ap(25, CurveParams(1, 1))
+    for p in (-7, 0, 1, 2, 3, 4):
+        with pytest.raises(ValueError, match=f"require p >= 5, got p = {p}"):
+            curve_ap(p, CurveParams(1, 1))
+    over = MAX_PRIME + 1  # 101 x 9901: the cap is checked before primality
+    with pytest.raises(BudgetError, match=f"p = {over} exceeds the largest-prime cap"):
+        curve_ap(over, CurveParams(1, 1))
 
 
 def _twist_grid(p, a_res, b_res):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from stmoments.arith_curves import (
     Interval,
     SumCondition,
     _trace_rows,
+    _twist_base,
+    _twist_traces,
     count_in_interval,
     primes_in_window,
 )
@@ -19,6 +22,7 @@ from stmoments.moments_engine import (
     almost_all_report,
     clt_histogram,
     _box_prime_data,
+    _ks_against_normal,
     _normal_cdf,
     delta,
     error_term,
@@ -34,6 +38,7 @@ from stmoments.st_approx import exact_st_coeffs, st_measure
 
 HALF = Interval(0.0, math.pi / 2)
 GEN = Interval(0.7, 2.0)
+FULL = Interval(0.0, math.pi)
 
 
 def test_eta_delta():
@@ -94,6 +99,37 @@ def test_engine_wraps_residues_when_box_exceeds_p():
         for j, b in enumerate(b_vals):
             if adm[i, j]:
                 assert counts[i, j] == count_in_interval(CurveParams(int(a), int(b)), 14.0, HALF)
+
+
+def _gather_sweep(x, A, B, interval):
+    """Oracle for `family_error_grid`: sorted distinct residues from np.unique,
+    the box as one gather ``hits[ia][:, ib]`` per prime, int64 adds."""
+    a_vals = np.arange(-A, A + 1, dtype=np.int64)
+    b_vals = np.arange(-B, B + 1, dtype=np.int64)
+    counts = np.zeros((len(a_vals), len(b_vals)), dtype=np.int64)
+    for p in primes_in_window(x).primes:
+        ua, ia = np.unique(a_vals % p, return_inverse=True)
+        ub, ib = np.unique(b_vals % p, return_inverse=True)
+        ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), ua, ub)
+        counts += (good & interval.contains(ap / math.sqrt(p)))[ia][:, ib]
+    return counts
+
+
+@pytest.mark.parametrize("x, A, B, interval", [
+    (11.0, 40, 3, HALF),  # wider than p = 7, 11 in a
+    (11.0, 3, 40, Interval(0.0, math.pi / 2, half_open=True)),  # in b
+    (11.0, 150, 120, GEN),  # in both: p = 7 tiles the box 43 x 35 times
+    (60.0, 40, 40, Interval(math.pi / 2, math.pi, half_open=True)),
+    (200.0, 130, 57, Interval(math.pi / 2, math.pi)),  # wider than every window prime in a, than p < 115 in b
+    (5000.0, 3, 2, FULL),  # pi~ = 302 > 255: the uint16 accumulator
+    (5000.0, 2, 4, Interval(0.3, 1.9, half_open=True)),
+])
+def test_sweep_equals_gather_oracle(x, A, B, interval):
+    counts = family_error_grid(x, A, B, interval).counts
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert np.array_equal(counts, _gather_sweep(x, A, B, interval))
+    if interval is FULL:
+        assert primes_in_window(x).count == 302 and counts.max() > 255
 
 
 def test_family_moments_full_interval_zero():
@@ -216,6 +252,83 @@ def test_clt_sample_statistics():
     second = float((sample.standardized ** 2).sum()) / (4 * 15 * 15)
     assert second == pytest.approx(ratio, rel=1e-12)
     assert abs(sample.mean) < 1.0
+
+
+def _ks_sorted_sample(sample):
+    """Oracle for `_ks_against_normal`: the KS distance from the sorted sample."""
+    s = np.sort(sample)
+    n = len(s)
+    cdf = _normal_cdf(s)
+    upper = np.max(np.arange(1, n + 1) / n - cdf)
+    lower = np.max(cdf - np.arange(0, n) / n)
+    return float(max(upper, lower))
+
+
+def test_ks_table_equals_sorted_sample_on_ties():
+    sample = np.array([0.5, -1.25, 0.5, 0.0, 3.0, -1.25, 0.5, 0.0, 7.5, 0.5])
+    values, mult = np.unique(sample, return_counts=True)
+    assert _ks_against_normal(values, mult) == _ks_sorted_sample(sample)
+    assert _ks_against_normal(np.array([0.25]), np.array([4])) == _ks_sorted_sample(np.full(4, 0.25))
+
+
+STAT_PLANS = [
+    dict(x=200.0, A=20, B=17, interval=HALF),
+    dict(x=500.0, A=9, B=31, interval=GEN),
+    dict(x=60.0, A=40, B=40, interval=Interval(math.pi / 2, math.pi, half_open=True)),
+]
+
+
+def _per_pair(plan):
+    """The selected pairs, their counts and float errors, pair by pair."""
+    _, _, counts, adm, pi_tilde = family_error_grid(plan.x, plan.A, plan.B, plan.interval)
+    sel = adm.copy()
+    if plan.exclude_axes:
+        sel[plan.A, :] = sel[:, plan.B] = False
+    pairs = [(a, b) for a in range(-plan.A, plan.A + 1) for b in range(-plan.B, plan.B + 1)
+             if sel[a + plan.A, b + plan.B]]
+    selected = counts[sel]
+    return pairs, selected, selected - pi_tilde * st_measure(plan.interval)
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+@pytest.mark.parametrize("kwargs", STAT_PLANS)
+def test_moments_against_exact_pair_sums(kwargs, exclude_axes):
+    plan = MomentPlan(**kwargs, t_list=(1, 2, 3, 4), M=8, exclude_axes=exclude_axes)
+    _, _, errors = _per_pair(plan)
+    norm = 4 * plan.A * plan.B
+    for r in family_moments(plan).results:
+        exact = sum(Fraction(float(e)) ** r.t for e in errors) / norm
+        scale = float(sum(Fraction(abs(float(e))) ** r.t for e in errors) / norm)
+        assert abs(r.empirical - float(exact)) <= 1e-12 * scale, r.t
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+@pytest.mark.parametrize("kwargs", STAT_PLANS)
+def test_clt_sample_against_per_pair_route(kwargs, exclude_axes):
+    plan = MomentPlan(**kwargs, M=8, exclude_axes=exclude_axes)
+    pairs, selected, errors = _per_pair(plan)
+    sample = clt_histogram(plan, bins=12)
+    assert np.array_equal(sample.a, [a for a, _ in pairs]) and np.array_equal(sample.b, [b for _, b in pairs])
+    assert np.array_equal(sample.counts, selected) and np.array_equal(sample.errors, errors)
+    bin_counts, bin_edges = np.histogram(sample.standardized, bins=12)
+    assert np.array_equal(sample.bin_counts, bin_counts) and sample.bin_counts.dtype == bin_counts.dtype
+    assert np.array_equal(sample.bin_edges, bin_edges)
+    assert sample.ks == _ks_sorted_sample(sample.standardized)
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+@pytest.mark.parametrize("kwargs", STAT_PLANS)
+def test_almost_all_against_per_pair_route(kwargs, exclude_axes):
+    plan = MomentPlan(**kwargs, M=8, exclude_axes=exclude_axes)
+    _, _, errors = _per_pair(plan)
+    errors = np.abs(errors)
+    for profile in Profile:
+        for y in (0.2, 1.0, 3.0):
+            rep = almost_all_report(plan, y, profile)
+            assert (rep.exceptions, rep.total) == (int((errors > y * rep.threshold).sum()), len(errors))
+            fits = np.log(errors[errors > 0]) / math.log(plan.x)
+            assert rep.exponent_fit_max == float(fits.max())
+            assert rep.exponent_fit_mean == pytest.approx(float(fits.mean()), rel=1e-12, abs=1e-12)
 
 
 def test_normal_cdf_on_tied_sample():
