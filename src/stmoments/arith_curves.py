@@ -56,6 +56,7 @@ __all__ = [
     "ap_table",
     "normalized_coeff",
     "count_in_interval",
+    "nonsingular_mask",
     "AP_TABLE_MAX_P",
     "MAX_PRIME",
     "require_prime",
@@ -345,6 +346,21 @@ def _singular_pairs(p: int, a: int) -> list[int]:
     return list(_sqrt_lists(p)[rhs])
 
 
+def nonsingular_mask(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
+    """Writable boolean grid of Delta(a, b) != 0 over a_vals x b_vals.
+
+    The integer solutions of 4a^3 + 27b^2 = 0 are exactly (-3k^2, +-2k^3) for
+    k >= 0, so only those pairs inside the grid are cleared; no Delta grid is
+    formed.
+    """
+    mask = np.ones((len(a_vals), len(b_vals)), dtype=bool)
+    for k in range(math.isqrt(-int(np.min(a_vals, initial=0)) // 3) + 1):
+        rows = a_vals == -3 * k * k
+        cols = (b_vals == 2 * k ** 3) | (b_vals == -2 * k ** 3)
+        mask[np.ix_(rows, cols)] = False
+    return mask
+
+
 @dataclass
 class ApTable:
     """Full residue grid of traces for one prime.
@@ -372,10 +388,10 @@ class ApTable:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def ap_table(p: int, max_p: int = AP_TABLE_MAX_P) -> ApTable:
+def ap_table(p: int) -> ApTable:
     """Build the p x p trace grid from the twist orbits; O(p^2) work and memory."""
-    if p > max_p:
-        raise BudgetError(f"ap_table capped at p <= {max_p}, got p = {p}")
+    if p > AP_TABLE_MAX_P:
+        raise BudgetError(f"ap_table capped at p <= {AP_TABLE_MAX_P}, got p = {p}")
     require_prime(p)
     residues = np.arange(p)
     ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), residues, residues)

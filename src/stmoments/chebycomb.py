@@ -19,9 +19,11 @@ Melzak's finite-difference identity for polynomials, used to prove that the
 triangular system relating class-number moments to operator traces has unit
 diagonal (`a_lk`), and the signed coefficients attached to set partitions
 that separate sums over pairwise-distinct primes into products of plain prime
-sums (`partition_coeff`, `separate_distinct_sums`).
+sums (`partition_coeff`, `distinct_sum`, `separate_distinct_sums`).
 
-All arithmetic in this module is exact (int / Fraction); floats never enter.
+Every helper is exact on int / Fraction inputs.  `f_eval` and `distinct_sum`
+also run elementwise on numpy arrays, which is how the moment pipeline uses
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetError
 
@@ -43,6 +45,7 @@ __all__ = [
     "a_lk",
     "set_partitions",
     "partition_coeff",
+    "distinct_sum",
     "separate_distinct_sums",
     "gaussian_moment_constant",
     "all_exponent_multisets",
@@ -212,20 +215,34 @@ def partition_coeff(blocks: Sequence[Sequence[int]]) -> int:
     return coeff
 
 
+def distinct_sum(n: int, block_sum: Callable[[tuple[int, ...]], object]):
+    """Sum over ordered n-tuples of pairwise-distinct primes of prod_i g_i(p_i).
+
+    ``block_sum(B)`` must return sum_p prod_{i in B} g_i(p) for a block B of
+    indices in {0, ..., n-1}; the distinct-prime sum is then
+
+        sum_P A(P) prod_{blocks B of P} block_sum(B)
+
+    over the set partitions P of {0, ..., n-1}, with A(P) from
+    `partition_coeff`.  Bell(n) products of block sums replace the O(P^n)
+    enumeration.  Exact for int / Fraction block sums, elementwise for arrays.
+    """
+    return sum(partition_coeff(blocks) * math.prod(block_sum(tuple(i - 1 for i in block)) for block in blocks)
+               for blocks in set_partitions(range(1, n + 1)))
+
+
 def separate_distinct_sums(values: Sequence[Mapping[int, object]], n: int):
     """Sum over pairwise-distinct prime tuples, computed two ways.
 
     ``values[i]`` maps each prime to the i-th factor's value there.  The
     direct route enumerates all ordered n-tuples of distinct primes; the
-    partition route rewrites the sum as
-
-        sum_P A(P) prod_{blocks B} sum_p prod_{i in B} values[i][p].
+    partition route is `distinct_sum` over the plain prime sums.
 
     Returns (direct, partitioned); the two agree identically (exactly so for
     Fraction inputs).  Guarded at n <= 6 since the direct route is O(P^n).
     """
     if n > 6:
-        raise BudgetError("distinct-tuple enumeration capped at n = 6")
+        raise BudgetError(f"distinct-tuple enumeration capped at n = 6, got n = {n}")
     if len(values) != n:
         raise ValueError("values must supply one map per index")
     keys = list(values[0].keys())
@@ -233,28 +250,8 @@ def separate_distinct_sums(values: Sequence[Mapping[int, object]], n: int):
         if set(v.keys()) != set(keys):
             raise ValueError("all index maps must share the same prime support")
 
-    direct = 0
-    for tup in permutations(keys, n):
-        term = 1
-        for i, p in enumerate(tup):
-            term = term * values[i][p]
-        direct += term
-
-    partitioned = 0
-    for blocks in set_partitions(range(n)):
-        coeff = (-1) ** (n - len(blocks))
-        for block in blocks:
-            coeff *= math.factorial(len(block) - 1)
-        contrib = 1
-        for block in blocks:
-            block_sum = 0
-            for p in keys:
-                term = 1
-                for i in block:
-                    term = term * values[i][p]
-                block_sum += term
-            contrib = contrib * block_sum
-        partitioned += coeff * contrib
+    direct = sum(math.prod(values[i][p] for i, p in enumerate(tup)) for tup in permutations(keys, n))
+    partitioned = distinct_sum(n, lambda block: sum(math.prod(values[i][p] for i in block) for p in keys))
     return direct, partitioned
 
 

@@ -111,9 +111,6 @@ class HurwitzTable:
             raise ValueError(f"table covers N <= {self.max_n}")
         return int(self.twelve_h[n])
 
-    def h(self, n: int) -> Fraction:
-        return Fraction(self.twelve(n), 12)
-
     def to_csv(self, path) -> None:
         """Rows N = 1..max_n of 12 H(N), with 0 at N = 1, 2 mod 4."""
         with open(path, "w") as fh:

@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith_curves import CACHE_MAXSIZE, ApTable, SumCondition, _trace_rows, _twist_base, _twist_traces, ap_table
+from .arith_curves import (CACHE_MAXSIZE, ApTable, SumCondition, _trace_rows, _twist_base, _twist_traces, ap_table,
+                           nonsingular_mask)
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -45,9 +46,11 @@ __all__ = [
     "s_grid_brute",
     "box_average",
     "S_BRUTE_MAX_P",
+    "BOX_AVERAGE_MAX_PAIRS",
 ]
 
-S_BRUTE_MAX_P = 300
+S_BRUTE_MAX_P = 300  # largest p of `s0_brute` and largest radical of `s_grid_brute`
+BOX_AVERAGE_MAX_PAIRS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,10 @@ def _cached_table(p: int) -> ApTable:
     return ap_table(p)
 
 
-def s0_brute(p: int, m: int, table: ApTable | None = None, max_p: int = S_BRUTE_MAX_P) -> float:
+def s0_brute(p: int, m: int, table: ApTable | None = None) -> float:
     """Grid average of the p^m coefficient over good pairs, from the trace table."""
-    if p > max_p:
-        raise BudgetError(f"grid average capped at p <= {max_p}")
+    if p > S_BRUTE_MAX_P:
+        raise BudgetError(f"grid average capped at p <= {S_BRUTE_MAX_P}, got p = {p}")
     table = table if table is not None else _cached_table(p)
     sqrt_p = math.sqrt(p)
     total = math.fsum(
@@ -184,8 +187,7 @@ def _grid_coeff_product(
     """Normalized coefficient at n on an (a, b) grid, with the summation mask
     applied (excluded pairs contribute 0).  Shape (len(a_vals), len(b_vals))."""
     coeff = np.ones((len(a_vals), len(b_vals)))
-    delta = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
-    mask = delta != 0
+    mask = nonsingular_mask(a_vals, b_vals)
     for p, m in n.factors:
         table = _cached_table(p)
         ia = (a_vals % p).astype(np.int64)
@@ -199,13 +201,13 @@ def _grid_coeff_product(
     return np.where(mask, coeff, 0.0)
 
 
-def s_grid_brute(n: FactoredInteger, max_s: int = S_BRUTE_MAX_P) -> float:
+def s_grid_brute(n: FactoredInteger) -> float:
     """The defining s(n) x s(n) grid average; oracle for the product path."""
     if n.n == 1:
         return 1.0
     s = n.radical
-    if s > max_s:
-        raise BudgetError(f"grid average capped at radical <= {max_s}")
+    if s > S_BRUTE_MAX_P:
+        raise BudgetError(f"grid average capped at radical <= {S_BRUTE_MAX_P}, got radical = {s}")
     vals = np.arange(1, s + 1, dtype=np.int64)
     grid = _grid_coeff_product(n, vals, vals, SumCondition.SKIP_BAD_AND_AB)
     return float(grid.sum()) / s ** 2
@@ -225,12 +227,12 @@ def box_average(
     B: int,
     condition: SumCondition = SumCondition.SKIP_BAD_AND_AB,
     store: TraceStore | None = None,
-    max_pairs: int = 4_000_000,
 ) -> BoxAverageResult:
     """Box sum of the coefficient at n over |a| <= A, |b| <= B versus its
     multiplicative prediction 4AB S(n) (or 4AB S0(n) without the ab condition)."""
-    if (2 * A + 1) * (2 * B + 1) > max_pairs:
-        raise BudgetError("box too large for direct evaluation")
+    n_pairs = (2 * A + 1) * (2 * B + 1)
+    if n_pairs > BOX_AVERAGE_MAX_PAIRS:
+        raise BudgetError(f"box average over {n_pairs} pairs exceeds the cap of {BOX_AVERAGE_MAX_PAIRS}")
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     total = float(_grid_coeff_product(n, a_vals, b_vals, condition).sum())

@@ -246,9 +246,6 @@ class TraceStore:
             self._traces[key] = hecke_trace(k, p, basis).trace
         return self._traces[key]
 
-    def record(self, k: int, p: int) -> TraceRecord:
-        return TraceRecord(k=k, p=p, trace=self.trace(k, p), method="miller")
-
 
 def normalized_trace(k: int, p: int, store: TraceStore | None = None) -> float:
     """trace / p^((k-1)/2); bounded by twice the dimension."""

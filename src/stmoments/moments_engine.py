@@ -21,9 +21,11 @@ polynomial sums by the algebraic route: open the t-th power, group equal
 primes with set partitions, expand coefficient products through the integer
 D tables, and attach to every exponent tuple the box average of the
 coefficient at p_1^a_1 ... p_u^a_u over pairwise-distinct prime tuples.
-Before any analytic estimation that rewriting is an identity, so the two
-routes must agree to float accuracy; this is the strongest single test of
-the combinatorial layer.
+Those distinct-prime sums go by the partition route (`chebycomb.distinct_sum`):
+Bell(u) products of plain prime sums, not an O(P^u) enumeration.  Before
+any analytic estimation that rewriting is an identity, so the two routes
+must agree to float accuracy; this is the strongest single test of the
+combinatorial layer.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +49,11 @@ from .arith_curves import (
     _twist_traces,
     count_in_interval,
     curve_ap,
+    nonsingular_mask,
     primes_in_window,
     primes_upto,
 )
-from .chebycomb import f_eval, gaussian_moment_constant, set_partitions
+from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, set_partitions
 from .errors import BudgetError
 from .st_approx import BSCoefficients, _f_rows, exact_st_coeffs, profile_M, st_measure
 
@@ -218,19 +222,13 @@ class FamilyGrid(NamedTuple):
         return FamilyGrid(a_vals[rows], b_vals[cols], counts[rows, cols], admissible[rows, cols], pi_tilde)
 
 
-def family_error_grid(
-    x: float,
-    A: int,
-    B: int,
-    interval: Interval,
-    budget: int = DEFAULT_BOX_BUDGET,
-) -> FamilyGrid:
+def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGrid:
     """Exact interval counts over the box |a| <= A, |b| <= B.
 
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    read-only int64 N_I grid and ``admissible`` masks Delta != 0.  Each
-    prime's residue table (`_box_prime_data`, residues in box order) is
-    tested with `Interval.contains`.  The box is a periodic tiling of that
+    read-only int64 N_I grid and ``admissible`` masks Delta != 0
+    (`nonsingular_mask`).  Each prime's residue table (`_box_prime_data`,
+    residues in box order) is tested with `Interval.contains`.  The box is a periodic tiling of that
     hit table, so the table is tiled once along b and added into the box one
     block of rows at a time; no box-sized gather is made per prime.  The
     accumulator has the narrowest unsigned dtype that holds pi~ (a count
@@ -240,13 +238,12 @@ def family_error_grid(
     """
     window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
-    if n_pairs * max(window.count, 1) > budget:
+    if n_pairs * max(window.count, 1) > DEFAULT_BOX_BUDGET:
         raise BudgetError(f"box sweep of {n_pairs} pairs x {window.count} primes = "
-                          f"{n_pairs * window.count} exceeds the cap of {budget}")
+                          f"{n_pairs * window.count} exceeds the cap of {DEFAULT_BOX_BUDGET}")
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
-    delta_grid = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
-    admissible = delta_grid != 0
+    admissible = nonsingular_mask(a_vals, b_vals)
     n_a, n_b = len(a_vals), len(b_vals)
     acc = np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count))
     for p in window.primes:
@@ -318,19 +315,23 @@ def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentRe
 # expansion cross-check
 # ---------------------------------------------------------------------------
 
-PIPELINE_MAX_T = 3
-PIPELINE_MAX_M = 6
-PIPELINE_MAX_PRIMES = 12
+PIPELINE_MAX_T = 4
+PIPELINE_MAX_M = 8
+PIPELINE_MAX_PRIMES = 100
 PIPELINE_MAX_HALF_BOX = 15
 
 
 def _pipeline_guard(plan: MomentPlan, t: int) -> None:
-    if t > PIPELINE_MAX_T or plan.resolved_m() > PIPELINE_MAX_M:
-        raise BudgetError("expansion cross-check restricted to t <= 3, M <= 6")
-    if plan.A > PIPELINE_MAX_HALF_BOX or plan.B > PIPELINE_MAX_HALF_BOX:
-        raise BudgetError("expansion cross-check restricted to small boxes")
-    if primes_in_window(plan.x).count > PIPELINE_MAX_PRIMES:
-        raise BudgetError("expansion cross-check restricted to short windows")
+    """BudgetError naming the first of t, M, A, B and the prime count over its cap."""
+    for name, value, cap in (
+        ("t", t, PIPELINE_MAX_T),
+        ("M", plan.resolved_m(), PIPELINE_MAX_M),
+        ("A", plan.A, PIPELINE_MAX_HALF_BOX),
+        ("B", plan.B, PIPELINE_MAX_HALF_BOX),
+        ("the window's prime count", primes_in_window(plan.x).count, PIPELINE_MAX_PRIMES),
+    ):
+        if value > cap:
+            raise BudgetError(f"expansion cross-check: {name} = {value} exceeds the cap of {cap}")
 
 
 def _masked_power_tables(plan: MomentPlan, mmax: int):
@@ -383,6 +384,17 @@ def _fold_u_tables(u: np.ndarray, M: int, t: int) -> list[dict[int, float]]:
     return tables
 
 
+def _expansion_terms(u: np.ndarray, M: int, t: int):
+    """(exponent tuple, coefficient) terms of the opened t-th power: one per set
+    partition of {1..t} (the blocks of equal primes) and per choice of one
+    exponent per block, weighted by the blocks' U-weighted D products."""
+    u_tables = _fold_u_tables(u, M, t)
+    for blocks in set_partitions(range(t)):
+        factor_tables = [u_tables[len(block) - 1] for block in blocks]
+        for alphas in product(*(ft.keys() for ft in factor_tables)):
+            yield alphas, math.prod(ft[alpha] for ft, alpha in zip(factor_tables, alphas))
+
+
 def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None = None) -> float:
     """The same t-th moment through the partition/product-rule expansion.
 
@@ -394,37 +406,22 @@ def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None
     _pipeline_guard(plan, t)
     M = plan.resolved_m()
     coeffs = coeffs or exact_st_coeffs(plan.interval, M)
-    tables = _masked_power_tables(plan, t * M)
-    n_primes = len(tables)
+    tables = np.stack(_masked_power_tables(plan, t * M))  # (prime, m, pair)
     norm = 4.0 * plan.A * plan.B
-    u_tables = _fold_u_tables(coeffs.u, M, t)
 
-    tuple_cache: dict[tuple[int, ...], float] = {}
+    @lru_cache(maxsize=None)
+    def block_sum(exponents: tuple[int, ...]) -> np.ndarray:
+        return tables[:, list(exponents)].prod(axis=1).sum(axis=0)
 
-    def distinct_tuple_sum(alphas: tuple[int, ...]) -> float:
-        key = tuple(sorted(alphas))
-        if key in tuple_cache:
-            return tuple_cache[key]
-        u = len(alphas)
-        total = 0.0
-        for primes in permutations(range(n_primes), u):
-            prod = tables[primes[0]][alphas[0]]
-            for j in range(1, u):
-                prod = prod * tables[primes[j]][alphas[j]]
-            total += float(prod.sum())
-        tuple_cache[key] = total / norm
-        return tuple_cache[key]
+    @lru_cache(maxsize=None)
+    def distinct_average(alphas: tuple[int, ...]) -> float:
+        pairs = distinct_sum(len(alphas), lambda block: block_sum(tuple(sorted(alphas[i] for i in block))))
+        return float(pairs.sum()) / norm
 
     total = 0.0
-    for blocks in set_partitions(range(t)):
-        factor_tables = [u_tables[len(block) - 1] for block in blocks]
-        for alphas in product(*(ft.keys() for ft in factor_tables)):
-            coeff = 1.0
-            for ft, alpha in zip(factor_tables, alphas):
-                coeff *= ft[alpha]
-            if coeff == 0.0:
-                continue
-            total += coeff * distinct_tuple_sum(alphas)
+    for alphas, coeff in _expansion_terms(coeffs.u, M, t):
+        if coeff != 0.0:
+            total += coeff * distinct_average(tuple(sorted(alphas)))
     return total
 
 
@@ -433,16 +430,7 @@ def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ..
     set partitions of {1..t} into len(alphas) blocks of the U-weighted D
     products.  At the all-zero tuple with t = 2z this collapses to
     (2z)!/(2^z z!) Z^z."""
-    u_tables = _fold_u_tables(u, M, t)
-    total = 0.0
-    for blocks in set_partitions(range(t)):
-        if len(blocks) != len(alphas):
-            continue
-        prod = 1.0
-        for block, alpha in zip(blocks, alphas):
-            prod *= u_tables[len(block) - 1].get(alpha, 0.0)
-        total += prod
-    return total
+    return sum((coeff for key, coeff in _expansion_terms(u, M, t) if key == tuple(alphas)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +541,8 @@ def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None
     ``grid`` must be swept at the same x and interval (see `_plan_grid`).
     Everything is read from the count table.
     """
+    if not y > 0:
+        raise ValueError(f"the almost-all level needs y > 0, got y = {y}")
     profile = profile or plan.profile
     (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
     mu = st_measure(plan.interval)

@@ -24,6 +24,7 @@ from stmoments.arith_curves import (
     count_in_interval,
     curve_ap,
     legendre,
+    nonsingular_mask,
     normalized_coeff,
     primes_in_window,
     primes_upto,
@@ -274,7 +275,21 @@ def test_per_prime_caches_share_one_bound():
 
 def test_ap_table_budget_guard():
     with pytest.raises(BudgetError):
-        ap_table(3001, max_p=3000)
+        ap_table(3001)
+
+
+@pytest.mark.parametrize("a_vals, b_vals", [
+    (np.arange(-27, 28), np.arange(-54, 55)),  # k = 0..3
+    (np.arange(-30, 4), np.arange(-20, 60)),  # asymmetric: k = 3 only at b = +54
+    (np.arange(-12, 1), np.arange(-1, 17)),
+    (np.arange(-2, 5), np.arange(-3, 2)),  # k = 0 only
+    (np.arange(1, 5), np.arange(-4, 5)),  # no singular pair
+    (np.arange(1, 36), np.arange(1, 36)),  # the 1..s axes of s_grid_brute
+])
+def test_nonsingular_mask_against_delta_grid(a_vals, b_vals):
+    delta = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
+    mask = nonsingular_mask(a_vals, b_vals)
+    assert mask.dtype == bool and np.array_equal(mask, delta != 0)
 
 
 def test_singular_trace_matches_point_count():

@@ -88,6 +88,10 @@ def test_cli_exit_codes(capsys):
         err = capsys.readouterr().err
         assert "needs A >= 1 and B >= 1" in err and f"got A = {A}, B = {B}" in err
         assert "Traceback" not in err
+    for y in ("0", "-1"):
+        assert run(["almost-all", "--x", "100", "--A", "3", "--B", "3", "--y", y] + interval) == 2
+        err = capsys.readouterr().err
+        assert f"needs y > 0, got y = {float(y)}" in err and "Traceback" not in err
     assert run(["moments", "--x", "2000", "--A", "2000", "--B", "2000"] + interval) == 3
     assert "135 primes = 2161080135 exceeds the cap of 500000000" in capsys.readouterr().err
     for argv, code, message in (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from stmoments.chebycomb import (
     PowerPoly,
     a_lk,
     all_exponent_multisets,
+    distinct_sum,
     f_eval,
     f_poly,
     gaussian_moment_constant,
@@ -204,6 +206,20 @@ def test_separate_distinct_sums_exact():
             for tup in permutations(primes, n)
         )
         assert direct == brute
+
+
+@given(st_.integers(1, 5), st_.data())
+@settings(max_examples=80, deadline=None)
+def test_distinct_sum_against_permutations(n, data):
+    n_keys = data.draw(st_.integers(1, 6))
+    fractions = st_.fractions(min_value=-5, max_value=5, max_denominator=7)
+    values = [[data.draw(fractions) for _ in range(n_keys)] for _ in range(n)]
+    brute = sum(math.prod(values[i][p] for i, p in enumerate(tup))
+                for tup in itertools.permutations(range(n_keys), n))
+    got = distinct_sum(n, lambda block: sum(math.prod(values[i][p] for i in block) for p in range(n_keys)))
+    assert got == brute
+    if n > n_keys:
+        assert got == 0
 
 
 def test_separate_distinct_sums_special_cases():

@@ -159,8 +159,10 @@ def test_double_periodicity():
 
 
 def test_grid_guard():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="capped at radical <= 300, got radical = 5005"):
         s_grid_brute(FactoredInteger.from_int(5 * 7 * 11 * 13))
+    with pytest.raises(BudgetError, match="capped at p <= 300, got p = 307"):
+        s0_brute(307, 2)
 
 
 def test_box_average_n1():
@@ -192,5 +194,5 @@ def test_box_average_residual_scale():
     assert abs(res.residual) <= 10 * res.bound_shape
     res0 = box_average(n, 50, 50, condition=SumCondition.SKIP_BAD_ONLY)
     assert abs(res0.residual) <= 10 * res0.bound_shape
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="16008001 pairs exceeds the cap of 4000000"):
         box_average(n, 2000, 2000)

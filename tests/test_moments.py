@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from stmoments.arith_curves import (
     count_in_interval,
     primes_in_window,
 )
+from stmoments.chebycomb import set_partitions
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
     MomentPlan,
@@ -22,7 +24,9 @@ from stmoments.moments_engine import (
     almost_all_report,
     clt_histogram,
     _box_prime_data,
+    _fold_u_tables,
     _ks_against_normal,
+    _masked_power_tables,
     _normal_cdf,
     delta,
     error_term,
@@ -191,11 +195,79 @@ def test_expansion_t1_linearity():
 
 def test_expansion_guard():
     plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=32)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="M = 32 exceeds the cap of 8"):
         moment_via_expansion(plan, 2)
     plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=2)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="t = 5 exceeds the cap of 4"):
         moment_via_expansion(plan, 5)
+    for kwargs, message in (
+        (dict(M=9), "M = 9 exceeds the cap of 8"),
+        (dict(A=16), "A = 16 exceeds the cap of 15"),
+        (dict(B=16), "B = 16 exceeds the cap of 15"),
+        (dict(x=1447.0), "prime count = 101 exceeds the cap of 100"),
+    ):
+        plan = dataclasses.replace(MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=2), **kwargs)
+        for route in (moment_via_expansion, psum_moment_direct):
+            with pytest.raises(BudgetError, match=message):
+                route(plan, 4)
+
+
+def _expansion_by_permutations(plan, t, coeffs):
+    """The enumeration route: each distinct-prime sum taken over all ordered
+    tuples of distinct window primes, O(P^u) box products per exponent tuple."""
+    M = plan.resolved_m()
+    tables = _masked_power_tables(plan, t * M)
+    n_primes = len(tables)
+    norm = 4.0 * plan.A * plan.B
+    u_tables = _fold_u_tables(coeffs.u, M, t)
+
+    tuple_cache = {}
+
+    def distinct_tuple_sum(alphas):
+        key = tuple(sorted(alphas))
+        if key in tuple_cache:
+            return tuple_cache[key]
+        total = 0.0
+        for primes in itertools.permutations(range(n_primes), len(alphas)):
+            prod = tables[primes[0]][alphas[0]]
+            for j in range(1, len(alphas)):
+                prod = prod * tables[primes[j]][alphas[j]]
+            total += float(prod.sum())
+        tuple_cache[key] = total / norm
+        return tuple_cache[key]
+
+    total = 0.0
+    for blocks in set_partitions(range(t)):
+        factor_tables = [u_tables[len(block) - 1] for block in blocks]
+        for alphas in itertools.product(*(ft.keys() for ft in factor_tables)):
+            coeff = 1.0
+            for ft, alpha in zip(factor_tables, alphas):
+                coeff *= ft[alpha]
+            if coeff != 0.0:
+                total += coeff * distinct_tuple_sum(alphas)
+    return total
+
+
+@pytest.mark.parametrize("x, half", [(40.0, 4), (60.0, 6)])
+def test_expansion_matches_permutation_route(x, half):
+    # the grid of verify's pipeline suite
+    for interval in (HALF, GEN):
+        for condition in (SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY):
+            for M in (1, 2, 3):
+                plan = MomentPlan(x=x, A=half, B=half, interval=interval, M=M, condition=condition)
+                coeffs = exact_st_coeffs(interval, M)
+                for t in (1, 2, 3):
+                    oracle = _expansion_by_permutations(plan, t, coeffs)
+                    assert moment_via_expansion(plan, t, coeffs) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("interval", [HALF, GEN])
+def test_expansion_t4_matches_direct_on_61_primes(interval):
+    plan = MomentPlan(x=800.0, A=15, B=15, interval=interval, M=8)
+    assert primes_in_window(plan.x).count == 61
+    coeffs = exact_st_coeffs(interval, 8)
+    direct = psum_moment_direct(plan, 4, coeffs)
+    assert moment_via_expansion(plan, 4, coeffs) == pytest.approx(direct, rel=1e-12)
 
 
 def test_c_coefficient_gaussian_collapse():
