@@ -10,11 +10,11 @@ Residue grids of traces T(a, b) = -sum_x chi(x^3 + ax + b) for one prime
 come from its twist orbits.  Substituting x = d x' gives T(d^2 a, d^3 b) =
 chi(d) T(a, b), so every row a != 0 is a permuted, sign-flipped copy of row 1
 (a a square) or of row n (a a non-square, n the least non-residue), and a
-prime needs only the three base rows a = 0, 1, n (`_twist_traces`).  The
-character sum is already the trace at singular pairs: at a node with double
-root e it is chi(3e), the split-tangent sign, and at the cusp it is
--sum_x chi(x^3) = 0, so no entry is overwritten and only the good mask
-(Delta != 0 mod p) is needed.
+prime needs only the three base rows a = 0, 1, n, which `_twist_traces`
+builds itself.  The character sum is already the trace at singular pairs: at
+a node with double root e it is chi(3e), the split-tangent sign, and at the
+cusp it is -sum_x chi(x^3) = 0, so no entry is overwritten and only the good
+mask (Delta != 0 mod p) is needed.
 
 `_trace_rows` gives T(a, b) for every b at once: for each residue a the
 histogram of x^3 + ax over x is circularly correlated against the Legendre
@@ -25,6 +25,11 @@ because every value is an integer bounded by p.  It serves the base rows, and
 over all residues it is an independent oracle for the twist construction, as
 are `curve_ap` and `_singular_pairs`/`_classify_singular`.
 
+Every trace the package reads goes through one function per shape of read,
+all on `_twist_traces` except the last: `ap_table` (the p x p grid),
+`_box_prime_data` and `box_summands` (one prime over a box) and `good_traces`
+(one curve at many primes, through `curve_ap`).
+
 Every O(p) table and the prime sieve stop at MAX_PRIME with a `BudgetError`
 before they allocate.
 """
@@ -32,7 +37,7 @@ before they allocate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -56,6 +61,8 @@ __all__ = [
     "ap_table",
     "normalized_coeff",
     "count_in_interval",
+    "good_traces",
+    "box_summands",
     "nonsingular_mask",
     "AP_TABLE_MAX_P",
     "MAX_PRIME",
@@ -134,7 +141,7 @@ class Interval:
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < self.beta <= math.pi + 1e-15):
-            raise ValueError("need 0 <= alpha < beta <= pi")
+            raise ValueError(f"need 0 <= alpha < beta <= pi, got alpha = {self.alpha}, beta = {self.beta}")
 
     @property
     def lo(self) -> float:
@@ -181,7 +188,7 @@ def primes_upto(limit: int) -> tuple[int, ...]:
 def primes_in_window(x: float) -> PrimeWindow:
     """Sieve-exact list of primes in (x/2, x]; requires x >= 10."""
     if x < 10:
-        raise ValueError("window operations require x >= 10")
+        raise ValueError(f"window operations require x >= 10, got x = {x}")
     primes = tuple(q for q in primes_upto(int(math.floor(x))) if q > x / 2)
     return PrimeWindow(x=x, primes=primes)
 
@@ -232,11 +239,16 @@ def _classify_singular(p: int, a: int, b: int) -> TraceValue:
     return TraceValue(Reduction.NODE, sign)
 
 
+def _require_elliptic(curve: CurveParams) -> None:
+    """ValueError naming a and b when Delta(a, b) = 0."""
+    if curve.delta == 0:
+        raise ValueError(f"Delta(a, b) = 0 is not an elliptic curve: a = {curve.a}, b = {curve.b}")
+
+
 def curve_ap(p: int, curve: CurveParams) -> TraceValue:
     """Trace of Frobenius at p, or the nodal/cuspidal marker if p | Delta."""
     require_prime(p)
-    if curve.delta == 0:
-        raise ValueError("Delta(a, b) = 0 is not an elliptic curve")
+    _require_elliptic(curve)
     a, b = curve.a % p, curve.b % p
     if curve.delta % p == 0:
         return _classify_singular(p, a, b)
@@ -270,9 +282,9 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     h_a of x^3 + a x with chi, taken as a linear one: h_a reversed against
     [chi, chi] by one batched real FFT of 5-smooth length L >= 2p - 1, read at
     entries p - 1 .. 2p - 2.  For p = 2 mod 3 cubing permutes F_p, so row
-    a = 0 is -sum_y chi(y + b) = 0 and skips the transforms.  The sweep and
-    `ap_table` ask only for the base rows of `_twist_traces`, and tests
-    compare the twist grids with all p rows.
+    a = 0 is -sum_y chi(y + b) = 0 and skips the transforms.  The package
+    asks only for the base rows, inside `_twist_traces`, and tests compare
+    the twist grids with all p rows.
     """
     live = [i for i, a in enumerate(a_residues) if p % 3 != 2 or a % p]
     if not live:
@@ -309,17 +321,18 @@ def _twist_base(p: int) -> tuple[int, int, int]:
     return 0, 1, n
 
 
-def _twist_traces(p: int, base: np.ndarray, a_res: np.ndarray, b_res: np.ndarray):
+def _twist_traces(p: int, a_res: np.ndarray, b_res: np.ndarray):
     """Traces and good mask at the residue pairs (a_res x b_res) of one prime.
 
-    ``base`` holds `_trace_rows(p, _twist_base(p))`.  Row a != 0 is read off
-    base row a0 = 1 or n through T(a, b) = chi(d) T(a0, b d^-3) with
-    d^2 = a / a0; d comes from a table of square roots, d^-3 = d^(p-4).  The
-    work is O(p + len(a_res) len(b_res)).  Returns int64 traces and the
-    boolean mask Delta != 0 mod p, both of shape (len(a_res), len(b_res)).
+    The base rows `_trace_rows(p, _twist_base(p))` are built here.  Row a != 0
+    is read off base row a0 = 1 or n through T(a, b) = chi(d) T(a0, b d^-3)
+    with d^2 = a / a0; d comes from a table of square roots, d^-3 = d^(p-4).
+    The work is O(p log p + len(a_res) len(b_res)).  Returns int64 traces and
+    the boolean mask Delta != 0 mod p, both of shape (len(a_res), len(b_res)).
     """
     chi = _legendre_table(p)
-    n = _twist_base(p)[2]
+    base_res = _twist_base(p)
+    base, n = _trace_rows(p, base_res), base_res[2]
     a_res = np.asarray(a_res, dtype=np.int64)
     b_res = np.asarray(b_res, dtype=np.int64)
     ys = np.arange((p + 1) // 2, dtype=np.int64)
@@ -361,6 +374,30 @@ def nonsingular_mask(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
+    """Residue table of one prime over the box: (ap, good, ia, ib).
+
+    ``a_vals`` and ``b_vals`` are runs of consecutive integers, so their first
+    min(n, p) residues are distinct and the rest repeat them with period p.
+    ``ap`` and ``good`` are `_twist_traces` at those residues in box order,
+    O(p log p + residues met) work whatever the box shape, and ``ia``, ``ib``
+    map the box rows and columns to them: ``ap[ia][:, ib]`` is the box.
+    """
+    ua, ub = a_vals[:p] % p, b_vals[:p] % p
+    ap, good = _twist_traces(p, ua, ub)
+    return ap, good, np.arange(len(a_vals)) % len(ua), np.arange(len(b_vals)) % len(ub)
+
+
+def box_summands(p: int, a_vals: np.ndarray, b_vals: np.ndarray, condition: SumCondition):
+    """a_p/sqrt(p) over the box a_vals x b_vals (runs of consecutive integers)
+    and the mask of the pairs whose prime sums keep p under ``condition``."""
+    ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
+    keep = good[ia][:, ib]  # good at p implies Delta != 0
+    if condition is SumCondition.SKIP_BAD_AND_AB:
+        keep &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
+    return ap[ia][:, ib] / math.sqrt(p), keep
+
+
 @dataclass
 class ApTable:
     """Full residue grid of traces for one prime.
@@ -382,11 +419,6 @@ class ApTable:
     def good(self) -> np.ndarray:
         return self.kind == _GOOD
 
-    def good_trace_counts(self) -> dict[int, int]:
-        """Histogram of traces over the good pairs."""
-        vals, counts = np.unique(self.ap[self.good], return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
 
 def ap_table(p: int) -> ApTable:
     """Build the p x p trace grid from the twist orbits; O(p^2) work and memory."""
@@ -394,7 +426,7 @@ def ap_table(p: int) -> ApTable:
         raise BudgetError(f"ap_table capped at p <= {AP_TABLE_MAX_P}, got p = {p}")
     require_prime(p)
     residues = np.arange(p)
-    ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), residues, residues)
+    ap, good = _twist_traces(p, residues, residues)
     kind = np.where(good, np.uint8(_GOOD), np.uint8(_NODE))
     kind[0, 0] = _CUSP
     ap.setflags(write=False)
@@ -412,17 +444,18 @@ def normalized_coeff(tv: TraceValue, p: int, m: int) -> float:
     return float(tv.ap ** m) if m else 1.0
 
 
+def good_traces(curve: CurveParams, primes, condition: SumCondition) -> np.ndarray:
+    """a_p/sqrt(p) at the primes (each >= 5) whose prime sums ``condition``
+    keeps for the curve, in the given order; ValueError naming a and b when
+    Delta(a, b) = 0."""
+    _require_elliptic(curve)
+    skip_ab = condition is SumCondition.SKIP_BAD_AND_AB
+    kept = [p for p in primes if curve.delta % p and not (skip_ab and curve.a * curve.b % p == 0)]
+    return np.array([curve_ap(p, curve).ap / math.sqrt(p) for p in kept], dtype=float)
+
+
 def count_in_interval(curve: CurveParams, x: float, interval: Interval) -> int:
     """Number of window primes of good reduction whose normalized trace lies
     in the interval."""
-    if curve.delta == 0:
-        raise ValueError("Delta(a, b) = 0 is not an elliptic curve")
-    window = primes_in_window(x)
-    count = 0
-    for p in window.primes:
-        if curve.delta % p == 0:
-            continue
-        tv = curve_ap(p, curve)
-        if interval.contains(tv.ap / math.sqrt(p)):
-            count += 1
-    return count
+    traces = good_traces(curve, primes_in_window(x).primes, SumCondition.SKIP_BAD_ONLY)
+    return int(np.count_nonzero(interval.contains(traces)))

@@ -227,6 +227,8 @@ def distinct_sum(n: int, block_sum: Callable[[tuple[int, ...]], object]):
     `partition_coeff`.  Bell(n) products of block sums replace the O(P^n)
     enumeration.  Exact for int / Fraction block sums, elementwise for arrays.
     """
+    if n < 1:
+        raise ValueError(f"a distinct-prime sum needs n >= 1 factors, got n = {n}")
     return sum(partition_coeff(blocks) * math.prod(block_sum(tuple(i - 1 for i in block)) for block in blocks)
                for blocks in set_partitions(range(1, n + 1)))
 
@@ -241,6 +243,8 @@ def separate_distinct_sums(values: Sequence[Mapping[int, object]], n: int):
     Returns (direct, partitioned); the two agree identically (exactly so for
     Fraction inputs).  Guarded at n <= 6 since the direct route is O(P^n).
     """
+    if n < 1:
+        raise ValueError(f"a distinct-prime sum needs n >= 1 factors, got n = {n}")
     if n > 6:
         raise BudgetError(f"distinct-tuple enumeration capped at n = 6, got n = {n}")
     if len(values) != n:

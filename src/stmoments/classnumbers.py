@@ -125,7 +125,7 @@ def build_hurwitz_table(max_n: int) -> HurwitzTable:
     O(max_n^(3/2)) total instead of a per-N scan.
     """
     if max_n < 3:
-        raise ValueError("max_n must be at least 3")
+        raise ValueError(f"max_n must be at least 3, got max_n = {max_n}")
     t12 = np.zeros(max_n + 1, dtype=np.int64)
     b = 0
     while 3 * b * b <= max_n:
@@ -182,7 +182,7 @@ def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) ->
     """(p-1)/2 sum_r r^g H(r^2 - 4p), exactly; equals the grid moment
     sum over good residue pairs of a_p^g."""
     if p < 5:
-        raise ValueError("needs p >= 5")
+        raise ValueError(f"needs p >= 5, got p = {p}")
     if g < 0:
         raise ValueError("g must be nonnegative")
     if g % 2 == 1:

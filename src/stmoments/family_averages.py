@@ -16,7 +16,11 @@ the residue grid, `s0_formula` evaluates the trace expression.
 
 Grid sums are the test oracle; the production path for S(n) multiplies the
 prime-power values (exact traces and rationals, floats only at the end), with
-the axis averages S1 and S2 read off the twist base rows of `arith_curves`.
+the axis averages S1 and S2 read off `_twist_traces` along each axis line.
+The sums over integer (a, b) boxes (`s_grid_brute`, `box_average`) read each
+prime through `arith_curves.box_summands`, the residue table of the moment
+sweep, so any prime up to MAX_PRIME is in reach; only `s0_brute` sums a full
+p x p `ap_table`.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .arith_curves import (CACHE_MAXSIZE, ApTable, SumCondition, _trace_rows, _twist_base, _twist_traces, ap_table,
-                           nonsingular_mask)
+from .arith_curves import ApTable, SumCondition, _twist_traces, ap_table, box_summands, nonsingular_mask
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -100,21 +102,13 @@ class FactoredInteger:
         return len(self.factors)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _cached_table(p: int) -> ApTable:
-    return ap_table(p)
-
-
 def s0_brute(p: int, m: int, table: ApTable | None = None) -> float:
-    """Grid average of the p^m coefficient over good pairs, from the trace table."""
+    """Grid average of the p^m coefficient over good pairs, from the trace table (built when None)."""
     if p > S_BRUTE_MAX_P:
         raise BudgetError(f"grid average capped at p <= {S_BRUTE_MAX_P}, got p = {p}")
-    table = table if table is not None else _cached_table(p)
-    sqrt_p = math.sqrt(p)
-    total = math.fsum(
-        count * f_eval(m, r / sqrt_p) for r, count in table.good_trace_counts().items()
-    )
-    return total / p ** 2
+    table = ap_table(p) if table is None else table
+    traces, counts = np.unique(table.ap[table.good], return_counts=True)
+    return math.fsum((counts * f_eval(m, traces / math.sqrt(p))).tolist()) / p ** 2
 
 
 def s0_formula(p: int, m: int, store: TraceStore | None = None) -> float:
@@ -143,13 +137,12 @@ def s12(p: int, m: int) -> tuple[float, float]:
     """One-parameter family averages S1 (the line b = 0) and S2 (the line a = 0).
 
     Every curve on the punctured axes has good reduction at p, so the
-    normalized coefficient is f_m of the normalized trace.  The traces come
-    from the twist base rows: the b = 0 line through `_twist_traces`, the
-    a = 0 line is base row 0.
+    normalized coefficient is f_m of the normalized trace, read off
+    `_twist_traces` along each punctured line.
     """
-    base = _trace_rows(p, _twist_base(p))
-    ap_a = _twist_traces(p, base, np.arange(1, p), np.zeros(1, dtype=np.int64))[0][:, 0]
-    ap_b = base[0, 1:]
+    line = np.arange(1, p)
+    ap_a = _twist_traces(p, line, np.zeros(1, dtype=np.int64))[0][:, 0]
+    ap_b = _twist_traces(p, np.zeros(1, dtype=np.int64), line)[0][0]
     sqrt_p = math.sqrt(p)
     s1 = float(f_eval(m, ap_a / sqrt_p).sum()) / p ** 2
     s2 = float(f_eval(m, ap_b / sqrt_p).sum()) / p ** 2
@@ -184,20 +177,15 @@ def _grid_coeff_product(
     b_vals: np.ndarray,
     condition: SumCondition,
 ) -> np.ndarray:
-    """Normalized coefficient at n on an (a, b) grid, with the summation mask
-    applied (excluded pairs contribute 0).  Shape (len(a_vals), len(b_vals))."""
+    """Normalized coefficient at n on an (a, b) grid whose axes are runs of
+    consecutive integers, with the summation mask applied (excluded pairs
+    contribute 0).  Shape (len(a_vals), len(b_vals))."""
     coeff = np.ones((len(a_vals), len(b_vals)))
     mask = nonsingular_mask(a_vals, b_vals)
     for p, m in n.factors:
-        table = _cached_table(p)
-        ia = (a_vals % p).astype(np.int64)
-        ib = (b_vals % p).astype(np.int64)
-        ap = table.ap[np.ix_(ia, ib)]
-        good = table.good[np.ix_(ia, ib)]
-        mask &= good
-        if condition is SumCondition.SKIP_BAD_AND_AB:
-            mask &= (ia[:, None] != 0) & (ib[None, :] != 0)
-        coeff *= f_eval(m, ap / math.sqrt(p))
+        tilde, keep = box_summands(p, a_vals, b_vals, condition)
+        mask &= keep
+        coeff *= f_eval(m, tilde)
     return np.where(mask, coeff, 0.0)
 
 

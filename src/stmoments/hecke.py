@@ -168,7 +168,9 @@ class TraceRecord:
 
 
 def hecke_trace(k: int, p: int, basis: list[QSeries] | None = None) -> TraceRecord:
-    """Trace of T_p on S_k from the echelon basis (q-expansion route)."""
+    """Trace of T_p on S_k, p prime, from the echelon basis (q-expansion route)."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"the Hecke trace needs a prime p, got p = {p}")
     if k % 2 == 1 or dim_cusp_forms(k) == 0:
         return TraceRecord(k=k, p=p, trace=0, method="miller")
     d = dim_cusp_forms(k)
@@ -198,7 +200,7 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
     exact integers throughout (the class-number sums clear 12ths).
     """
     if p < 5:
-        raise ValueError("needs p >= 5")
+        raise ValueError(f"needs p >= 5, got p = {p}")
     if J < 1:
         raise ValueError("J must be >= 1")
     if table is None:

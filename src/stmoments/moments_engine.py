@@ -44,11 +44,11 @@ from .arith_curves import (
     CurveParams,
     Interval,
     SumCondition,
-    _trace_rows,
-    _twist_base,
-    _twist_traces,
+    _box_prime_data,
+    _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
+    box_summands,
     count_in_interval,
-    curve_ap,
+    good_traces,
     nonsingular_mask,
     primes_in_window,
     primes_upto,
@@ -185,22 +185,6 @@ def error_term(curve: CurveParams, x: float, interval: Interval) -> float:
     """N_I(E, x) - pi~(x) mu(I) for a single curve."""
     window = primes_in_window(x)
     return count_in_interval(curve, x, interval) - window.count * st_measure(interval)
-
-
-def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
-    """Residue table of one window prime over the box: (ap, good, ia, ib).
-
-    ``a_vals`` and ``b_vals`` are runs of consecutive integers, so their first
-    min(n, p) residues are distinct and the rest repeat them with period p.
-    ``ap`` and ``good`` are the traces and the good-reduction mask at those
-    residue pairs, in box order, from the three twist base rows, so the work
-    is O(p log p + residues met) whatever the box shape.  ``ia`` and ``ib``
-    map the box rows and columns to them (i -> i mod the period):
-    ``ap[ia][:, ib]`` is the box.
-    """
-    ua, ub = a_vals[:p] % p, b_vals[:p] % p
-    ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), ua, ub)
-    return ap, good, np.arange(len(a_vals)) % len(ua), np.arange(len(b_vals)) % len(ub)
 
 
 class FamilyGrid(NamedTuple):
@@ -342,12 +326,8 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     b_vals = np.arange(-plan.B, plan.B + 1, dtype=np.int64)
     tables = []
     for p in window.primes:
-        ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
-        mask = good[ia][:, ib]  # good at p implies Delta != 0
-        if plan.condition is SumCondition.SKIP_BAD_AND_AB:
-            mask &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
-        tilde = (ap[ia][:, ib] / math.sqrt(p)).ravel()
-        tables.append(_f_rows(tilde, mmax) * mask.ravel())
+        tilde, keep = box_summands(p, a_vals, b_vals, plan.condition)
+        tables.append(_f_rows(tilde.ravel(), mmax) * keep.ravel())
     return tables
 
 
@@ -576,14 +556,9 @@ class Hypothesis2Probe:
 def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float = 1.0) -> Hypothesis2Probe:
     """sum over primes y < p <= x (p >= 5, good reduction) of the p^m
     coefficient, against the m x / (log x)^c scaling."""
-    if curve.delta == 0:
-        raise ValueError("Delta(a, b) = 0 is not an elliptic curve")
     if not 0 <= y < x:
-        raise ValueError("need 0 <= y < x")
-    total = 0.0
-    for p in primes_upto(int(math.floor(x))):
-        if p < 5 or p <= y or curve.delta % p == 0:
-            continue
-        total += f_eval(m, curve_ap(p, curve).ap / math.sqrt(p))
+        raise ValueError(f"need 0 <= y < x, got x = {x}, y = {y}")
+    primes = [p for p in primes_upto(int(math.floor(x))) if p >= 5 and p > y]
+    total = sum((f_eval(m, v) for v in good_traces(curve, primes, SumCondition.SKIP_BAD_ONLY).tolist()), 0.0)
     scale = max(m, 1) * x / math.log(x) ** c
     return Hypothesis2Probe(value=total, scale=scale, ratio=total / scale)

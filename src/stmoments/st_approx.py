@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith_curves import CurveParams, Interval, SumCondition, curve_ap, primes_in_window
+from .arith_curves import CurveParams, Interval, SumCondition, good_traces, primes_in_window
 
 __all__ = [
     "CoeffMode",
@@ -173,7 +173,7 @@ def _finish(M: int, mode: CoeffMode, s: np.ndarray, const: float, cert: float | 
 def exact_st_coeffs(interval: Interval, M: int) -> BSCoefficients:
     """Exact Fourier data of the interval indicator, truncated at degree M."""
     if M < 1:
-        raise ValueError("need M >= 1")
+        raise ValueError(f"need M >= 1, got M = {M}")
     s = _arc_cosine_coeffs(interval.alpha, interval.beta, M)
     const = st_measure(interval)
     s[0] = 0.0  # constant tracked by const_term instead
@@ -207,7 +207,7 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
     if side not in (CoeffMode.MAJORANT, CoeffMode.MINORANT):
         raise ValueError("side must be a sandwich mode")
     if M < 16:
-        raise ValueError("need M >= 16 for the sandwich construction")
+        raise ValueError(f"need M >= 16 for the sandwich construction, got M = {M}")
     N = M // 2
     h = N ** (-2.0 / 3.0)
     alpha, beta = interval.alpha, interval.beta
@@ -249,24 +249,10 @@ def parseval_check(interval: Interval, M: int) -> ParsevalResult:
     return ParsevalResult(z=coeffs.z, mu_term=mu_term, gap=abs(coeffs.z - mu_term))
 
 
-def _window_coeff_sums(
-    curve: CurveParams,
-    x: float,
-    M: int,
-    condition: SumCondition,
-) -> np.ndarray:
-    """sums[m] = sum over admissible window primes of the p^m coefficient."""
-    if curve.delta == 0:
-        raise ValueError("Delta(a, b) = 0 is not an elliptic curve")
-    window = primes_in_window(x)
-    traces = []
-    for p in window.primes:
-        if curve.delta % p == 0:
-            continue
-        if condition is SumCondition.SKIP_BAD_AND_AB and (curve.a % p == 0 or curve.b % p == 0):
-            continue
-        traces.append(curve_ap(p, curve).ap / math.sqrt(p))
-    return _f_rows(np.array(traces, dtype=float), M).sum(axis=1)
+def _window_coeff_sums(curve: CurveParams, x: float, M: int, condition: SumCondition) -> np.ndarray:
+    """sums[m] = sum over admissible window primes of the p^m coefficient;
+    sums[0] counts those primes, since f_0 = 1."""
+    return _f_rows(good_traces(curve, primes_in_window(x).primes, condition), M).sum(axis=1)
 
 
 def p_polynomial_sum(
@@ -293,11 +279,9 @@ def sandwich_error_bound(
     """
     minor = sandwich_coeffs(interval, M, CoeffMode.MINORANT)
     major = sandwich_coeffs(interval, M, CoeffMode.MAJORANT)
-    window = primes_in_window(x)
-    n_good = sum(1 for p in window.primes if curve.delta % p != 0)
-    mu = st_measure(interval)
-    base = -window.count * mu
+    base = -primes_in_window(x).count * st_measure(interval)
     sums = _window_coeff_sums(curve, x, M, SumCondition.SKIP_BAD_ONLY)
+    n_good = int(sums[0])
     lower = float(np.dot(minor.u[1:], sums[1:])) + minor.const_term * n_good + base
     upper = float(np.dot(major.u[1:], sums[1:])) + major.const_term * n_good + base
     return lower, upper

@@ -35,6 +35,12 @@ from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coef
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "soft_diagnostics"]
 
+# Sizes of the checks, named in their output lines.
+CLASSNUM_MAX_MASS_P, CLASSNUM_MAX_MOMENT_P = 2000, 100
+TRACE_MAX_P, TRACE_MAX_WEIGHT, TRACE_TAU_MAX_P = 200, 26, 50
+FAMILY_MAX_P, FAMILY_MAX_M = 100, 12
+BS_GRID_POINTS, BS_N_CURVES, BS_X, BS_M = 100_000, 200, 500.0, 256  # sandwich angles; curves, x, M of the bracket
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -78,23 +84,24 @@ _H_ANCHORS = {3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 11: 1,
               12: Fraction(4, 3), 15: 2, 16: Fraction(3, 2), 19: 1, 20: 2}
 
 
-def suite_classnum(max_mass_p: int = 2000, max_dapalem_p: int = 100) -> list[CheckResult]:
+def suite_classnum() -> list[CheckResult]:
     out = []
     anchors_ok = all(cn.hurwitz(n) == Fraction(h) for n, h in _H_ANCHORS.items())
     out.append(_check("class number anchors", anchors_ok))
 
-    table = cn.build_hurwitz_table(4 * max_mass_p)
+    table = cn.build_hurwitz_table(4 * CLASSNUM_MAX_MASS_P)
     consistent = all(table.twelve(n) == cn.twelve_hurwitz(n)
                      for n in range(3, 500) if n % 4 in (0, 3))
     out.append(_check("table vs single-N enumeration (N < 500)", consistent))
 
-    primes = primes_upto(max_mass_p)[2:]  # p >= 5
+    primes = primes_upto(CLASSNUM_MAX_MASS_P)[2:]  # p >= 5
     worst = max(abs(cn.eichler_mass(p, table)) for p in primes)
-    out.append(_check(f"mass identity residual, 5 <= p <= {max_mass_p}", worst == 0, f"max |residual| = {worst}"))
+    out.append(_check(f"mass identity residual, 5 <= p <= {CLASSNUM_MAX_MASS_P}", worst == 0,
+                      f"max |residual| = {worst}"))
 
     moment_ok = True
     detail = ""
-    for p in [q for q in primes if q <= max_dapalem_p]:
+    for p in [q for q in primes if q <= CLASSNUM_MAX_MOMENT_P]:
         grid = ap_table(p)
         vals = grid.ap[grid.good]
         for g in range(7):
@@ -104,19 +111,19 @@ def suite_classnum(max_mass_p: int = 2000, max_dapalem_p: int = 100) -> list[Che
                 moment_ok = False
                 detail = f"p={p} g={g}: {brute} != {closed}"
                 break
-    out.append(_check(f"class-number moment identity, p <= {max_dapalem_p}, g <= 6", moment_ok, detail))
+    out.append(_check(f"class-number moment identity, p <= {CLASSNUM_MAX_MOMENT_P}, g <= 6", moment_ok, detail))
     return out
 
 
 # -- trace ------------------------------------------------------------------
 
 
-def suite_trace(max_p: int = 200, max_weight: int = 26, tau_max_p: int = 50) -> list[CheckResult]:
+def suite_trace() -> list[CheckResult]:
     out = []
-    primes = primes_upto(max_p)[2:]  # p >= 5
-    table = cn.build_hurwitz_table(4 * max_p)
-    store = TraceStore(max_prime=max_p)
-    J = (max_weight - 2) // 2
+    primes = primes_upto(TRACE_MAX_P)[2:]  # p >= 5
+    table = cn.build_hurwitz_table(4 * TRACE_MAX_P)
+    store = TraceStore(max_prime=TRACE_MAX_P)
+    J = (TRACE_MAX_WEIGHT - 2) // 2
     agree = True
     deligne = True
     detail = ""
@@ -129,15 +136,15 @@ def suite_trace(max_p: int = 200, max_weight: int = 26, tau_max_p: int = 50) -> 
                 detail = f"k={rec.k} p={p}: birch {rec.trace} != miller {miller}"
             if not rec.deligne_ok():
                 deligne = False
-    out.append(_check(f"route agreement, p <= {max_p}, weights 4..{max_weight}", agree, detail))
+    out.append(_check(f"route agreement, p <= {TRACE_MAX_P}, weights 4..{TRACE_MAX_WEIGHT}", agree, detail))
     out.append(_check("Deligne bound on every record", deligne))
 
     dims_ok = all(store.trace(k, 7) == 0 for k in (4, 6, 8, 10, 14) if dim_cusp_forms(k) == 0)
     out.append(_check("zero trace on zero-dimensional spaces", dims_ok))
 
-    delta = delta_qexp(tau_max_p + 1)
-    tau_ok = all(store.trace(12, p) == delta[p] for p in primes if p <= tau_max_p)
-    out.append(_check(f"weight-12 trace equals the discriminant coefficient, p <= {tau_max_p}", tau_ok))
+    delta = delta_qexp(TRACE_TAU_MAX_P + 1)
+    tau_ok = all(store.trace(12, p) == delta[p] for p in primes if p <= TRACE_TAU_MAX_P)
+    out.append(_check(f"weight-12 trace equals the discriminant coefficient, p <= {TRACE_TAU_MAX_P}", tau_ok))
     return out
 
 
@@ -150,17 +157,18 @@ _COPRIME_PAIRS = [
 ]
 
 
-def suite_family(max_p: int = 100, max_m: int = 12) -> list[CheckResult]:
+def suite_family() -> list[CheckResult]:
     out = []
-    primes = primes_upto(max_p)[2:]  # p >= 5
+    primes = primes_upto(FAMILY_MAX_P)[2:]  # p >= 5
     store = TraceStore()
     worst = 0.0
     for p in primes:
-        for m in range(max_m + 1):
-            gap = abs(s0_brute(p, m) - s0_formula(p, m, store))
+        table = ap_table(p)
+        for m in range(FAMILY_MAX_M + 1):
+            gap = abs(s0_brute(p, m, table) - s0_formula(p, m, store))
             worst = max(worst, gap)
     out.append(_check(
-        f"grid average equals trace formula, p <= {max_p}, m <= {max_m}",
+        f"grid average equals trace formula, p <= {FAMILY_MAX_P}, m <= {FAMILY_MAX_M}",
         worst <= 1e-10, f"max gap {worst:.2e}"))
 
     worst_mult = 0.0
@@ -185,7 +193,7 @@ _TEST_INTERVALS = [
 ]
 
 
-def suite_bs(grid_points: int = 100_000, n_curves: int = 200, x: float = 500.0, M: int = 256) -> list[CheckResult]:
+def suite_bs() -> list[CheckResult]:
     out = []
     for i, iv in enumerate(_TEST_INTERVALS):
         gaps = []
@@ -196,32 +204,32 @@ def suite_bs(grid_points: int = 100_000, n_curves: int = 200, x: float = 500.0, 
             out.append(_check(f"Parseval gap I{i+1} M={m}", res.gap <= bound, f"{res.gap:.3e} <= {bound:.3e}"))
         out.append(_check(f"Parseval gap decreasing I{i+1}", gaps[0] > gaps[1] > gaps[2]))
 
-    thetas = np.linspace(0.0, math.pi, grid_points)
+    thetas = np.linspace(0.0, math.pi, BS_GRID_POINTS)
     for i, iv in enumerate(_TEST_INTERVALS):
         chi = ((thetas >= iv.alpha) & (thetas <= iv.beta)).astype(float)
-        plus = sandwich_coeffs(iv, M, CoeffMode.MAJORANT).eval_cosine(thetas)
-        minus = sandwich_coeffs(iv, M, CoeffMode.MINORANT).eval_cosine(thetas)
+        plus = sandwich_coeffs(iv, BS_M, CoeffMode.MAJORANT).eval_cosine(thetas)
+        minus = sandwich_coeffs(iv, BS_M, CoeffMode.MINORANT).eval_cosine(thetas)
         viol_plus = float((plus - chi).min())
         viol_minus = float((chi - minus).min())
         out.append(_check(f"majorant pointwise I{i+1}", viol_plus >= -1e-12, f"min slack {viol_plus:.2e}"))
         out.append(_check(f"minorant pointwise I{i+1}", viol_minus >= -1e-12, f"min slack {viol_minus:.2e}"))
 
     iv = _TEST_INTERVALS[0]
-    window = primes_in_window(x)
+    window = primes_in_window(BS_X)
     mu = st_measure(iv)
     rng = random.Random(8)
     violations = 0
-    for _ in range(n_curves):
+    for _ in range(BS_N_CURVES):
         while True:
             a, b = rng.randint(-50, 50), rng.randint(-50, 50)
             if 4 * a ** 3 + 27 * b ** 2 != 0:
                 break
         curve = CurveParams(a, b)
-        lo, hi = sandwich_error_bound(curve, x, iv, M)
-        err = count_in_interval(curve, x, iv) - window.count * mu
+        lo, hi = sandwich_error_bound(curve, BS_X, iv, BS_M)
+        err = count_in_interval(curve, BS_X, iv) - window.count * mu
         if not (lo - 1e-9 <= err <= hi + 1e-9):
             violations += 1
-    out.append(_check(f"error bracket on {n_curves} random curves", violations == 0, f"{violations} violations"))
+    out.append(_check(f"error bracket on {BS_N_CURVES} random curves", violations == 0, f"{violations} violations"))
 
     coeffs = exact_st_coeffs(_TEST_INTERVALS[2], 40)
     tgrid = np.linspace(0.0, math.pi, 2001)

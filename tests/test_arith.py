@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stmoments import family_averages
 from stmoments.arith_curves import (
     CACHE_MAXSIZE,
     MAX_PRIME,
     CurveParams,
     Interval,
     Reduction,
+    SumCondition,
     _classify_singular,
     _legendre_table,
     _singular_pairs,
@@ -21,8 +21,10 @@ from stmoments.arith_curves import (
     _twist_base,
     _twist_traces,
     ap_table,
+    box_summands,
     count_in_interval,
     curve_ap,
+    good_traces,
     legendre,
     nonsingular_mask,
     normalized_coeff,
@@ -215,7 +217,7 @@ def test_curve_ap_requires_a_prime():
 
 
 def _twist_grid(p, a_res, b_res):
-    return _twist_traces(p, _trace_rows(p, _twist_base(p)), np.asarray(a_res), np.asarray(b_res))
+    return _twist_traces(p, np.asarray(a_res), np.asarray(b_res))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
@@ -269,8 +271,52 @@ def test_ap_table_equals_fft_and_singular_loop(p):
 
 
 def test_per_prime_caches_share_one_bound():
-    for cached in (_legendre_table, _sqrt_lists, family_averages._cached_table):
+    for cached in (_legendre_table, _sqrt_lists):
         assert cached.cache_info().maxsize == CACHE_MAXSIZE
+
+
+@pytest.mark.parametrize("condition", list(SumCondition))
+@pytest.mark.parametrize("p, a_vals, b_vals", [
+    (7, np.arange(-9, 10), np.arange(-2, 3)),  # wider than p in a
+    (11, np.arange(-3, 4), np.arange(-20, 21)),  # in b
+    (13, np.arange(-7, 8), np.arange(-9, 10)),  # in both
+    (5, np.arange(1, 36), np.arange(1, 36)),  # the 1..s axes of s_grid_brute
+    (7, np.arange(36, 71), np.arange(71, 106)),  # shifted by s and 2s
+    (101, np.arange(-30, 31), np.arange(-40, 41)),  # narrower than p
+])
+def test_box_summands_against_ap_table_gather(p, a_vals, b_vals, condition):
+    table = ap_table(p)
+    ia, ib = a_vals % p, b_vals % p
+    keep = table.good[np.ix_(ia, ib)]
+    if condition is SumCondition.SKIP_BAD_AND_AB:
+        keep &= (ia[:, None] != 0) & (ib[None, :] != 0)
+    tilde, got_keep = box_summands(p, a_vals, b_vals, condition)
+    assert np.array_equal(got_keep, keep)
+    assert np.array_equal(tilde, table.ap[np.ix_(ia, ib)] / math.sqrt(p))
+
+
+@pytest.mark.parametrize("condition", list(SumCondition))
+@pytest.mark.parametrize("a, b", [(1, 1), (-3, 7), (0, 7), (5, 0), (0, -11), (12, -30), (-2, 5)])
+def test_good_traces_against_scalar_loop(a, b, condition):
+    curve = CurveParams(a, b)
+    primes = primes_upto(400)[2:]
+    expected = []
+    for p in primes:
+        if curve.delta % p == 0:
+            continue
+        if condition is SumCondition.SKIP_BAD_AND_AB and (a % p == 0 or b % p == 0):
+            continue
+        expected.append(curve_ap(p, curve).ap / math.sqrt(p))
+    got = good_traces(curve, primes, condition)
+    assert got.dtype == float and got.tolist() == expected
+    if condition is SumCondition.SKIP_BAD_AND_AB and a * b == 0:
+        assert len(got) == 0  # every prime divides ab on an axis curve
+
+
+def test_good_traces_rejects_a_singular_curve():
+    for a, b in ((0, 0), (-3, 2), (-12, -16)):
+        with pytest.raises(ValueError, match=f"not an elliptic curve: a = {a}, b = {b}"):
+            good_traces(CurveParams(a, b), (), SumCondition.SKIP_BAD_ONLY)
 
 
 def test_ap_table_budget_guard():

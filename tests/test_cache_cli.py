@@ -68,8 +68,6 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert run(["trace", "--k", "13", "--p", "5", "--method", "birch"]) == 2
     capsys.readouterr()
-    assert run(["primes", "--x", "5"]) == 2  # domain error below the window floor
-    capsys.readouterr()
     assert run(["--threads", "0", "primes", "--x", "100"]) == 2  # the option is gone
     capsys.readouterr()
     for argv in (["eichler-check", "--max-p", "3"], ["birch-check", "--p-max", "4", "--j-max", "2"]):
@@ -105,6 +103,29 @@ def test_cli_exit_codes(capsys):
         assert run(argv) == code
         out, err = capsys.readouterr()
         assert message in err and "Traceback" not in err and not out
+    for argv, message in (
+        (["primes", "--x", "5"], "window operations require x >= 10, got x = 5.0"),
+        (["bs", "--alpha", "2", "--beta", "1", "--M", "10"],
+         "need 0 <= alpha < beta <= pi, got alpha = 2.0, beta = 1.0"),
+        (["bs", "--alpha", "0", "--beta", "1", "--M", "0"], "need M >= 1, got M = 0"),
+        (["parseval", "--alpha", "0", "--beta", "1", "--M", "0"], "need M >= 1, got M = 0"),
+        (["bs", "--alpha", "0", "--beta", "1", "--mode", "major", "--M", "8"],
+         "need M >= 16 for the sandwich construction, got M = 8"),
+        (["hurwitz", "--max-n", "2"], "max_n must be at least 3, got max_n = 2"),
+        (["trace", "--method", "birch", "--k", "4", "--p", "3"], "needs p >= 5, got p = 3"),
+        (["probe", "hyp2", "--a", "0", "--b", "0"], "Delta(a, b) = 0 is not an elliptic curve: a = 0, b = 0"),
+        (["probe", "hyp2", "--x", "100", "--y", "200"], "need 0 <= y < x, got x = 100.0, y = 200.0"),
+        (["trace", "--k", "12", "--p", "1"], "the Hecke trace needs a prime p, got p = 1"),
+        (["trace", "--k", "12", "--p", "0"], "the Hecke trace needs a prime p, got p = 0"),
+        (["trace", "--k", "12", "--p", "-5"], "the Hecke trace needs a prime p, got p = -5"),
+        (["trace", "--k", "12", "--p", "4"], "the Hecke trace needs a prime p, got p = 4"),
+    ):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err and not out
+    for p, trace in (("2", "-24"), ("3", "252")):
+        assert run(["trace", "--k", "12", "--p", p]) == 0
+        assert capsys.readouterr().out.strip() == trace
 
 
 def test_cli_m_is_moments_only(capsys):

@@ -235,6 +235,15 @@ def test_separate_distinct_sums_special_cases():
         separate_distinct_sums([g] * 7, 7)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_distinct_sums_reject_n_below_one(n):
+    message = f"needs n >= 1 factors, got n = {n}"
+    with pytest.raises(ValueError, match=message):
+        distinct_sum(n, lambda block: 1)
+    with pytest.raises(ValueError, match=message):
+        separate_distinct_sums([], n)
+
+
 def test_gaussian_moment_constants():
     assert [gaussian_moment_constant(t) for t in range(1, 9)] == [0, 1, 0, 3, 0, 15, 0, 105]
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stmoments.arith_curves import SumCondition, _legendre_table, ap_table
+from stmoments.arith_curves import CurveParams, SumCondition, _legendre_table, ap_table, curve_ap
 from stmoments.chebycomb import f_eval
 from stmoments.errors import BudgetError
 from stmoments.family_averages import (
@@ -196,3 +196,16 @@ def test_box_average_residual_scale():
     assert abs(res0.residual) <= 10 * res0.bound_shape
     with pytest.raises(BudgetError, match="16008001 pairs exceeds the cap of 4000000"):
         box_average(n, 2000, 2000)
+
+
+def test_box_average_beyond_the_ap_table_cap():
+    # p = 3001 is above AP_TABLE_MAX_P: the box path reads the same residue
+    # table as the moment sweep, so it is not capped by the p x p grid
+    total = 0.0
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            if a and b and (4 * a ** 3 + 27 * b ** 2) % 3001:
+                total += curve_ap(3001, CurveParams(a, b)).ap / math.sqrt(3001)
+    res = box_average(FactoredInteger.from_int(3001), 3, 3)
+    assert res.total == pytest.approx(total, abs=1e-12)
+    assert res.total == pytest.approx(-7.9224, abs=1e-4)

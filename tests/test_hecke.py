@@ -100,6 +100,15 @@ def test_hecke_trace_examples():
             assert hecke_trace(12, p).trace == tau
 
 
+@pytest.mark.parametrize("p", [-5, 0, 1, 4, 9, 25])
+def test_hecke_trace_rejects_a_non_prime(p):
+    # T_1 is the identity, so its trace on the one-dimensional S_12 is 1, not
+    # what the T_p formula gives; odd weights and zero-dimensional spaces too
+    for k in (12, 13, 10):
+        with pytest.raises(ValueError, match=f"needs a prime p, got p = {p}$"):
+            hecke_trace(k, p)
+
+
 def test_known_higher_weight_traces():
     # weight 16: trace = coefficient of the unique newform E4*Delta
     assert hecke_trace(16, 2).trace == 216

@@ -11,7 +11,6 @@ from stmoments.arith_curves import (
     Interval,
     SumCondition,
     _trace_rows,
-    _twist_base,
     _twist_traces,
     count_in_interval,
     primes_in_window,
@@ -114,7 +113,7 @@ def _gather_sweep(x, A, B, interval):
     for p in primes_in_window(x).primes:
         ua, ia = np.unique(a_vals % p, return_inverse=True)
         ub, ib = np.unique(b_vals % p, return_inverse=True)
-        ap, good = _twist_traces(p, _trace_rows(p, _twist_base(p)), ua, ub)
+        ap, good = _twist_traces(p, ua, ub)
         counts += (good & interval.contains(ap / math.sqrt(p)))[ia][:, ib]
     return counts
 
