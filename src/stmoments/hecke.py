@@ -234,9 +234,9 @@ class TraceStore:
 
     def trace(self, k: int, p: int) -> int:
         if k > self.max_weight:
-            raise BudgetError(f"weight capped at {self.max_weight}")
+            raise BudgetError(f"weight capped at {self.max_weight}, got k = {k}")
         if p > self.max_prime:
-            raise BudgetError(f"trace prime capped at {self.max_prime}")
+            raise BudgetError(f"trace prime capped at {self.max_prime}, got p = {p}")
         key = (k, p)
         if key not in self._traces:
             d = dim_cusp_forms(k)

@@ -556,6 +556,8 @@ class Hypothesis2Probe:
 def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float = 1.0) -> Hypothesis2Probe:
     """sum over primes y < p <= x (p >= 5, good reduction) of the p^m
     coefficient, against the m x / (log x)^c scaling."""
+    if not x > 1:
+        raise ValueError(f"need x > 1 for the (log x)^c scale, got x = {x}")
     if not 0 <= y < x:
         raise ValueError(f"need 0 <= y < x, got x = {x}, y = {y}")
     primes = [p for p in primes_upto(int(math.floor(x))) if p >= 5 and p > y]

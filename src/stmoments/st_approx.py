@@ -83,13 +83,39 @@ class BSCoefficients:
     cert: float | None = None
 
     def eval_cosine(self, thetas: np.ndarray) -> np.ndarray:
-        """Polynomial value at angles: d0 + sum_m s[m] 2 cos(m t)."""
+        """Polynomial value at angles: d0 + sum_m s[m] 2 cos(m t), where
+        d0 = const_term + s[2] (just const_term when M = 1).
+
+        Clenshaw's recurrence in x = 2 cos t, since 2 cos(m t) satisfies
+        C_m = x C_(m-1) - C_(m-2) with C_0 = 2, C_1 = x: from
+        b_(M+1) = b_(M+2) = 0, b_m = s[m] + x b_(m+1) - b_(m+2) for
+        m = M .. 1, and the sum is x b_1 - 2 b_2.  One cosine per angle and
+        O(M) multiply-adds, over blocks of angles in fixed work buffers.
+        """
         thetas = np.asarray(thetas, dtype=float)
-        d0 = self.const_term + self.s[2]
-        out = np.full_like(thetas, d0)
-        for m in range(1, self.M + 1):
-            if self.s[m]:
-                out += self.s[m] * 2.0 * np.cos(m * thetas)
+        d0 = self.const_term + (self.s[2] if self.M >= 2 else 0.0)
+        out = np.empty(thetas.shape)
+        flat_t, flat_out = thetas.reshape(-1), out.reshape(-1)
+        block = 8192
+        b1_buf, b2_buf, new_buf = np.empty(block), np.empty(block), np.empty(block)
+        coeffs = self.s[self.M:0:-1].tolist()
+        for start in range(0, flat_t.size, block):
+            x = flat_out[start:start + block]
+            n = x.size
+            np.cos(flat_t[start:start + n], out=x)
+            x *= 2.0
+            b1, b2, new = b1_buf[:n], b2_buf[:n], new_buf[:n]
+            b1.fill(0.0)
+            b2.fill(0.0)
+            for sm in coeffs:
+                np.multiply(x, b1, out=new)
+                new -= b2
+                new += sm
+                b1, b2, new = new, b1, b2
+            x *= b1
+            x -= b2
+            x -= b2
+            x += d0
         return out
 
     def eval_f_basis(self, thetas: np.ndarray) -> np.ndarray:

@@ -99,6 +99,8 @@ def test_cli_exit_codes(capsys):
          "p = 1000000007 exceeds the largest-prime cap MAX_PRIME = 1000000"),
         (["moments", "--x", "1e9", "--A", "1", "--B", "1"] + interval, 3,
          "sieve limit = 1000000000 exceeds the largest-prime cap MAX_PRIME = 1000000"),
+        (["s0", "--p", "293", "--m", "60"], 3, "weight capped at 60, got k = 62"),
+        (["probe", "hyp1", "--K", "20", "--x", "600"], 3, "trace prime capped at 500, got p = 503"),
     ):
         assert run(argv) == code
         out, err = capsys.readouterr()
@@ -115,6 +117,8 @@ def test_cli_exit_codes(capsys):
         (["trace", "--method", "birch", "--k", "4", "--p", "3"], "needs p >= 5, got p = 3"),
         (["probe", "hyp2", "--a", "0", "--b", "0"], "Delta(a, b) = 0 is not an elliptic curve: a = 0, b = 0"),
         (["probe", "hyp2", "--x", "100", "--y", "200"], "need 0 <= y < x, got x = 100.0, y = 200.0"),
+        (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "1"], "need x > 1 for the (log x)^c scale, got x = 1.0"),
+        (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "0.5"], "need x > 1 for the (log x)^c scale, got x = 0.5"),
         (["trace", "--k", "12", "--p", "1"], "the Hecke trace needs a prime p, got p = 1"),
         (["trace", "--k", "12", "--p", "0"], "the Hecke trace needs a prime p, got p = 0"),
         (["trace", "--k", "12", "--p", "-5"], "the Hecke trace needs a prime p, got p = -5"),

@@ -140,6 +140,54 @@ def test_sandwich_pointwise(iv, M):
     assert float((chi - minus.eval_cosine(thetas)).min()) >= -1e-12
 
 
+def direct_cosine_sums(coeff_sets, thetas) -> np.ndarray:
+    """Oracle for ``eval_cosine``: row i is d0 + sum_m s[m] 2 cos(m t) for
+    coefficient set i, from explicit cosine rows shared by all sets."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    M = coeff_sets[0].M
+    s = np.array([c.s[1:M + 1] for c in coeff_sets])
+    d0 = np.array([c.const_term + (c.s[2] if M >= 2 else 0.0) for c in coeff_sets])
+    out = np.repeat(d0[:, None], thetas.size, axis=1)
+    for lo in range(0, M, 128):
+        ms = np.arange(lo + 1, min(lo + 128, M) + 1)
+        out += s[:, lo:lo + ms.size] @ (2.0 * np.cos(np.outer(ms, thetas)))
+    return out
+
+
+COSINE_ANGLES = np.concatenate([
+    [0.0, math.pi, np.nextafter(0.0, 1.0), math.pi - 1e-9],
+    np.linspace(0.0, math.pi, 3001),
+])
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 40, 256, 4096])
+def test_eval_cosine_matches_direct_sum(M):
+    coeff_sets = [exact_st_coeffs(iv, M) for iv in INTERVALS]
+    if M >= 16:
+        coeff_sets += [sandwich_coeffs(iv, M, side) for iv in INTERVALS
+                       for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
+    # a 2-D grid of more angles than one work block of eval_cosine holds,
+    # ending in a partial block; left out at M = 4096, where it costs seconds
+    grid = np.linspace(0.0, math.pi, 4 * 3001).reshape(4, 3001)
+    eps = np.finfo(float).eps
+    for thetas in (COSINE_ANGLES, grid) if M <= 256 else (COSINE_ANGLES,):
+        oracle = direct_cosine_sums(coeff_sets, thetas)
+        for coeffs, want in zip(coeff_sets, oracle):
+            got = coeffs.eval_cosine(thetas)
+            assert got.shape == thetas.shape
+            tol = 64 * M * eps * float(np.abs(coeffs.s[1:]).sum())
+            assert float(np.max(np.abs(got.reshape(-1) - want))) <= tol, (coeffs.mode, thetas.shape)
+    for coeffs in coeff_sets:
+        assert coeffs.eval_cosine(np.array([])).shape == (0,)
+
+
+def test_eval_cosine_degree_one():
+    coeffs = exact_st_coeffs(Interval(0.7, 2.0), 1)
+    got = coeffs.eval_cosine(COSINE_ANGLES)
+    assert np.allclose(got, coeffs.eval_f_basis(COSINE_ANGLES), rtol=0.0, atol=1e-15)
+    assert np.array_equal(got, direct_cosine_sums([coeffs], COSINE_ANGLES)[0])
+
+
 def test_sandwich_converges_to_exact():
     iv = Interval(0.7, 2.0)
     dev_small = sandwich_coeffs(iv, 256, CoeffMode.MAJORANT).cert
