@@ -19,7 +19,6 @@ from .arith_curves import (
     count_in_interval,
     curve_ap,
     legendre,
-    normalized_coeff,
     primes_in_window,
 )
 from .chebycomb import (

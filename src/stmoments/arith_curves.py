@@ -43,7 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebycomb import f_eval
 from .errors import BudgetError
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "legendre",
     "curve_ap",
     "ap_table",
-    "normalized_coeff",
     "count_in_interval",
     "good_traces",
     "box_summands",
@@ -185,11 +183,19 @@ def primes_upto(limit: int) -> tuple[int, ...]:
     return tuple(q for q in range(2, limit + 1) if sieve[q])
 
 
+def _sieve_limit(x: float) -> int:
+    """floor(x) as a sieve limit, for x not NaN; x = +inf, where floor
+    overflows, gets the cap's BudgetError naming x like any x past MAX_PRIME."""
+    if x == math.inf:
+        _check_prime_cap(x, "x")
+    return int(math.floor(x))
+
+
 def primes_in_window(x: float) -> PrimeWindow:
     """Sieve-exact list of primes in (x/2, x]; requires x >= 10."""
-    if x < 10:
+    if not x >= 10:  # NaN too
         raise ValueError(f"window operations require x >= 10, got x = {x}")
-    primes = tuple(q for q in primes_upto(int(math.floor(x))) if q > x / 2)
+    primes = tuple(q for q in primes_upto(_sieve_limit(x)) if q > x / 2)
     return PrimeWindow(x=x, primes=primes)
 
 
@@ -402,18 +408,13 @@ def box_summands(p: int, a_vals: np.ndarray, b_vals: np.ndarray, condition: SumC
 class ApTable:
     """Full residue grid of traces for one prime.
 
-    ``ap[a, b]`` is the trace and ``kind[a, b]`` one of good/node/cusp.
+    ``ap[a, b]`` is the trace and ``kind[a, b]`` is 0, 1, 2 for good/node/cusp.
     Exactly p of the p^2 pairs are singular.  Immutable after construction.
     """
 
     p: int
     ap: np.ndarray
     kind: np.ndarray
-
-    def entry(self, a: int, b: int) -> TraceValue:
-        k = int(self.kind[a % self.p, b % self.p])
-        kinds = (Reduction.GOOD, Reduction.NODE, Reduction.CUSP)
-        return TraceValue(kinds[k], int(self.ap[a % self.p, b % self.p]))
 
     @property
     def good(self) -> np.ndarray:
@@ -432,16 +433,6 @@ def ap_table(p: int) -> ApTable:
     ap.setflags(write=False)
     kind.setflags(write=False)
     return ApTable(p=p, ap=ap, kind=kind)
-
-
-def normalized_coeff(tv: TraceValue, p: int, m: int) -> float:
-    """Normalized coefficient at p^m: f_m(a_p/sqrt(p)) at good primes,
-    a_p^m at bad ones (the bad trace is already in {-1, 0, 1})."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if tv.kind is Reduction.GOOD:
-        return f_eval(m, tv.ap / math.sqrt(p))
-    return float(tv.ap ** m) if m else 1.0
 
 
 def good_traces(curve: CurveParams, primes, condition: SumCondition) -> np.ndarray:

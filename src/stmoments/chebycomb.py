@@ -40,6 +40,7 @@ __all__ = [
     "PowerPoly",
     "f_poly",
     "f_eval",
+    "product_rule_fold",
     "u_product_expand",
     "melzak_eval",
     "a_lk",
@@ -109,6 +110,22 @@ def f_eval(m: int, x):
     return cur
 
 
+def product_rule_fold(table: Mapping[int, object], weights: Mapping[int, object]) -> dict[int, object]:
+    """The f-basis table of (sum_a table[a] f_a) * (sum_m weights[m] f_m).
+
+    Applies the product rule f_a * f_m = sum_{l<=min(a,m)} f_{a+m-2l},
+    accumulating table[a] * weights[m] into entry a + m - 2l in the order
+    (a, m, l) of the two tables' iteration; exact for int / Fraction values.
+    """
+    out: dict[int, object] = {}
+    for a, w in table.items():
+        for m, um in weights.items():
+            for l in range(min(a, m) + 1):
+                key = a + m - 2 * l
+                out[key] = out.get(key, 0) + w * um
+    return out
+
+
 def u_product_expand(ms: Sequence[int]) -> dict[int, int]:
     """Expand a product of prime-power coefficients in the single-power basis.
 
@@ -116,9 +133,8 @@ def u_product_expand(ms: Sequence[int]) -> dict[int, int]:
 
         prod_i f_{m_i} = sum_m D[m] * f_m,
 
-    computed by left-folding the product rule
-    f_a * f_b = sum_{l<=min(a,b)} f_{a+b-2l}.  The support is contained in
-    [0, m_1+...+m_r] and has constant parity; all values are nonnegative.
+    computed by left-folding `product_rule_fold`.  The support is contained
+    in [0, m_1+...+m_r] and has constant parity; all values are nonnegative.
     """
     ms = list(ms)
     if not ms:
@@ -127,12 +143,7 @@ def u_product_expand(ms: Sequence[int]) -> dict[int, int]:
         raise ValueError("exponents must be >= 1")
     acc: dict[int, int] = {ms[0]: 1}
     for m in ms[1:]:
-        nxt: dict[int, int] = {}
-        for a, coeff in acc.items():
-            for l in range(min(a, m) + 1):
-                key = a + m - 2 * l
-                nxt[key] = nxt.get(key, 0) + coeff
-        acc = nxt
+        acc = product_rule_fold(acc, {m: 1})
     return acc
 
 

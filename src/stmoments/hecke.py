@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .arith_curves import primes_in_window
-from .classnumbers import HurwitzTable, build_hurwitz_table
+from .classnumbers import HurwitzTable, _signed_power_class_sum, _table_for
 from .errors import BudgetError
 
 __all__ = [
@@ -197,24 +197,21 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
     """Traces for weights 4, 6, ..., 2J+2 by the class-number route.
 
     Solves the unit-triangular system for trace + 1 by forward substitution;
-    exact integers throughout (the class-number sums clear 12ths).
+    exact integers throughout, 24 m_j read off `classnumbers`' power sum.
     """
     if p < 5:
         raise ValueError(f"needs p >= 5, got p = {p}")
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"the class-number route needs a prime p, got p = {p}")
     if J < 1:
         raise ValueError("J must be >= 1")
-    if table is None:
-        table = build_hurwitz_table(4 * p)
-    if table.max_n < 4 * p:
-        raise ValueError("Hurwitz table does not cover 4p")
-    rmax = math.isqrt(4 * p)
-    twelve = [table.twelve(4 * p - r * r) for r in range(1, rmax + 1)]
+    table = _table_for(p, table)
     records = []
     solved: list[int] = []  # trace_{2l+2} + 1 for l = 1..j-1
     for j in range(1, J + 1):
-        num = sum(r ** (2 * j) * t for r, t in zip(range(1, rmax + 1), twelve))
-        assert num % 12 == 0
-        m_j = num // 12
+        m24 = _signed_power_class_sum(p, 2 * j, table)  # 24 m_j
+        assert m24 % 24 == 0
+        m_j = m24 // 24
         rhs = math.comb(2 * j, j) // (j + 1) * p ** (j + 1) - m_j
         for l in range(1, j):
             rhs -= _birch_weight(j, l) * p ** (j - l) * solved[l - 1]

@@ -45,6 +45,7 @@ from .arith_curves import (
     Interval,
     SumCondition,
     _box_prime_data,
+    _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
     box_summands,
     count_in_interval,
@@ -53,7 +54,7 @@ from .arith_curves import (
     primes_in_window,
     primes_upto,
 )
-from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, set_partitions
+from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, product_rule_fold, set_partitions
 from .errors import BudgetError
 from .st_approx import BSCoefficients, _f_rows, exact_st_coeffs, profile_M, st_measure
 
@@ -66,13 +67,12 @@ __all__ = [
     "AlmostAllReport",
     "Hypothesis2Probe",
     "FamilyGrid",
-    "eta",
-    "delta",
     "error_term",
     "family_error_grid",
     "family_moments",
     "psum_moment_direct",
     "moment_via_expansion",
+    "expansion_c_coefficient",
     "clt_histogram",
     "almost_all_report",
     "hypothesis2_probe",
@@ -87,22 +87,12 @@ class Profile(Enum):
     HYPOTHESES = "hypotheses"
 
 
-def eta(t: int) -> int:
-    """Range exponent max{t, 2(t-1)} attached to the t-th moment."""
-    return max(t, 2 * (t - 1))
-
-
-def delta(t: int) -> int:
-    """1 for even t, 0 for odd t."""
-    return 1 if t % 2 == 0 else 0
-
-
 @dataclass
 class MomentPlan:
     """Parameters of one family-moment run.
 
-    The analytic knobs (c and the profile) only scale reported thresholds;
-    they never enter the counting.
+    The analytic knobs (c and the profile) set the default M and the
+    almost-all threshold; they never enter the counting.
     """
 
     x: float
@@ -116,20 +106,14 @@ class MomentPlan:
     c: float = 1.0
     exclude_axes: bool = False  # drop the complex-multiplication lines a=0, b=0
 
+    def __post_init__(self):
+        if not self.t_list or min(self.t_list) < 1:
+            raise ValueError(f"moment orders need t >= 1, got t_list = {self.t_list}")
+
     def resolved_m(self) -> int:
         if self.M is not None:
             return self.M
         return profile_M(self.x, max(self.t_list), self.profile.value, self.c)
-
-    def thresholds(self, t: int) -> dict[str, float]:
-        """Theoretical box-size thresholds for the t-th moment, per profile."""
-        e = eta(t)
-        return {
-            "unconditional": self.x ** e,
-            "mrh": self.x ** (1.5 * e),
-            "hypotheses12": self.x ** (1.5 * e),
-            "hypothesis1": self.x ** (2 * e),
-        }
 
 
 @dataclass(frozen=True)
@@ -278,7 +262,7 @@ def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentRe
     results = []
     for t in plan.t_list:
         empirical = math.fsum((mult * errors ** t).tolist()) / norm
-        main = delta(t) * gaussian_moment_constant(t) * (mu - mu * mu) ** (t / 2) * pi_tilde ** (t / 2) if t % 2 == 0 else 0.0
+        main = gaussian_moment_constant(t) * (mu - mu * mu) ** (t / 2) * pi_tilde ** (t / 2)
         ratio = empirical / main if main else None
         results.append(MomentResult(t=t, empirical=empirical, main_term=main, ratio=ratio))
     return MomentReport(
@@ -306,7 +290,10 @@ PIPELINE_MAX_HALF_BOX = 15
 
 
 def _pipeline_guard(plan: MomentPlan, t: int) -> None:
-    """BudgetError naming the first of t, M, A, B and the prime count over its cap."""
+    """ValueError naming t < 1; BudgetError naming the first of t, M, A, B and
+    the prime count over its cap."""
+    if t < 1:
+        raise ValueError(f"expansion cross-check needs a moment order t >= 1, got t = {t}")
     for name, value, cap in (
         ("t", t, PIPELINE_MAX_T),
         ("M", plan.resolved_m(), PIPELINE_MAX_M),
@@ -346,21 +333,11 @@ def psum_moment_direct(plan: MomentPlan, t: int, coeffs: BSCoefficients | None =
 
 def _fold_u_tables(u: np.ndarray, M: int, t: int) -> list[dict[int, float]]:
     """T_r[alpha] = sum over (m_1..m_r) in [1,M]^r of U(m_1)...U(m_r) D(m; alpha),
-    for r = 1..t, built by folding the product rule."""
-    t1 = {m: float(u[m]) for m in range(1, M + 1) if u[m] != 0.0}
-    tables = [t1]
+    for r = 1..t, built by folding the product rule with weights {m: U(m)}."""
+    weights = {m: float(u[m]) for m in range(1, M + 1) if u[m] != 0.0}
+    tables = [weights]
     for _ in range(t - 1):
-        prev = tables[-1]
-        nxt: dict[int, float] = {}
-        for alpha, w in prev.items():
-            for m in range(1, M + 1):
-                um = float(u[m])
-                if um == 0.0:
-                    continue
-                for l in range(min(alpha, m) + 1):
-                    key = alpha + m - 2 * l
-                    nxt[key] = nxt.get(key, 0.0) + w * um
-        tables.append(nxt)
+        tables.append(product_rule_fold(tables[-1], weights))
     return tables
 
 
@@ -560,7 +537,7 @@ def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float =
         raise ValueError(f"need x > 1 for the (log x)^c scale, got x = {x}")
     if not 0 <= y < x:
         raise ValueError(f"need 0 <= y < x, got x = {x}, y = {y}")
-    primes = [p for p in primes_upto(int(math.floor(x))) if p >= 5 and p > y]
+    primes = [p for p in primes_upto(_sieve_limit(x)) if p >= 5 and p > y]
     total = sum((f_eval(m, v) for v in good_traces(curve, primes, SumCondition.SKIP_BAD_ONLY).tolist()), 0.0)
     scale = max(m, 1) * x / math.log(x) ** c
     return Hypothesis2Probe(value=total, scale=scale, ratio=total / scale)

@@ -253,7 +253,7 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
     if not (lo == 0.0 and hi == math.pi):
         tail = 1.0 - _kernel_head_mass(lambdas, h)
         d0 += tail if side is CoeffMode.MAJORANT else -tail
-    const = d0 - s[2]
+    const = float(d0 - s[2])  # a Python float, as in the exact set
     out = _finish(M, side, s, const, cert=None)
     exact = exact_st_coeffs(interval, M)
     out.cert = float(np.max(np.abs(out.u - exact.u)))

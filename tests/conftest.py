@@ -1,5 +1,6 @@
 import pytest
 
+from stmoments.chebycomb import f_poly
 from stmoments.classnumbers import build_hurwitz_table
 from stmoments.hecke import TraceStore
 
@@ -33,3 +34,27 @@ def brute_projective_count(p: int, a: int, b: int) -> int:
             if (y * y - rhs) % p == 0:
                 n += 1
     return n
+
+
+def poly_mul(f: tuple, g: tuple) -> tuple:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] += fi * gj
+    return tuple(out)
+
+
+def to_f_basis(coeffs: tuple) -> dict[int, int]:
+    """Rewrite a power-basis polynomial in the f_m basis by peeling leading
+    terms; independent of the product-rule fold."""
+    work = list(coeffs)
+    out: dict[int, int] = {}
+    while work:
+        deg = len(work) - 1
+        lead = work[-1]
+        if lead:
+            out[deg] = lead
+            for d, c in enumerate(f_poly(deg).coeffs):
+                work[d] -= lead * c
+        work.pop()
+    return {k: v for k, v in out.items() if v}

@@ -27,7 +27,6 @@ from stmoments.arith_curves import (
     good_traces,
     legendre,
     nonsingular_mask,
-    normalized_coeff,
     primes_in_window,
     primes_upto,
     require_prime,
@@ -118,10 +117,10 @@ def test_ap_table_matches_scalar():
         for b in range(p):
             if (4 * a ** 3 + 27 * b ** 2) % p == 0 and (4 * a ** 3 + 27 * b ** 2) != 0:
                 tv = curve_ap(p, CurveParams(a, b))
-                entry = table.entry(a, b)
-                assert (entry.kind, entry.ap) == (tv.kind, tv.ap)
+                kind = (Reduction.GOOD, Reduction.NODE, Reduction.CUSP)[table.kind[a, b]]
+                assert (kind, table.ap[a, b]) == (tv.kind, tv.ap)
             elif 4 * a ** 3 + 27 * b ** 2 != 0:
-                assert table.entry(a, b).ap == curve_ap(p, CurveParams(a, b)).ap
+                assert table.ap[a, b] == curve_ap(p, CurveParams(a, b)).ap
 
 
 def _trace_rows_prime_length(p, a_residues):
@@ -345,24 +344,8 @@ def test_singular_trace_matches_point_count():
         for a in range(p):
             for b in range(p):
                 if not table.good[a, b] and (a, b) != (0, 0):
-                    ap = table.entry(a, b).ap
+                    ap = int(table.ap[a, b])
                     assert brute_projective_count(p, a, b) == p + 1 - ap
-
-
-def test_normalized_coeff():
-    from stmoments.arith_curves import TraceValue
-
-    good = TraceValue(Reduction.GOOD, -3)
-    assert normalized_coeff(good, 5, 0) == 1
-    assert normalized_coeff(good, 5, 2) == pytest.approx(0.8)
-    cusp = TraceValue(Reduction.CUSP, 0)
-    assert normalized_coeff(cusp, 5, 0) == 1.0
-    assert normalized_coeff(cusp, 5, 3) == 0.0
-    node = TraceValue(Reduction.NODE, -1)
-    assert normalized_coeff(node, 5, 3) == -1.0
-    assert normalized_coeff(node, 5, 4) == 1.0
-    with pytest.raises(ValueError):
-        normalized_coeff(good, 5, -1)
 
 
 def test_interval_validation_and_membership():

@@ -4,7 +4,9 @@ import pytest
 
 import jsonschema
 
+from stmoments.arith_curves import Interval
 from stmoments.cli import run
+from stmoments.st_approx import CoeffMode, exact_st_coeffs, sandwich_coeffs
 from stmoments.verify import SUITES
 
 MOMENTS_SCHEMA = {
@@ -101,6 +103,18 @@ def test_cli_exit_codes(capsys):
          "sieve limit = 1000000000 exceeds the largest-prime cap MAX_PRIME = 1000000"),
         (["s0", "--p", "293", "--m", "60"], 3, "weight capped at 60, got k = 62"),
         (["probe", "hyp1", "--K", "20", "--x", "600"], 3, "trace prime capped at 500, got p = 503"),
+        (["moments", "--x", "inf", "--A", "1", "--B", "1"] + interval, 3,
+         "x = inf exceeds the largest-prime cap MAX_PRIME = 1000000"),
+        (["probe", "hyp1", "--x", "inf"], 3, "x = inf exceeds the largest-prime cap MAX_PRIME = 1000000"),
+        (["probe", "hyp2", "--x", "inf"], 3, "x = inf exceeds the largest-prime cap MAX_PRIME = 1000000"),
+        (["moments", "--x", "nan", "--A", "1", "--B", "1"] + interval, 2,
+         "window operations require x >= 10, got x = nan"),
+        (["probe", "hyp1", "--x", "nan"], 2, "window operations require x >= 10, got x = nan"),
+        (["probe", "hyp2", "--x", "nan"], 2, "need x > 1 for the (log x)^c scale, got x = nan"),
+        (["moments", "--x", "100", "--A", "1", "--B", "1", "--t", "0"] + interval, 2,
+         "moment orders need t >= 1, got t_list = (0,)"),
+        (["moments", "--x", "100", "--A", "1", "--B", "1", "--t", "2", "-1"] + interval, 2,
+         "moment orders need t >= 1, got t_list = (2, -1)"),
     ):
         assert run(argv) == code
         out, err = capsys.readouterr()
@@ -115,6 +129,9 @@ def test_cli_exit_codes(capsys):
          "need M >= 16 for the sandwich construction, got M = 8"),
         (["hurwitz", "--max-n", "2"], "max_n must be at least 3, got max_n = 2"),
         (["trace", "--method", "birch", "--k", "4", "--p", "3"], "needs p >= 5, got p = 3"),
+        (["trace", "--method", "birch", "--k", "4", "--p", "9"], "the class-number route needs a prime p, got p = 9"),
+        (["trace", "--method", "birch", "--k", "4", "--p", "15"], "the class-number route needs a prime p, got p = 15"),
+        (["trace", "--method", "birch", "--k", "4", "--p", "25"], "the class-number route needs a prime p, got p = 25"),
         (["probe", "hyp2", "--a", "0", "--b", "0"], "Delta(a, b) = 0 is not an elliptic curve: a = 0, b = 0"),
         (["probe", "hyp2", "--x", "100", "--y", "200"], "need 0 <= y < x, got x = 100.0, y = 200.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "1"], "need x > 1 for the (log x)^c scale, got x = 1.0"),
@@ -185,6 +202,13 @@ def test_cli_bs_and_parseval(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert out.read_text().startswith("m,s,u")
+    interval = Interval(0.7, 2.0)
+    for mode, coeffs in (("exact", exact_st_coeffs(interval, 32)),
+                         ("major", sandwich_coeffs(interval, 32, CoeffMode.MAJORANT)),
+                         ("minor", sandwich_coeffs(interval, 32, CoeffMode.MINORANT))):
+        assert type(coeffs.const_term) is float, mode  # printed as a plain float, not np.float64(...)
+        assert run(["bs", "--alpha", "0.7", "--beta", "2.0", "--M", "32", "--mode", mode]) == 0
+        assert f" const={coeffs.const_term!r} " in capsys.readouterr().out, mode
     assert run(["parseval", "--alpha", "0.7", "--beta", "2.0", "--M", "500"]) == 0
     capsys.readouterr()
 

@@ -23,6 +23,8 @@ from stmoments.chebycomb import (
 )
 from stmoments.errors import BudgetError
 
+from conftest import poly_mul, to_f_basis
+
 
 def direct_coeffs(m: int) -> list[int]:
     """The defining alternating-binomial coefficients, written independently."""
@@ -30,30 +32,6 @@ def direct_coeffs(m: int) -> list[int]:
     for j in range(m // 2 + 1):
         out[m - 2 * j] = (-1) ** j * math.comb(m - j, j)
     return out
-
-
-def poly_mul(f: tuple, g: tuple) -> tuple:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return tuple(out)
-
-
-def to_f_basis(coeffs: tuple) -> dict[int, int]:
-    """Rewrite a power-basis polynomial in the f_m basis by peeling leading
-    terms; independent of the product-rule fold."""
-    work = list(coeffs)
-    out: dict[int, int] = {}
-    while work:
-        deg = len(work) - 1
-        lead = work[-1]
-        if lead:
-            out[deg] = lead
-            for d, c in enumerate(f_poly(deg).coeffs):
-                work[d] -= lead * c
-        work.pop()
-    return {k: v for k, v in out.items() if v}
 
 
 def test_base_cases():

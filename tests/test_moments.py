@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from stmoments.arith_curves import (
     count_in_interval,
     primes_in_window,
 )
-from stmoments.chebycomb import set_partitions
+from stmoments.chebycomb import f_poly, set_partitions
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
     MomentPlan,
@@ -27,9 +28,7 @@ from stmoments.moments_engine import (
     _ks_against_normal,
     _masked_power_tables,
     _normal_cdf,
-    delta,
     error_term,
-    eta,
     expansion_c_coefficient,
     family_error_grid,
     family_moments,
@@ -39,14 +38,11 @@ from stmoments.moments_engine import (
 )
 from stmoments.st_approx import exact_st_coeffs, st_measure
 
+from conftest import poly_mul, to_f_basis
+
 HALF = Interval(0.0, math.pi / 2)
 GEN = Interval(0.7, 2.0)
 FULL = Interval(0.0, math.pi)
-
-
-def test_eta_delta():
-    assert [eta(t) for t in (1, 2, 3, 4)] == [1, 2, 4, 6]
-    assert [delta(t) for t in (1, 2, 3, 4)] == [0, 1, 0, 1]
 
 
 def test_error_term_examples():
@@ -209,6 +205,15 @@ def test_expansion_guard():
         for route in (moment_via_expansion, psum_moment_direct):
             with pytest.raises(BudgetError, match=message):
                 route(plan, 4)
+    for route in (moment_via_expansion, psum_moment_direct):
+        with pytest.raises(ValueError, match="needs a moment order t >= 1, got t = 0"):
+            route(plan, 0)
+
+
+@pytest.mark.parametrize("t_list", [(), (0,), (2, -1)])
+def test_plan_rejects_moment_orders_below_one(t_list):
+    with pytest.raises(ValueError, match=rf"need t >= 1, got t_list = {re.escape(repr(t_list))}"):
+        MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=t_list)
 
 
 def _expansion_by_permutations(plan, t, coeffs):
@@ -245,6 +250,27 @@ def _expansion_by_permutations(plan, t, coeffs):
             if coeff != 0.0:
                 total += coeff * distinct_tuple_sum(alphas)
     return total
+
+
+@pytest.mark.parametrize("interval", [HALF, GEN])
+def test_fold_u_tables_against_power_basis(interval):
+    # no product rule: each product of f_(m_i) is multiplied out in the power
+    # basis and peeled back into the f-basis
+    for M in range(1, 5):
+        u = exact_st_coeffs(interval, M).u
+        for r in range(1, 4):
+            want = {}
+            for ms in itertools.product(range(1, M + 1), repeat=r):
+                weight = math.prod(float(u[m]) for m in ms)
+                poly = (1,)
+                for m in ms:
+                    poly = poly_mul(poly, f_poly(m).coeffs)
+                for k, c in to_f_basis(poly).items():
+                    want[k] = want.get(k, 0.0) + weight * c
+            got = _fold_u_tables(u, M, r)[r - 1]
+            assert set(got) <= set(want), (M, r)
+            for k, w in want.items():
+                assert got.get(k, 0.0) == pytest.approx(w, rel=1e-12, abs=0), (M, r, k)
 
 
 @pytest.mark.parametrize("x, half", [(40.0, 4), (60.0, 6)])
@@ -473,10 +499,6 @@ def test_exclude_axes_flag():
 def test_resolved_m_profiles():
     plan = MomentPlan(x=2000.0, A=5, B=5, interval=HALF, profile=Profile.MRH)
     assert plan.resolved_m() == math.ceil(math.sqrt(primes_in_window(2000.0).count))
-    th = plan.thresholds(2)
-    assert th["unconditional"] == pytest.approx(2000.0 ** 2)
-    assert th["mrh"] == pytest.approx(2000.0 ** 3)
-    assert th["hypothesis1"] == pytest.approx(2000.0 ** 4)
 
 
 @pytest.mark.parametrize("A, B", [(6, 5), (3, 3), (5, 2), (0, 4), (2, 0)])
