@@ -162,6 +162,14 @@ def _signed_power_class_sum(p: int, g: int, table: HurwitzTable) -> int:
     return total
 
 
+def _require_prime(p: int, route: str) -> None:
+    """ValueError naming p, prefixed by ``route``, unless p is a prime >= 5."""
+    if p < 5:
+        raise ValueError(f"{route} needs p >= 5, got p = {p}")
+    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{route} needs a prime p, got p = {p}")
+
+
 def _table_for(p: int, table: HurwitzTable | None) -> HurwitzTable:
     if table is None:
         return build_hurwitz_table(4 * p)
@@ -172,8 +180,7 @@ def _table_for(p: int, table: HurwitzTable | None) -> HurwitzTable:
 
 def eichler_mass(p: int, table: HurwitzTable | None = None) -> int:
     """Residual 12 (sum_{r^2 <= 4p} H(4p - r^2) - 2p); zero is the contract."""
-    if p < 5:
-        raise ValueError("mass identity is used for p >= 5 only")
+    _require_prime(p, "the mass identity")
     table = _table_for(p, table)
     return _signed_power_class_sum(p, 0, table) - 24 * p
 
@@ -181,8 +188,7 @@ def eichler_mass(p: int, table: HurwitzTable | None = None) -> int:
 def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) -> int:
     """(p-1)/2 sum_r r^g H(r^2 - 4p), exactly; equals the grid moment
     sum over good residue pairs of a_p^g."""
-    if p < 5:
-        raise ValueError(f"needs p >= 5, got p = {p}")
+    _require_prime(p, "the class-number moment")
     if g < 0:
         raise ValueError("g must be nonnegative")
     if g % 2 == 1:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .arith_curves import primes_in_window
-from .classnumbers import HurwitzTable, _signed_power_class_sum, _table_for
+from .classnumbers import HurwitzTable, _require_prime, _signed_power_class_sum, _table_for
 from .errors import BudgetError
 
 __all__ = [
@@ -199,10 +199,7 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
     Solves the unit-triangular system for trace + 1 by forward substitution;
     exact integers throughout, 24 m_j read off `classnumbers`' power sum.
     """
-    if p < 5:
-        raise ValueError(f"needs p >= 5, got p = {p}")
-    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"the class-number route needs a prime p, got p = {p}")
+    _require_prime(p, "the class-number route")
     if J < 1:
         raise ValueError("J must be >= 1")
     table = _table_for(p, table)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 DEFAULT_BOX_BUDGET = 500_000_000  # pairs x primes
+PAIR_BLOCK = 65_536  # pairs per block of the count table and of the CLT CSV writer
 
 
 class Profile(Enum):
@@ -172,7 +173,9 @@ def error_term(curve: CurveParams, x: float, interval: Interval) -> float:
 
 
 class FamilyGrid(NamedTuple):
-    """The result of one box sweep (see `family_error_grid`); its arrays are read-only."""
+    """The result of one box sweep (see `family_error_grid`); its arrays are
+    read-only.  ``counts`` is unsigned and narrow (uint8 up to pi~ = 255,
+    uint16 above), so cast it before signed or wide integer arithmetic."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
@@ -194,15 +197,17 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
     """Exact interval counts over the box |a| <= A, |b| <= B.
 
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    read-only int64 N_I grid and ``admissible`` masks Delta != 0
+    read-only N_I grid in the accumulator's narrow unsigned dtype (cast it
+    before signed arithmetic) and ``admissible`` masks Delta != 0
     (`nonsingular_mask`).  Each prime's residue table (`_box_prime_data`,
     residues in box order) is tested with `Interval.contains`.  The box is a periodic tiling of that
     hit table, so the table is tiled once along b and added into the box one
     block of rows at a time; no box-sized gather is made per prime.  The
     accumulator has the narrowest unsigned dtype that holds pi~ (a count
     never exceeds it): uint8 up to pi~ = 255, uint16 above, which always
-    suffices since MAX_PRIME keeps pi~ below 2^16.  All work is exact integer
-    work, so the result is bit-reproducible.
+    suffices since MAX_PRIME keeps pi~ below 2^16; it is returned as is, not
+    widened.  All work is exact integer work, so the result is
+    bit-reproducible.
     """
     window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
@@ -221,10 +226,9 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
         tile = np.tile(hits, -(-n_b // period_b))[:, :n_b] if period_b < n_b else hits
         for i in range(0, n_a, period_a):
             acc[i:i + period_a] += tile[:n_a - i]
-    counts = acc.astype(np.int64)
-    for arr in (a_vals, b_vals, counts, admissible):
+    for arr in (a_vals, b_vals, acc, admissible):
         arr.setflags(write=False)
-    return FamilyGrid(a_vals, b_vals, counts, admissible, window.count)
+    return FamilyGrid(a_vals, b_vals, acc, admissible, window.count)
 
 
 def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, np.ndarray]:
@@ -243,8 +247,12 @@ def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, n
 
 def _count_table(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the selected counts, ascending, and their
-    multiplicities; every statistic of the sample is a function of this table."""
-    mult = np.bincount(selected)
+    multiplicities; every statistic of the sample is a function of this table.
+    `np.bincount` widens its input to intp, so it runs on PAIR_BLOCK counts at
+    a time rather than on a widened copy of the whole selection."""
+    mult = np.zeros(int(selected.max(initial=0)) + 1, dtype=np.intp)
+    for start in range(0, len(selected), PAIR_BLOCK):
+        mult += np.bincount(selected[start:start + PAIR_BLOCK], minlength=len(mult))
     values = np.flatnonzero(mult)
     return values, mult[values]
 
@@ -397,11 +405,17 @@ def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ..
 
 @dataclass
 class CltSample:
-    a: np.ndarray
-    b: np.ndarray
+    """The standardized error sample over the selected pairs of a box.  Its one
+    per-pair array is ``counts`` (box order, the grid's narrow dtype); ``a``,
+    ``b``, ``errors`` and ``standardized`` are rebuilt on each access."""
+
+    a_vals: np.ndarray
+    b_vals: np.ndarray
+    selection: np.ndarray
     counts: np.ndarray
-    errors: np.ndarray
-    standardized: np.ndarray
+    pi_tilde: int
+    mu: float
+    scale: float
     bin_edges: np.ndarray
     bin_counts: np.ndarray
     ks: float
@@ -410,13 +424,38 @@ class CltSample:
 
     @property
     def size(self) -> int:
-        return len(self.standardized)
+        return len(self.counts)
+
+    @property
+    def a(self) -> np.ndarray:
+        return np.repeat(self.a_vals, self.selection.sum(1))
+
+    @property
+    def b(self) -> np.ndarray:
+        return np.broadcast_to(self.b_vals, self.selection.shape)[self.selection]
+
+    @property
+    def errors(self) -> np.ndarray:
+        return self.counts - self.pi_tilde * self.mu
+
+    @property
+    def standardized(self) -> np.ndarray:
+        return self.errors / self.scale
 
     def write_csv(self, path) -> None:
+        """One line per selected pair in box order, written a block of box rows
+        (about PAIR_BLOCK pairs) at a time, so no column is built for the whole box."""
+        rows = max(1, PAIR_BLOCK // len(self.b_vals))
+        offsets = np.concatenate(([0], np.cumsum(self.selection.sum(1))))
         with open(path, "w") as fh:
             fh.write("a,b,n_i,error,standardized\n")
-            for a, b, c, e, s in zip(self.a, self.b, self.counts, self.errors, self.standardized):
-                fh.write(f"{int(a)},{int(b)},{int(c)},{float(e)!r},{float(s)!r}\n")
+            for i in range(0, len(self.a_vals), rows):
+                j = min(i + rows, len(self.a_vals))
+                block = replace(self, a_vals=self.a_vals[i:j], selection=self.selection[i:j],
+                                counts=self.counts[offsets[i]:offsets[j]])
+                columns = (block.a, block.b, block.counts, block.errors, block.standardized)
+                for a, b, c, e, s in zip(*(col.tolist() for col in columns)):
+                    fh.write(f"{a},{b},{c},{e!r},{s!r}\n")
 
 
 def _normal_cdf(values: np.ndarray) -> np.ndarray:
@@ -440,8 +479,8 @@ def _ks_against_normal(values: np.ndarray, mult: np.ndarray) -> float:
 def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = None) -> CltSample:
     """Standardized error sample over the box, with histogram and KS distance;
     a given ``grid`` must be swept at the same x and interval (see `_plan_grid`).
-    The per-pair arrays are gathered once; the histogram and the KS distance
-    run on the count table."""
+    Only the selected counts are gathered; the histogram, the KS distance,
+    the mean and the variance run on the count table."""
     (a_vals, b_vals, counts, _, pi_tilde), sel = _plan_grid(plan, grid)
     if not sel.any():
         raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
@@ -449,22 +488,23 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     mu = st_measure(plan.interval)
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
     selected = counts[sel]
-    errors = selected - pi_tilde * mu
-    standardized = errors / scale
     values, mult = _count_table(selected)
     table = (values - pi_tilde * mu) / scale
     bin_counts, bin_edges = np.histogram(table, bins=bins, weights=mult)
+    mean = math.fsum((mult * table).tolist()) / len(selected)
     return CltSample(
-        a=np.repeat(a_vals, sel.sum(1)),
-        b=np.broadcast_to(b_vals, sel.shape)[sel],
+        a_vals=a_vals,
+        b_vals=b_vals,
+        selection=sel,
         counts=selected,
-        errors=errors,
-        standardized=standardized,
+        pi_tilde=pi_tilde,
+        mu=mu,
+        scale=scale,
         bin_edges=bin_edges,
         bin_counts=bin_counts,
         ks=_ks_against_normal(table, mult),
-        mean=float(standardized.mean()),
-        variance=float(standardized.var()),
+        mean=mean,
+        variance=math.fsum((mult * (table - mean) ** 2).tolist()) / len(selected),
     )
 
 

@@ -101,6 +101,21 @@ def test_family_moment_examples(hurwitz_table):
     assert family_moment_classnum(5, 0, hurwitz_table) == 20
 
 
+@pytest.mark.parametrize("p", [9, 15, 25, 49])
+def test_class_number_identities_reject_a_composite_p(p, hurwitz_table):
+    # a composite p used to give eichler_mass(15) = 120 and family_moment_classnum(15, 2) = 3808
+    with pytest.raises(ValueError, match=f"the mass identity needs a prime p, got p = {p}$"):
+        eichler_mass(p, hurwitz_table)
+    for g in (0, 1, 2):
+        with pytest.raises(ValueError, match=f"the class-number moment needs a prime p, got p = {p}$"):
+            family_moment_classnum(p, g, hurwitz_table)
+    for n in (-5, 0, 3, 4):
+        with pytest.raises(ValueError, match=f"needs p >= 5, got p = {n}$"):
+            eichler_mass(n, hurwitz_table)
+        with pytest.raises(ValueError, match=f"needs p >= 5, got p = {n}$"):
+            family_moment_classnum(n, 2, hurwitz_table)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 41, 97])
 def test_family_moment_matches_grid(p, hurwitz_table):
     table = ap_table(p)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -125,10 +126,10 @@ def _gather_sweep(x, A, B, interval):
 ])
 def test_sweep_equals_gather_oracle(x, A, B, interval):
     counts = family_error_grid(x, A, B, interval).counts
-    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert counts.dtype == np.min_scalar_type(primes_in_window(x).count) and not counts.flags.writeable
     assert np.array_equal(counts, _gather_sweep(x, A, B, interval))
     if interval is FULL:
-        assert primes_in_window(x).count == 302 and counts.max() > 255
+        assert primes_in_window(x).count == 302 and counts.max() > 255 and counts.dtype == np.uint16
 
 
 def test_family_moments_full_interval_zero():
@@ -411,6 +412,10 @@ def test_clt_sample_against_per_pair_route(kwargs, exclude_axes):
     assert np.array_equal(sample.bin_counts, bin_counts) and sample.bin_counts.dtype == bin_counts.dtype
     assert np.array_equal(sample.bin_edges, bin_edges)
     assert sample.ks == _ks_sorted_sample(sample.standardized)
+    mu = st_measure(plan.interval)
+    standardized = np.asarray(errors) / math.sqrt(primes_in_window(plan.x).count * (mu - mu * mu))
+    assert sample.mean == pytest.approx(float(standardized.mean()), rel=1e-12)
+    assert sample.variance == pytest.approx(float(standardized.var()), rel=1e-12)
 
 
 @pytest.mark.parametrize("exclude_axes", [False, True])
@@ -442,6 +447,51 @@ def test_clt_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "a,b,n_i,error,standardized"
     assert len(lines) == 1 + sample.size
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+def test_clt_sample_memory_stays_narrow(exclude_axes):
+    # 401 x 401 box; stored per-pair float or int64 columns would take >= 40 bytes per pair
+    grid = family_error_grid(200.0, 200, 200, HALF)
+    plan = MomentPlan(x=200.0, A=200, B=200, interval=HALF, exclude_axes=exclude_axes)
+    tracemalloc.start()
+    try:
+        sample = clt_histogram(plan, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * sample.size, (peak, sample.size)
+    per_pair = [f.name for f in dataclasses.fields(sample)
+                if isinstance(v := getattr(sample, f.name), np.ndarray) and v.shape == (sample.size,)]
+    assert per_pair == ["counts"] and sample.counts.dtype == grid.counts.dtype == np.uint8
+
+
+def _csv_row_by_row(plan) -> str:
+    """Oracle for `CltSample.write_csv`: one line per selected pair, from the grid entry by entry."""
+    _, _, counts, adm, pi_tilde = family_error_grid(plan.x, plan.A, plan.B, plan.interval)
+    mu = st_measure(plan.interval)
+    scale = math.sqrt(pi_tilde * (mu - mu * mu))
+    lines = ["a,b,n_i,error,standardized\n"]
+    for a in range(-plan.A, plan.A + 1):
+        for b in range(-plan.B, plan.B + 1):
+            if adm[a + plan.A, b + plan.B] and not (plan.exclude_axes and (a == 0 or b == 0)):
+                c = int(counts[a + plan.A, b + plan.B])
+                error = c - pi_tilde * mu
+                lines.append(f"{a},{b},{c},{error!r},{error / scale!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+@pytest.mark.parametrize("x, A, B, interval", [
+    (200.0, 20, 17, HALF),
+    (5000.0, 4, 6, Interval(0.3, 1.9, half_open=True)),  # pi~ = 302: uint16 counts
+    (100.0, 150, 130, GEN),  # 301 x 261 box pairs: more than one block of rows
+])
+def test_clt_csv_streams_the_row_by_row_file(tmp_path, x, A, B, interval, exclude_axes):
+    plan = MomentPlan(x=x, A=A, B=B, interval=interval, exclude_axes=exclude_axes)
+    path = tmp_path / "clt.csv"
+    clt_histogram(plan).write_csv(path)
+    assert path.read_text() == _csv_row_by_row(plan)
 
 
 def test_almost_all_monotone_in_y():
