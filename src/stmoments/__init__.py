@@ -29,7 +29,6 @@ from .chebycomb import (
     gaussian_moment_constant,
     melzak_eval,
     partition_coeff,
-    separate_distinct_sums,
     set_partitions,
     u_product_expand,
 )
@@ -53,7 +52,6 @@ from .family_averages import (
     s_multiplicative,
 )
 from .hecke import (
-    QSeries,
     TraceRecord,
     TraceStore,
     delta_qexp,

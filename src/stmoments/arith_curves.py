@@ -64,12 +64,15 @@ __all__ = [
     "nonsingular_mask",
     "AP_TABLE_MAX_P",
     "MAX_PRIME",
+    "MIN_CURVE_PRIME",
     "require_prime",
+    "curve_primes",
 ]
 
 AP_TABLE_MAX_P = 3000
 MAX_PRIME = 1_000_000  # largest prime (and sieve limit) of any O(p) or O(x) table
-CACHE_MAXSIZE = 128  # entries of each per-prime cache (Legendre and root tables, trace grids)
+MIN_CURVE_PRIME = 5  # least prime of the curve operations and the class-number identities
+CACHE_MAXSIZE = 128  # entries of each per-prime cache (`_legendre_table`, `_sqrt_lists`)
 
 _GOOD, _NODE, _CUSP = 0, 1, 2
 
@@ -162,13 +165,12 @@ def _check_prime_cap(n: int, name: str = "p") -> None:
         raise BudgetError(f"{name} = {n} exceeds the largest-prime cap MAX_PRIME = {MAX_PRIME}")
 
 
-def require_prime(p: int) -> None:
-    """BudgetError above MAX_PRIME; ValueError naming p unless it is a prime >= 5."""
+def require_prime(p: int, route: str, least: int = MIN_CURVE_PRIME) -> None:
+    """The package's one prime check: BudgetError above MAX_PRIME, otherwise
+    a ValueError naming ``route`` and p unless p is a prime >= least."""
     _check_prime_cap(p)
-    if p < 5:
-        raise ValueError(f"curve operations require p >= 5, got p = {p}")
-    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p = {p} is not prime")
+    if p < least or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{route} needs a prime p >= {least}, got p = {p}")
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:
@@ -181,6 +183,11 @@ def primes_upto(limit: int) -> tuple[int, ...]:
             start = q * q
             sieve[start:limit + 1:q] = b"\x00" * ((limit - start) // q + 1)
     return tuple(q for q in range(2, limit + 1) if sieve[q])
+
+
+def curve_primes(limit: int) -> tuple[int, ...]:
+    """The primes p <= limit that `require_prime` admits by default."""
+    return tuple(q for q in primes_upto(limit) if q >= MIN_CURVE_PRIME)
 
 
 def _sieve_limit(x: float) -> int:
@@ -253,7 +260,7 @@ def _require_elliptic(curve: CurveParams) -> None:
 
 def curve_ap(p: int, curve: CurveParams) -> TraceValue:
     """Trace of Frobenius at p, or the nodal/cuspidal marker if p | Delta."""
-    require_prime(p)
+    require_prime(p, "the curve trace")
     _require_elliptic(curve)
     a, b = curve.a % p, curve.b % p
     if curve.delta % p == 0:
@@ -425,7 +432,7 @@ def ap_table(p: int) -> ApTable:
     """Build the p x p trace grid from the twist orbits; O(p^2) work and memory."""
     if p > AP_TABLE_MAX_P:
         raise BudgetError(f"ap_table capped at p <= {AP_TABLE_MAX_P}, got p = {p}")
-    require_prime(p)
+    require_prime(p, "the trace grid")
     residues = np.arange(p)
     ap, good = _twist_traces(p, residues, residues)
     kind = np.where(good, np.uint8(_GOOD), np.uint8(_NODE))

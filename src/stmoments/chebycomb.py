@@ -17,9 +17,10 @@ coefficients as an integer combination of single prime-power coefficients.
 Two further exact tools live here because everything downstream trusts them:
 Melzak's finite-difference identity for polynomials, used to prove that the
 triangular system relating class-number moments to operator traces has unit
-diagonal (`a_lk`), and the signed coefficients attached to set partitions
-that separate sums over pairwise-distinct primes into products of plain prime
-sums (`partition_coeff`, `distinct_sum`, `separate_distinct_sums`).
+diagonal (`a_lk`, on the Birch weights w(j, l) that `hecke` solves with), and
+the signed coefficients attached to set partitions that separate sums over
+pairwise-distinct primes into products of plain prime sums
+(`partition_coeff`, `distinct_sum`).
 
 Every helper is exact on int / Fraction inputs.  `f_eval` and `distinct_sum`
 also run elementwise on numpy arrays, which is how the moment pipeline uses
@@ -31,10 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-from .errors import BudgetError
 
 __all__ = [
     "PowerPoly",
@@ -47,7 +45,6 @@ __all__ = [
     "set_partitions",
     "partition_coeff",
     "distinct_sum",
-    "separate_distinct_sums",
     "gaussian_moment_constant",
     "all_exponent_multisets",
 ]
@@ -178,21 +175,23 @@ def melzak_eval(f: PowerPoly, x, y, n: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def a_lk(l: int, k: int) -> Fraction:
+def _birch_weight(j: int, l: int) -> int:
+    """w(j, l) = (2l+1) (2j)! / ((j-l)! (j+l+1)!) as a difference of binomials."""
+    lower = math.comb(2 * j, j - l - 1) if j - l - 1 >= 0 else 0
+    return math.comb(2 * j, j - l) - lower
+
+
+def a_lk(l: int, k: int) -> int:
     """The triangular-solve coefficient
 
-        A_{l,k} = (2l+1) sum_{j=l}^{k} (-1)^(k-j) C(k+j, k-j) (2j)! / ((j-l)! (j+l+1)!),
+        A_{l,k} = sum_{j=l}^{k} (-1)^(k-j) C(k+j, k-j) w(j, l),
 
-    evaluated as the defining sum in exact rationals.  Melzak's identity
-    forces A_{l,k} = 0 for l < k and A_{k,k} = 1; tests assert this.
+    an integer sum over the Birch weights of `_birch_weight`.  Melzak's
+    identity forces A_{l,k} = 0 for l < k and A_{k,k} = 1; tests assert this.
     """
     if not 0 <= l <= k:
         raise ValueError("need 0 <= l <= k")
-    total = Fraction(0)
-    for j in range(l, k + 1):
-        term = Fraction(math.factorial(2 * j), math.factorial(j - l) * math.factorial(j + l + 1))
-        total += (-1) ** (k - j) * math.comb(k + j, k - j) * term
-    return (2 * l + 1) * total
+    return sum((-1) ** (k - j) * math.comb(k + j, k - j) * _birch_weight(j, l) for j in range(l, k + 1))
 
 
 def set_partitions(items: Iterable) -> Iterator[tuple[tuple, ...]]:
@@ -242,32 +241,6 @@ def distinct_sum(n: int, block_sum: Callable[[tuple[int, ...]], object]):
         raise ValueError(f"a distinct-prime sum needs n >= 1 factors, got n = {n}")
     return sum(partition_coeff(blocks) * math.prod(block_sum(tuple(i - 1 for i in block)) for block in blocks)
                for blocks in set_partitions(range(1, n + 1)))
-
-
-def separate_distinct_sums(values: Sequence[Mapping[int, object]], n: int):
-    """Sum over pairwise-distinct prime tuples, computed two ways.
-
-    ``values[i]`` maps each prime to the i-th factor's value there.  The
-    direct route enumerates all ordered n-tuples of distinct primes; the
-    partition route is `distinct_sum` over the plain prime sums.
-
-    Returns (direct, partitioned); the two agree identically (exactly so for
-    Fraction inputs).  Guarded at n <= 6 since the direct route is O(P^n).
-    """
-    if n < 1:
-        raise ValueError(f"a distinct-prime sum needs n >= 1 factors, got n = {n}")
-    if n > 6:
-        raise BudgetError(f"distinct-tuple enumeration capped at n = 6, got n = {n}")
-    if len(values) != n:
-        raise ValueError("values must supply one map per index")
-    keys = list(values[0].keys())
-    for v in values[1:]:
-        if set(v.keys()) != set(keys):
-            raise ValueError("all index maps must share the same prime support")
-
-    direct = sum(math.prod(values[i][p] for i, p in enumerate(tup)) for tup in permutations(keys, n))
-    partitioned = distinct_sum(n, lambda block: sum(math.prod(values[i][p] for i in block) for p in keys))
-    return direct, partitioned
 
 
 def gaussian_moment_constant(t: int) -> int:

@@ -23,6 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith_curves import require_prime
+from .errors import BudgetError
+
 __all__ = [
     "ReducedForm",
     "HurwitzTable",
@@ -32,7 +35,10 @@ __all__ = [
     "build_hurwitz_table",
     "eichler_mass",
     "family_moment_classnum",
+    "MAX_HURWITZ_N",
 ]
+
+MAX_HURWITZ_N = 400_000  # largest N of a Hurwitz table: N = 4p for every p below 10^5
 
 
 @dataclass(frozen=True)
@@ -122,10 +128,13 @@ class HurwitzTable:
 def build_hurwitz_table(max_n: int) -> HurwitzTable:
     """Bin one sweep over reduced triples (b, a, c) by discriminant.
 
-    O(max_n^(3/2)) total instead of a per-N scan.
+    O(max_n^(3/2)) total instead of a per-N scan; max_n past MAX_HURWITZ_N is
+    a BudgetError before the table is allocated.
     """
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got max_n = {max_n}")
+    if max_n > MAX_HURWITZ_N:
+        raise BudgetError(f"Hurwitz table N = {max_n} exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}")
     t12 = np.zeros(max_n + 1, dtype=np.int64)
     b = 0
     while 3 * b * b <= max_n:
@@ -162,14 +171,6 @@ def _signed_power_class_sum(p: int, g: int, table: HurwitzTable) -> int:
     return total
 
 
-def _require_prime(p: int, route: str) -> None:
-    """ValueError naming p, prefixed by ``route``, unless p is a prime >= 5."""
-    if p < 5:
-        raise ValueError(f"{route} needs p >= 5, got p = {p}")
-    if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"{route} needs a prime p, got p = {p}")
-
-
 def _table_for(p: int, table: HurwitzTable | None) -> HurwitzTable:
     if table is None:
         return build_hurwitz_table(4 * p)
@@ -180,7 +181,7 @@ def _table_for(p: int, table: HurwitzTable | None) -> HurwitzTable:
 
 def eichler_mass(p: int, table: HurwitzTable | None = None) -> int:
     """Residual 12 (sum_{r^2 <= 4p} H(4p - r^2) - 2p); zero is the contract."""
-    _require_prime(p, "the mass identity")
+    require_prime(p, "the mass identity")
     table = _table_for(p, table)
     return _signed_power_class_sum(p, 0, table) - 24 * p
 
@@ -188,7 +189,7 @@ def eichler_mass(p: int, table: HurwitzTable | None = None) -> int:
 def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) -> int:
     """(p-1)/2 sum_r r^g H(r^2 - 4p), exactly; equals the grid moment
     sum over good residue pairs of a_p^g."""
-    _require_prime(p, "the class-number moment")
+    require_prime(p, "the class-number moment")
     if g < 0:
         raise ValueError("g must be nonnegative")
     if g % 2 == 1:

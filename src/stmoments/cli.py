@@ -7,13 +7,12 @@ All numeric inputs are decimal; angles are radians.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window, primes_upto, require_prime
-from .classnumbers import build_hurwitz_table, eichler_mass
+from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window
+from .classnumbers import build_hurwitz_table
 from .errors import BudgetError
-from .hecke import TraceStore, hecke_trace, trace_average_probe, traces_via_birch
+from .hecke import hecke_trace, trace_average_probe, traces_via_birch
 from .family_averages import s0_brute, s0_formula
 from .moments_engine import (
     Hypothesis2Probe,
@@ -25,7 +24,7 @@ from .moments_engine import (
     hypothesis2_probe,
 )
 from .st_approx import CoeffMode, coeffs_to_csv, exact_st_coeffs, parseval_check, sandwich_coeffs
-from .verify import SUITES, run_suites, soft_diagnostics
+from .verify import SUITES, mass_identity_check, report, route_agreement_checks, run_suites, soft_diagnostics
 
 
 def _interval_from_args(args) -> Interval:
@@ -41,7 +40,6 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_ap(args) -> int:
-    require_prime(args.p)
     if args.a is not None and args.b is not None:
         tv = curve_ap(args.p, CurveParams(args.a, args.b))
         print(f"{tv.kind.value} {tv.ap}")
@@ -67,27 +65,8 @@ def _cmd_hurwitz(args) -> int:
     return 0
 
 
-def _primes_from_5(limit: int, flag: str) -> tuple[int, ...]:
-    """The primes 5 <= p <= limit; ValueError when there are none."""
-    primes = primes_upto(limit)[2:]
-    if not primes:
-        raise ValueError(f"no prime p >= 5 is at most {flag} = {limit}")
-    return primes
-
-
 def _cmd_eichler_check(args) -> int:
-    primes = _primes_from_5(args.max_p, "--max-p")
-    table = build_hurwitz_table(4 * args.max_p)
-    bad = []
-    for p in primes:
-        r = eichler_mass(p, table)
-        if r != 0:
-            bad.append((p, r))
-    if bad:
-        print(f"FAIL {len(bad)} nonzero residuals: {bad[:5]}")
-        return 1
-    print(f"PASS mass identity for all 5 <= p <= {args.max_p}")
-    return 0
+    return 0 if report([mass_identity_check(args.max_p)]) else 1
 
 
 def _cmd_trace(args) -> int:
@@ -103,16 +82,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_birch_check(args) -> int:
-    primes = _primes_from_5(args.p_max, "--p-max")
-    table = build_hurwitz_table(4 * args.p_max)
-    store = TraceStore(max_prime=args.p_max, max_weight=2 * args.j_max + 2)
-    for p in primes:
-        for rec in traces_via_birch(p, args.j_max, table):
-            if rec.trace != store.trace(rec.k, p):
-                print(f"FAIL k={rec.k} p={p}")
-                return 1
-    print(f"PASS route agreement for p <= {args.p_max}, J <= {args.j_max}")
-    return 0
+    return 0 if report(route_agreement_checks(args.p_max, 2 * args.j_max + 2)) else 1
 
 
 def _cmd_s0(args) -> int:
@@ -138,9 +108,8 @@ def _cmd_bs(args) -> int:
 
 def _cmd_parseval(args) -> int:
     res = parseval_check(_interval_from_args(args), args.M)
-    bound = 20.0 * math.log(2 * args.M) / args.M
-    print(f"Z={res.z!r} mu_term={res.mu_term!r} gap={res.gap:.6e} bound={bound:.6e}")
-    return 0 if res.gap <= bound else 1
+    print(f"Z={res.z!r} mu_term={res.mu_term!r} gap={res.gap:.6e} bound={res.bound:.6e}")
+    return 0 if res.gap <= res.bound else 1
 
 
 def _plan_from_args(args, t_list=None) -> MomentPlan:

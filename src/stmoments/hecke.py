@@ -9,9 +9,9 @@ inverts the class-number moment identity: with
 
 one has m_j = C_j p^(j+1) - sum_{l=1}^{j} w(j,l) p^(j-l) (trace_{2l+2} + 1),
 where C_j is the j-th Catalan number and w(j, l) = C(2j, j-l) - C(2j, j-l-1)
-is a positive integer with w(j, j) = 1, so the system solves by forward
-substitution in exact integers.  Agreement of the two routes is the central
-cross-check of the whole package.
+(`chebycomb._birch_weight`) is a positive integer with w(j, j) = 1, so the
+system solves by forward substitution in exact integers.  Agreement of the
+two routes is the central cross-check of the whole package.
 
 All trace arithmetic uses arbitrary-precision integers; p^(k-1) overflows
 any fixed width long before the default caps k <= 60, p <= 500 bite.
@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith_curves import primes_in_window
-from .classnumbers import HurwitzTable, _require_prime, _signed_power_class_sum, _table_for
+from .arith_curves import primes_in_window, require_prime
+from .chebycomb import _birch_weight
+from .classnumbers import HurwitzTable, _signed_power_class_sum, _table_for
 from .errors import BudgetError
 
 __all__ = [
-    "QSeries",
     "TraceRecord",
     "TraceStore",
     "TraceAverageProbe",
@@ -42,10 +42,12 @@ __all__ = [
     "trace_pair_probe",
     "MAX_WEIGHT",
     "MAX_TRACE_PRIME",
+    "MAX_BASIS_TERMS",
 ]
 
 MAX_WEIGHT = 60
 MAX_TRACE_PRIME = 500
+MAX_BASIS_TERMS = (MAX_WEIGHT // 12) * MAX_TRACE_PRIME + 1  # the largest basis the default TraceStore builds
 
 
 def dim_cusp_forms(k: int) -> int:
@@ -106,22 +108,14 @@ def delta_qexp(n_terms: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class QSeries:
-    weight: int
-    coeffs: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs)
-
-
-def miller_basis(k: int, n_terms: int) -> list[QSeries]:
-    """Integral echelon basis f_1, ..., f_d of S_k: a_i(f_j) = delta_ij for
-    i <= d.  Empty for dim 0."""
+def miller_basis(k: int, n_terms: int) -> list[tuple[int, ...]]:
+    """Integral echelon basis f_1, ..., f_d of S_k as q-expansions with
+    n_terms coefficients: a_i(f_j) = delta_ij for i <= d.  Empty for dim 0.
+    k past MAX_WEIGHT or n_terms past MAX_BASIS_TERMS is a BudgetError."""
+    if k > MAX_WEIGHT:
+        raise BudgetError(f"weight capped at {MAX_WEIGHT}, got k = {k}")
+    if n_terms > MAX_BASIS_TERMS:
+        raise BudgetError(f"q-expansion capped at {MAX_BASIS_TERMS} terms, got n_terms = {n_terms}")
     if k % 2 == 1:
         return []
     d = dim_cusp_forms(k)
@@ -152,7 +146,7 @@ def miller_basis(k: int, n_terms: int) -> list[QSeries]:
             coeff = rows[j][i + 1]
             if coeff:
                 rows[j] = [x - coeff * y for x, y in zip(rows[j], rows[i])]
-    return [QSeries(weight=k, coeffs=tuple(row)) for row in rows]
+    return [tuple(row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -167,17 +161,16 @@ class TraceRecord:
         return self.trace ** 2 <= 4 * d * d * self.p ** (self.k - 1)
 
 
-def hecke_trace(k: int, p: int, basis: list[QSeries] | None = None) -> TraceRecord:
+def hecke_trace(k: int, p: int, basis: list[tuple[int, ...]] | None = None) -> TraceRecord:
     """Trace of T_p on S_k, p prime, from the echelon basis (q-expansion route)."""
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"the Hecke trace needs a prime p, got p = {p}")
+    require_prime(p, "the Hecke trace", least=2)
     if k % 2 == 1 or dim_cusp_forms(k) == 0:
         return TraceRecord(k=k, p=p, trace=0, method="miller")
     d = dim_cusp_forms(k)
     needed = d * p + 1
     if basis is None:
         basis = miller_basis(k, needed)
-    if basis[0].precision < needed:
+    if len(basis[0]) < needed:
         raise ValueError("basis precision too small for this prime")
     total = 0
     for j, f in enumerate(basis, start=1):
@@ -187,21 +180,18 @@ def hecke_trace(k: int, p: int, basis: list[QSeries] | None = None) -> TraceReco
     return TraceRecord(k=k, p=p, trace=total, method="miller")
 
 
-def _birch_weight(j: int, l: int) -> int:
-    """(2l+1) (2j)! / ((j-l)! (j+l+1)!) as a difference of binomials."""
-    lower = math.comb(2 * j, j - l - 1) if j - l - 1 >= 0 else 0
-    return math.comb(2 * j, j - l) - lower
-
-
 def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[TraceRecord]:
     """Traces for weights 4, 6, ..., 2J+2 by the class-number route.
 
     Solves the unit-triangular system for trace + 1 by forward substitution;
     exact integers throughout, 24 m_j read off `classnumbers`' power sum.
+    Weights past MAX_WEIGHT are a BudgetError, as on the q-expansion route.
     """
-    _require_prime(p, "the class-number route")
+    require_prime(p, "the class-number route")
     if J < 1:
         raise ValueError("J must be >= 1")
+    if 2 * J + 2 > MAX_WEIGHT:
+        raise BudgetError(f"weight capped at {MAX_WEIGHT}, got k = {2 * J + 2}")
     table = _table_for(p, table)
     records = []
     solved: list[int] = []  # trace_{2l+2} + 1 for l = 1..j-1
@@ -224,7 +214,7 @@ class TraceStore:
         self.max_weight = max_weight
         self.max_prime = max_prime
         self._traces: dict[tuple[int, int], int] = {}
-        self._bases: dict[int, list[QSeries]] = {}
+        self._bases: dict[int, list[tuple[int, ...]]] = {}
 
     def trace(self, k: int, p: int) -> int:
         if k > self.max_weight:
@@ -235,10 +225,10 @@ class TraceStore:
         if key not in self._traces:
             d = dim_cusp_forms(k)
             basis = self._bases.get(k)
-            if d and (basis is None or basis[0].precision < d * p + 1):
+            if d and (basis is None or len(basis[0]) < d * p + 1):
                 # at least double the precision, so an ascending sweep rebuilds O(log) times
-                n_terms = max(d * p + 1, 2 * basis[0].precision if basis else 0)
-                basis = self._bases[k] = miller_basis(k, min(n_terms, d * self.max_prime + 1))
+                grown = min(2 * len(basis[0]) if basis else 0, d * self.max_prime + 1, MAX_BASIS_TERMS)
+                basis = self._bases[k] = miller_basis(k, max(d * p + 1, grown))
             self._traces[key] = hecke_trace(k, p, basis).trace
         return self._traces[key]
 

@@ -49,10 +49,10 @@ from .arith_curves import (
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
     box_summands,
     count_in_interval,
+    curve_primes,
     good_traces,
     nonsingular_mask,
     primes_in_window,
-    primes_upto,
 )
 from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, product_rule_fold, set_partitions
 from .errors import BudgetError
@@ -481,11 +481,14 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     a given ``grid`` must be swept at the same x and interval (see `_plan_grid`).
     Only the selected counts are gathered; the histogram, the KS distance,
     the mean and the variance run on the count table."""
+    mu = st_measure(plan.interval)
+    if not mu - mu * mu > 0:  # mu rounds to 1 when I covers [-2, 2]: a zero scale
+        raise ValueError(f"the CLT sample needs 0 < mu(I) < 1, got alpha = {plan.interval.alpha}, "
+                         f"beta = {plan.interval.beta}, mu = {mu}")
     (a_vals, b_vals, counts, _, pi_tilde), sel = _plan_grid(plan, grid)
     if not sel.any():
         raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
                          f"exclude_axes = {plan.exclude_axes}")
-    mu = st_measure(plan.interval)
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
     selected = counts[sel]
     values, mult = _count_table(selected)
@@ -577,7 +580,7 @@ def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float =
         raise ValueError(f"need x > 1 for the (log x)^c scale, got x = {x}")
     if not 0 <= y < x:
         raise ValueError(f"need 0 <= y < x, got x = {x}, y = {y}")
-    primes = [p for p in primes_upto(_sieve_limit(x)) if p >= 5 and p > y]
+    primes = [p for p in curve_primes(_sieve_limit(x)) if p > y]
     total = sum((f_eval(m, v) for v in good_traces(curve, primes, SumCondition.SKIP_BAD_ONLY).tolist()), 0.0)
     scale = max(m, 1) * x / math.log(x) ** c
     return Hypothesis2Probe(value=total, scale=scale, ratio=total / scale)

@@ -67,8 +67,7 @@ class BSCoefficients:
 
     ``s[m]`` multiplies 2 cos(m t) and ``u[m]`` multiplies f_m(2 cos t); both
     arrays are indexed 1..M (slot 0 unused).  ``const_term`` is the
-    f_0-coefficient; in exact mode it equals mu(I).  ``z`` is sum u(m)^2 and
-    ``u_decay`` the largest m |u(m)| (the coefficients decay like 1/m).
+    f_0-coefficient; in exact mode it equals mu(I).  ``z`` is sum u(m)^2.
     ``cert`` records, for sandwich modes, the achieved max deviation of u
     from the exact-mode coefficients.
     """
@@ -79,7 +78,6 @@ class BSCoefficients:
     u: np.ndarray
     const_term: float
     z: float
-    u_decay: float
     cert: float | None = None
 
     def eval_cosine(self, thetas: np.ndarray) -> np.ndarray:
@@ -140,12 +138,11 @@ def _f_rows(x: np.ndarray, mmax: int) -> np.ndarray:
 
 
 def _telescope(s: np.ndarray, M: int) -> np.ndarray:
+    """u[m] = s[m] - s[m+2] for m <= M-2; the edge slots M-1 and M keep s."""
     u = np.zeros(M + 1)
-    for m in range(1, M - 1):
-        u[m] = s[m] - s[m + 2]
-    if M >= 2:
-        u[M - 1] = s[M - 1]
-    u[M] = s[M]
+    u[1:M - 1] = s[1:M - 1] - s[3:]
+    edge = max(M - 1, 1)
+    u[edge:] = s[edge:]
     return u
 
 
@@ -181,9 +178,8 @@ def _arc_cosine_coeffs(lo: float, hi: float, kmax: int) -> np.ndarray:
     return out
 
 
-def _finish(M: int, mode: CoeffMode, s: np.ndarray, const: float, cert: float | None) -> BSCoefficients:
+def _finish(M: int, mode: CoeffMode, s: np.ndarray, const: float) -> BSCoefficients:
     u = _telescope(s, M)
-    ms = np.arange(1, M + 1)
     return BSCoefficients(
         M=M,
         mode=mode,
@@ -191,8 +187,6 @@ def _finish(M: int, mode: CoeffMode, s: np.ndarray, const: float, cert: float | 
         u=u,
         const_term=const,
         z=float(np.dot(u[1:], u[1:])),
-        u_decay=float(np.max(ms * np.abs(u[1:]))),
-        cert=cert,
     )
 
 
@@ -203,7 +197,7 @@ def exact_st_coeffs(interval: Interval, M: int) -> BSCoefficients:
     s = _arc_cosine_coeffs(interval.alpha, interval.beta, M)
     const = st_measure(interval)
     s[0] = 0.0  # constant tracked by const_term instead
-    return _finish(M, CoeffMode.EXACT, s, const, cert=None)
+    return _finish(M, CoeffMode.EXACT, s, const)
 
 
 def _jackson_lambdas(N: int) -> np.ndarray:
@@ -254,7 +248,7 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
         tail = 1.0 - _kernel_head_mass(lambdas, h)
         d0 += tail if side is CoeffMode.MAJORANT else -tail
     const = float(d0 - s[2])  # a Python float, as in the exact set
-    out = _finish(M, side, s, const, cert=None)
+    out = _finish(M, side, s, const)
     exact = exact_st_coeffs(interval, M)
     out.cert = float(np.max(np.abs(out.u - exact.u)))
     return out
@@ -262,9 +256,15 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
 
 @dataclass(frozen=True)
 class ParsevalResult:
+    M: int
     z: float
     mu_term: float
     gap: float
+
+    @property
+    def bound(self) -> float:
+        """20 log(2M)/M, the bound the gap is checked against."""
+        return 20.0 * math.log(2 * self.M) / self.M
 
 
 def parseval_check(interval: Interval, M: int) -> ParsevalResult:
@@ -272,7 +272,7 @@ def parseval_check(interval: Interval, M: int) -> ParsevalResult:
     coeffs = exact_st_coeffs(interval, M)
     mu = st_measure(interval)
     mu_term = mu - mu * mu
-    return ParsevalResult(z=coeffs.z, mu_term=mu_term, gap=abs(coeffs.z - mu_term))
+    return ParsevalResult(M=M, z=coeffs.z, mu_term=mu_term, gap=abs(coeffs.z - mu_term))
 
 
 def _window_coeff_sums(curve: CurveParams, x: float, M: int, condition: SumCondition) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import chebycomb as cc
 from . import classnumbers as cn
-from .arith_curves import CurveParams, Interval, SumCondition, ap_table, count_in_interval, primes_in_window, primes_upto
+from .arith_curves import (MIN_CURVE_PRIME, CurveParams, Interval, SumCondition, ap_table, count_in_interval,
+                           curve_primes, primes_in_window)
 from .family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
 from .hecke import TraceStore, delta_qexp, dim_cusp_forms, traces_via_birch
 from .moments_engine import (
@@ -33,7 +34,8 @@ from .moments_engine import (
 )
 from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "soft_diagnostics"]
+__all__ = ["CheckResult", "SUITES", "run_suites", "report", "mass_identity_check", "route_agreement_checks",
+           "soft_diagnostics"]
 
 # Sizes of the checks, named in their output lines.
 CLASSNUM_MAX_MASS_P, CLASSNUM_MAX_MOMENT_P = 2000, 100
@@ -84,6 +86,23 @@ _H_ANCHORS = {3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 11: 1,
               12: Fraction(4, 3), 15: 2, 16: Fraction(3, 2), 19: 1, 20: 2}
 
 
+def _primes_to(max_p: int) -> tuple[int, ...]:
+    """The primes MIN_CURVE_PRIME <= p <= max_p; ValueError naming max_p when there are none."""
+    primes = curve_primes(max_p)
+    if not primes:
+        raise ValueError(f"no prime p >= {MIN_CURVE_PRIME} is at most max_p = {max_p}")
+    return primes
+
+
+def mass_identity_check(max_p: int, table: cn.HurwitzTable | None = None) -> CheckResult:
+    """The mass identity at every prime 5 <= p <= max_p, as one check."""
+    primes = _primes_to(max_p)
+    if table is None:
+        table = cn.build_hurwitz_table(4 * max_p)
+    worst = max(abs(cn.eichler_mass(p, table)) for p in primes)
+    return _check(f"mass identity residual, 5 <= p <= {max_p}", worst == 0, f"max |residual| = {worst}")
+
+
 def suite_classnum() -> list[CheckResult]:
     out = []
     anchors_ok = all(cn.hurwitz(n) == Fraction(h) for n, h in _H_ANCHORS.items())
@@ -93,15 +112,11 @@ def suite_classnum() -> list[CheckResult]:
     consistent = all(table.twelve(n) == cn.twelve_hurwitz(n)
                      for n in range(3, 500) if n % 4 in (0, 3))
     out.append(_check("table vs single-N enumeration (N < 500)", consistent))
-
-    primes = primes_upto(CLASSNUM_MAX_MASS_P)[2:]  # p >= 5
-    worst = max(abs(cn.eichler_mass(p, table)) for p in primes)
-    out.append(_check(f"mass identity residual, 5 <= p <= {CLASSNUM_MAX_MASS_P}", worst == 0,
-                      f"max |residual| = {worst}"))
+    out.append(mass_identity_check(CLASSNUM_MAX_MASS_P, table))
 
     moment_ok = True
     detail = ""
-    for p in [q for q in primes if q <= CLASSNUM_MAX_MOMENT_P]:
+    for p in curve_primes(CLASSNUM_MAX_MOMENT_P):
         grid = ap_table(p)
         vals = grid.ap[grid.good]
         for g in range(7):
@@ -118,32 +133,35 @@ def suite_classnum() -> list[CheckResult]:
 # -- trace ------------------------------------------------------------------
 
 
-def suite_trace() -> list[CheckResult]:
-    out = []
-    primes = primes_upto(TRACE_MAX_P)[2:]  # p >= 5
-    table = cn.build_hurwitz_table(4 * TRACE_MAX_P)
-    store = TraceStore(max_prime=TRACE_MAX_P)
-    J = (TRACE_MAX_WEIGHT - 2) // 2
+def route_agreement_checks(max_p: int, max_weight: int) -> list[CheckResult]:
+    """Birch vs Miller traces at every prime 5 <= p <= max_p and every weight
+    4 <= k <= max_weight, and the Deligne bound on each Birch record."""
+    primes = _primes_to(max_p)
+    table = cn.build_hurwitz_table(4 * max_p)
+    store = TraceStore(max_prime=max_p)
     agree = True
     deligne = True
     detail = ""
     for p in primes:
-        birch = traces_via_birch(p, J, table)
-        for rec in birch:
+        for rec in traces_via_birch(p, (max_weight - 2) // 2, table):
             miller = store.trace(rec.k, p)
             if rec.trace != miller:
                 agree = False
                 detail = f"k={rec.k} p={p}: birch {rec.trace} != miller {miller}"
             if not rec.deligne_ok():
                 deligne = False
-    out.append(_check(f"route agreement, p <= {TRACE_MAX_P}, weights 4..{TRACE_MAX_WEIGHT}", agree, detail))
-    out.append(_check("Deligne bound on every record", deligne))
+    return [_check(f"route agreement, p <= {max_p}, weights 4..{max_weight}", agree, detail),
+            _check("Deligne bound on every record", deligne)]
 
+
+def suite_trace() -> list[CheckResult]:
+    out = route_agreement_checks(TRACE_MAX_P, TRACE_MAX_WEIGHT)
+    store = TraceStore(max_prime=TRACE_TAU_MAX_P)
     dims_ok = all(store.trace(k, 7) == 0 for k in (4, 6, 8, 10, 14) if dim_cusp_forms(k) == 0)
     out.append(_check("zero trace on zero-dimensional spaces", dims_ok))
 
     delta = delta_qexp(TRACE_TAU_MAX_P + 1)
-    tau_ok = all(store.trace(12, p) == delta[p] for p in primes if p <= TRACE_TAU_MAX_P)
+    tau_ok = all(store.trace(12, p) == delta[p] for p in curve_primes(TRACE_TAU_MAX_P))
     out.append(_check(f"weight-12 trace equals the discriminant coefficient, p <= {TRACE_TAU_MAX_P}", tau_ok))
     return out
 
@@ -159,10 +177,9 @@ _COPRIME_PAIRS = [
 
 def suite_family() -> list[CheckResult]:
     out = []
-    primes = primes_upto(FAMILY_MAX_P)[2:]  # p >= 5
     store = TraceStore()
     worst = 0.0
-    for p in primes:
+    for p in curve_primes(FAMILY_MAX_P):
         table = ap_table(p)
         for m in range(FAMILY_MAX_M + 1):
             gap = abs(s0_brute(p, m, table) - s0_formula(p, m, store))
@@ -200,8 +217,8 @@ def suite_bs() -> list[CheckResult]:
         for m in (100, 1000, 10_000):
             res = parseval_check(iv, m)
             gaps.append(res.gap)
-            bound = 20.0 * math.log(2 * m) / m
-            out.append(_check(f"Parseval gap I{i+1} M={m}", res.gap <= bound, f"{res.gap:.3e} <= {bound:.3e}"))
+            out.append(_check(f"Parseval gap I{i+1} M={m}", res.gap <= res.bound,
+                              f"{res.gap:.3e} <= {res.bound:.3e}"))
         out.append(_check(f"Parseval gap decreasing I{i+1}", gaps[0] > gaps[1] > gaps[2]))
 
     thetas = np.linspace(0.0, math.pi, BS_GRID_POINTS)
@@ -320,13 +337,18 @@ SUITES = {
 }
 
 
+def report(checks: list[CheckResult], printer=print) -> bool:
+    """Print each check's line; True when every check passed."""
+    for res in checks:
+        printer(res.line())
+    return all(res.ok for res in checks)
+
+
 def run_suites(names: list[str], printer=print) -> bool:
     ok = True
     for name in names:
         printer(f"== suite {name}")
-        for res in SUITES[name]():
-            printer(res.line())
-            ok = ok and res.ok
+        ok = report(SUITES[name](), printer) and ok
     return ok
 
 

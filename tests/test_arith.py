@@ -24,6 +24,7 @@ from stmoments.arith_curves import (
     box_summands,
     count_in_interval,
     curve_ap,
+    curve_primes,
     good_traces,
     legendre,
     nonsingular_mask,
@@ -193,22 +194,28 @@ def test_prime_cap_stops_before_allocating():
 
 def test_require_prime_rejects_composites():
     for p in (5, 7, 1009, 99991):
-        require_prime(p)
+        require_prime(p, "a route")
+    for p in (2, 3):
+        require_prime(p, "a route", least=2)
     for n in (9, 25, 2997, 999_999):
-        with pytest.raises(ValueError, match=f"p = {n} is not prime"):
-            require_prime(n)
-    with pytest.raises(ValueError, match="got p = 3"):
-        require_prime(3)
-    with pytest.raises(ValueError, match="p = 2997 is not prime"):
+        with pytest.raises(ValueError, match=f"^a route needs a prime p >= 5, got p = {n}$"):
+            require_prime(n, "a route")
+    with pytest.raises(ValueError, match="^a route needs a prime p >= 5, got p = 3$"):
+        require_prime(3, "a route")
+    with pytest.raises(ValueError, match="^a route needs a prime p >= 2, got p = 1$"):
+        require_prime(1, "a route", least=2)
+    with pytest.raises(ValueError, match="the trace grid needs a prime p >= 5, got p = 2997"):
         ap_table(2997)
+    assert curve_primes(30) == (5, 7, 11, 13, 17, 19, 23, 29)
+    assert curve_primes(4) == curve_primes(-1) == ()
 
 
 def test_curve_ap_requires_a_prime():
     # a composite modulus used to give a_p = -15 at p = 25, outside the Hasse bound
-    with pytest.raises(ValueError, match="p = 25 is not prime"):
+    with pytest.raises(ValueError, match="the curve trace needs a prime p >= 5, got p = 25"):
         curve_ap(25, CurveParams(1, 1))
     for p in (-7, 0, 1, 2, 3, 4):
-        with pytest.raises(ValueError, match=f"require p >= 5, got p = {p}"):
+        with pytest.raises(ValueError, match=f"the curve trace needs a prime p >= 5, got p = {p}"):
             curve_ap(p, CurveParams(1, 1))
     over = MAX_PRIME + 1  # 101 x 9901: the cap is checked before primality
     with pytest.raises(BudgetError, match=f"p = {over} exceeds the largest-prime cap"):

@@ -1,13 +1,19 @@
 import json
+import re
+import warnings
 
 import pytest
 
 import jsonschema
 
-from stmoments.arith_curves import Interval
+from stmoments import classnumbers
+from stmoments.arith_curves import MAX_PRIME, CurveParams, Interval, ap_table, curve_ap
+from stmoments.classnumbers import MAX_HURWITZ_N, eichler_mass, family_moment_classnum
 from stmoments.cli import run
+from stmoments.errors import BudgetError
+from stmoments.hecke import TraceStore, hecke_trace, traces_via_birch
 from stmoments.st_approx import CoeffMode, exact_st_coeffs, sandwich_coeffs
-from stmoments.verify import SUITES
+from stmoments.verify import SUITES, mass_identity_check, route_agreement_checks
 
 MOMENTS_SCHEMA = {
     "type": "object",
@@ -75,7 +81,7 @@ def test_cli_exit_codes(capsys):
     for argv in (["eichler-check", "--max-p", "3"], ["birch-check", "--p-max", "4", "--j-max", "2"]):
         assert run(argv) == 2
         out, err = capsys.readouterr()
-        assert f"no prime p >= 5 is at most {argv[1]} = {argv[2]}" in err
+        assert f"no prime p >= 5 is at most max_p = {argv[2]}" in err
         assert "PASS" not in out and "Traceback" not in err
     interval = ["--alpha", "0", "--beta", "1.5707963267948966"]
     for argv, (A, B) in (
@@ -95,8 +101,6 @@ def test_cli_exit_codes(capsys):
     assert run(["moments", "--x", "2000", "--A", "2000", "--B", "2000"] + interval) == 3
     assert "135 primes = 2161080135 exceeds the cap of 500000000" in capsys.readouterr().err
     for argv, code, message in (
-        (["ap", "--p", "9", "--a", "1", "--b", "1"], 2, "p = 9 is not prime"),
-        (["ap", "--p", "2997", "--table"], 2, "p = 2997 is not prime"),
         (["ap", "--p", "1000000007", "--a", "1", "--b", "1"], 3,
          "p = 1000000007 exceeds the largest-prime cap MAX_PRIME = 1000000"),
         (["moments", "--x", "1e9", "--A", "1", "--B", "1"] + interval, 3,
@@ -128,18 +132,10 @@ def test_cli_exit_codes(capsys):
         (["bs", "--alpha", "0", "--beta", "1", "--mode", "major", "--M", "8"],
          "need M >= 16 for the sandwich construction, got M = 8"),
         (["hurwitz", "--max-n", "2"], "max_n must be at least 3, got max_n = 2"),
-        (["trace", "--method", "birch", "--k", "4", "--p", "3"], "needs p >= 5, got p = 3"),
-        (["trace", "--method", "birch", "--k", "4", "--p", "9"], "the class-number route needs a prime p, got p = 9"),
-        (["trace", "--method", "birch", "--k", "4", "--p", "15"], "the class-number route needs a prime p, got p = 15"),
-        (["trace", "--method", "birch", "--k", "4", "--p", "25"], "the class-number route needs a prime p, got p = 25"),
         (["probe", "hyp2", "--a", "0", "--b", "0"], "Delta(a, b) = 0 is not an elliptic curve: a = 0, b = 0"),
         (["probe", "hyp2", "--x", "100", "--y", "200"], "need 0 <= y < x, got x = 100.0, y = 200.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "1"], "need x > 1 for the (log x)^c scale, got x = 1.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "0.5"], "need x > 1 for the (log x)^c scale, got x = 0.5"),
-        (["trace", "--k", "12", "--p", "1"], "the Hecke trace needs a prime p, got p = 1"),
-        (["trace", "--k", "12", "--p", "0"], "the Hecke trace needs a prime p, got p = 0"),
-        (["trace", "--k", "12", "--p", "-5"], "the Hecke trace needs a prime p, got p = -5"),
-        (["trace", "--k", "12", "--p", "4"], "the Hecke trace needs a prime p, got p = 4"),
     ):
         assert run(argv) == 2
         out, err = capsys.readouterr()
@@ -147,6 +143,59 @@ def test_cli_exit_codes(capsys):
     for p, trace in (("2", "-24"), ("3", "252")):
         assert run(["trace", "--k", "12", "--p", p]) == 0
         assert capsys.readouterr().out.strip() == trace
+
+
+PRIME_ROUTES = {  # route: (least prime admitted, library call, CLI argv taking p last, or None)
+    "the curve trace": (5, lambda p: curve_ap(p, CurveParams(1, 1)), ["ap", "--a", "1", "--b", "1", "--p"]),
+    "the trace grid": (5, ap_table, ["ap", "--table", "--p"]),
+    "the mass identity": (5, eichler_mass, None),
+    "the class-number moment": (5, lambda p: family_moment_classnum(p, 2), None),
+    "the class-number route": (5, lambda p: traces_via_birch(p, 1), ["trace", "--method", "birch", "--k", "4", "--p"]),
+    "the Hecke trace": (2, lambda p: hecke_trace(12, p), ["trace", "--k", "12", "--p"]),
+}
+NOT_ADMITTED = [(route, p) for route, (least, _, _) in PRIME_ROUTES.items()
+                for p in (-5, 0, 1, 4, 9, 15, 25, 2997, MAX_PRIME + 1) + ((3,) if least > 3 else ())]
+
+
+@pytest.mark.parametrize("route, p", NOT_ADMITTED)
+def test_every_prime_entry_point_applies_the_one_rule(route, p, capsys):
+    least, call, argv = PRIME_ROUTES[route]
+    if p > MAX_PRIME:  # the cap comes before primality (ap_table's own cap is lower)
+        error, message, code = BudgetError, f"p = {p}", 3
+    else:
+        error, message, code = ValueError, f"{route} needs a prime p >= {least}, got p = {p}", 2
+    with pytest.raises(error, match=re.escape(message)):
+        call(p)
+    if argv is not None:
+        assert run(argv + [str(p)]) == code
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err and not out
+
+
+def test_cli_caps_of_the_class_number_and_q_expansion_routes(capsys):
+    for argv, message in (
+        (["hurwitz", "--max-n", str(MAX_HURWITZ_N + 1)],
+         f"Hurwitz table N = {MAX_HURWITZ_N + 1} exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}"),
+        (["eichler-check", "--max-p", "100003"], "Hurwitz table N = 400012 exceeds the cap"),
+        (["trace", "--method", "birch", "--k", "4", "--p", "100003"], "Hurwitz table N = 400012 exceeds the cap"),
+        (["trace", "--k", "12", "--p", "99991"], "q-expansion capped at 2501 terms, got n_terms = 99992"),
+        (["trace", "--k", "62", "--p", "5"], "weight capped at 60, got k = 62"),
+        (["trace", "--method", "birch", "--k", "62", "--p", "5"], "weight capped at 60, got k = 62"),
+        (["birch-check", "--p-max", "20", "--j-max", "30"], "weight capped at 60, got k = 62"),
+    ):
+        assert run(argv) == 3
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err and not out
+
+
+def test_cli_clt_rejects_the_whole_trace_range(capsys):
+    # mu([0, pi]) = 1 leaves the standardization a zero scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["clt", "--x", "100", "--A", "3", "--B", "3", "--alpha", "0", "--beta", "3.141592653589793"]) == 2
+    out, err = capsys.readouterr()
+    assert "the CLT sample needs 0 < mu(I) < 1, got alpha = 0.0, beta = 3.141592653589793, mu = 1.0" in err
+    assert "Traceback" not in err and not out
 
 
 def test_cli_m_is_moments_only(capsys):
@@ -228,14 +277,26 @@ def test_cli_verify_single_suite(suite, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_eichler(capsys):
+def test_cli_eichler(capsys, monkeypatch):
+    # the command prints the line of verify's own check, and fails with it
     assert run(["eichler-check", "--max-p", "60"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == mass_identity_check(60).line() + "\n"
+    assert mass_identity_check(60).line() == "PASS  mass identity residual, 5 <= p <= 60  [max |residual| = 0]"
+    monkeypatch.setattr(classnumbers, "eichler_mass", lambda p, table=None: -3)
+    assert run(["eichler-check", "--max-p", "60"]) == 1
+    assert capsys.readouterr().out == "FAIL  mass identity residual, 5 <= p <= 60  [max |residual| = 3]\n"
 
 
-def test_cli_birch_check(capsys):
+def test_cli_birch_check(capsys, monkeypatch):
     assert run(["birch-check", "--p-max", "20", "--j-max", "6"]) == 0
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [res.line() for res in route_agreement_checks(20, 14)]
+    assert lines == ["PASS  route agreement, p <= 20, weights 4..14", "PASS  Deligne bound on every record"]
+    monkeypatch.setattr(TraceStore, "trace", lambda self, k, p: 0)  # a nonzero Birch-Miller residual at k = 12
+    assert run(["birch-check", "--p-max", "20", "--j-max", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["FAIL  route agreement, p <= 20, weights 4..14  [k=12 p=19: birch 10661420 != miller 0]",
+                     "PASS  Deligne bound on every record"]
 
 
 def test_cli_s0(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st_
 
 from stmoments.chebycomb import (
     PowerPoly,
+    _birch_weight,
     a_lk,
     all_exponent_multisets,
     distinct_sum,
@@ -17,11 +18,9 @@ from stmoments.chebycomb import (
     gaussian_moment_constant,
     melzak_eval,
     partition_coeff,
-    separate_distinct_sums,
     set_partitions,
     u_product_expand,
 )
-from stmoments.errors import BudgetError
 
 from conftest import poly_mul, to_f_basis
 
@@ -140,8 +139,17 @@ def test_melzak_random_instances():
         assert lhs == rhs
 
 
+def test_birch_weight_matches_factorial_form():
+    # the rational term of the old a_lk sum, kept as the independent oracle
+    for j in range(61):
+        for l in range(j + 1):
+            term = (2 * l + 1) * Fraction(math.factorial(2 * j), math.factorial(j - l) * math.factorial(j + l + 1))
+            assert _birch_weight(j, l) == term
+    assert [_birch_weight(j, 0) for j in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]  # Catalan numbers
+
+
 def test_alk_examples_and_triangle():
-    assert a_lk(1, 1) == 1
+    assert a_lk(1, 1) == 1 and type(a_lk(1, 1)) is int
     assert a_lk(0, 1) == 0
     assert a_lk(0, 2) == 0
     for k in range(26):
@@ -166,7 +174,21 @@ def test_partition_count():
     assert sum(1 for _ in set_partitions(range(6))) == 203
 
 
-def test_separate_distinct_sums_exact():
+def permutation_sum(values, n):
+    """Sum over ordered n-tuples of pairwise-distinct primes of prod_i values[i][p_i],
+    by enumerating the tuples: the O(P^n) oracle for `distinct_sum`.  ``values[i]``
+    maps each prime to the i-th factor's value there."""
+    primes = list(values[0])
+    return sum(math.prod(values[i][p] for i, p in enumerate(tup)) for tup in itertools.permutations(primes, n))
+
+
+def partitioned_sum(values, n):
+    """The same sum by `distinct_sum` over the plain prime sums."""
+    primes = list(values[0])
+    return distinct_sum(n, lambda block: sum(math.prod(values[i][p] for i in block) for p in primes))
+
+
+def test_distinct_sum_exact_on_prime_maps():
     rng = random.Random(5)
     primes = (5, 7, 11, 13)
     for n in (1, 2, 3, 4):
@@ -174,16 +196,7 @@ def test_separate_distinct_sums_exact():
             {p: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for p in primes}
             for _ in range(n)
         ]
-        direct, part = separate_distinct_sums(maps, n)
-        assert direct == part
-        # independent brute enumeration
-        from itertools import permutations
-
-        brute = sum(
-            math.prod(maps[i][p] for i, p in enumerate(tup))
-            for tup in permutations(primes, n)
-        )
-        assert direct == brute
+        assert partitioned_sum(maps, n) == permutation_sum(maps, n)
 
 
 @given(st_.integers(1, 5), st_.data())
@@ -191,35 +204,26 @@ def test_separate_distinct_sums_exact():
 def test_distinct_sum_against_permutations(n, data):
     n_keys = data.draw(st_.integers(1, 6))
     fractions = st_.fractions(min_value=-5, max_value=5, max_denominator=7)
-    values = [[data.draw(fractions) for _ in range(n_keys)] for _ in range(n)]
-    brute = sum(math.prod(values[i][p] for i, p in enumerate(tup))
-                for tup in itertools.permutations(range(n_keys), n))
-    got = distinct_sum(n, lambda block: sum(math.prod(values[i][p] for i in block) for p in range(n_keys)))
-    assert got == brute
+    values = [{p: data.draw(fractions) for p in range(n_keys)} for _ in range(n)]
+    got = partitioned_sum(values, n)
+    assert got == permutation_sum(values, n)
     if n > n_keys:
         assert got == 0
 
 
-def test_separate_distinct_sums_special_cases():
+def test_distinct_sum_special_cases():
     maps = [{5: Fraction(2), 7: Fraction(3)}]
-    direct, part = separate_distinct_sums(maps, 1)
-    assert direct == part == 5
+    assert partitioned_sum(maps, 1) == permutation_sum(maps, 1) == 5
     g = {5: Fraction(1, 2), 7: Fraction(1, 3)}
-    direct, part = separate_distinct_sums([g, g], 2)
     total = Fraction(5, 6)
     square_sum = Fraction(1, 4) + Fraction(1, 9)
-    assert direct == part == total * total - square_sum
-    with pytest.raises(BudgetError):
-        separate_distinct_sums([g] * 7, 7)
+    assert partitioned_sum([g, g], 2) == permutation_sum([g, g], 2) == total * total - square_sum
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_distinct_sums_reject_n_below_one(n):
-    message = f"needs n >= 1 factors, got n = {n}"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"needs n >= 1 factors, got n = {n}"):
         distinct_sum(n, lambda block: 1)
-    with pytest.raises(ValueError, match=message):
-        separate_distinct_sums([], n)
 
 
 def test_gaussian_moment_constants():

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from stmoments.arith_curves import ap_table
 from stmoments.classnumbers import (
+    MAX_HURWITZ_N,
     build_hurwitz_table,
     eichler_mass,
     family_moment_classnum,
@@ -12,6 +14,8 @@ from stmoments.classnumbers import (
     reduced_forms,
     twelve_hurwitz,
 )
+
+from stmoments.errors import BudgetError
 
 from conftest import trial_division_primes
 
@@ -104,15 +108,15 @@ def test_family_moment_examples(hurwitz_table):
 @pytest.mark.parametrize("p", [9, 15, 25, 49])
 def test_class_number_identities_reject_a_composite_p(p, hurwitz_table):
     # a composite p used to give eichler_mass(15) = 120 and family_moment_classnum(15, 2) = 3808
-    with pytest.raises(ValueError, match=f"the mass identity needs a prime p, got p = {p}$"):
+    with pytest.raises(ValueError, match=f"the mass identity needs a prime p >= 5, got p = {p}$"):
         eichler_mass(p, hurwitz_table)
     for g in (0, 1, 2):
-        with pytest.raises(ValueError, match=f"the class-number moment needs a prime p, got p = {p}$"):
+        with pytest.raises(ValueError, match=f"the class-number moment needs a prime p >= 5, got p = {p}$"):
             family_moment_classnum(p, g, hurwitz_table)
     for n in (-5, 0, 3, 4):
-        with pytest.raises(ValueError, match=f"needs p >= 5, got p = {n}$"):
+        with pytest.raises(ValueError, match=f"the mass identity needs a prime p >= 5, got p = {n}$"):
             eichler_mass(n, hurwitz_table)
-        with pytest.raises(ValueError, match=f"needs p >= 5, got p = {n}$"):
+        with pytest.raises(ValueError, match=f"the class-number moment needs a prime p >= 5, got p = {n}$"):
             family_moment_classnum(n, 2, hurwitz_table)
 
 
@@ -122,3 +126,17 @@ def test_family_moment_matches_grid(p, hurwitz_table):
     vals = table.ap[table.good].astype(object)
     for g in range(7):
         assert int((vals ** g).sum()) == family_moment_classnum(p, g, hurwitz_table)
+
+
+def test_hurwitz_table_cap_stops_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"^Hurwitz table N = {MAX_HURWITZ_N + 1} exceeds the cap "
+                                              f"MAX_HURWITZ_N = {MAX_HURWITZ_N}$"):
+            build_hurwitz_table(MAX_HURWITZ_N + 1)
+        with pytest.raises(BudgetError, match="Hurwitz table N = 400012 exceeds"):
+            eichler_mass(100_003)  # the table for 4p is refused, not built
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the table alone would be 8 (N + 1) bytes

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import pytest
 
 from stmoments import hecke
 from stmoments.errors import BudgetError
 from stmoments.hecke import (
+    MAX_BASIS_TERMS,
+    MAX_TRACE_PRIME,
+    MAX_WEIGHT,
     TraceStore,
     delta_qexp,
     dim_cusp_forms,
@@ -105,7 +109,7 @@ def test_hecke_trace_rejects_a_non_prime(p):
     # T_1 is the identity, so its trace on the one-dimensional S_12 is 1, not
     # what the T_p formula gives; odd weights and zero-dimensional spaces too
     for k in (12, 13, 10):
-        with pytest.raises(ValueError, match=f"needs a prime p, got p = {p}$"):
+        with pytest.raises(ValueError, match=f"the Hecke trace needs a prime p >= 2, got p = {p}$"):
             hecke_trace(k, p)
 
 
@@ -191,3 +195,24 @@ def test_trace_pair_probe(trace_store):
     d = delta_qexp(20)
     expected = sum(d[p] ** 2 / p ** 11 for p in (11, 13, 17, 19))
     assert trace_pair_probe(12, 12, 20, trace_store) == pytest.approx(expected, rel=1e-12)
+
+
+def test_q_expansion_caps_stop_before_allocating():
+    assert MAX_BASIS_TERMS == dim_cusp_forms(MAX_WEIGHT) * MAX_TRACE_PRIME + 1  # the default store's largest basis
+    tracemalloc.start()
+    try:
+        for k, n_terms, message in ((MAX_WEIGHT + 2, 10, f"weight capped at {MAX_WEIGHT}, got k = {MAX_WEIGHT + 2}"),
+                                    (12, MAX_BASIS_TERMS + 1, f"q-expansion capped at {MAX_BASIS_TERMS} terms, "
+                                                              f"got n_terms = {MAX_BASIS_TERMS + 1}")):
+            with pytest.raises(BudgetError, match=f"^{message}$"):
+                miller_basis(k, n_terms)
+        with pytest.raises(BudgetError, match="got n_terms = 99992$"):
+            hecke_trace(12, 99991)
+        with pytest.raises(BudgetError, match=f"weight capped at {MAX_WEIGHT}, got k = {MAX_WEIGHT + 2}$"):
+            traces_via_birch(5, MAX_WEIGHT // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert len(miller_basis(MAX_WEIGHT, 61)) == dim_cusp_forms(MAX_WEIGHT)  # both caps are inclusive
+    assert traces_via_birch(5, (MAX_WEIGHT - 2) // 2)[-1].k == MAX_WEIGHT

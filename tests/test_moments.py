@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +313,16 @@ def test_clt_degenerate_box():
     sample = clt_histogram(plan, bins=4)
     assert sample.size == 2
     assert sample.ks <= 1.0
+
+
+@pytest.mark.parametrize("beta", [math.pi, math.pi + 1e-15])
+def test_clt_rejects_an_interval_of_measure_one(beta):
+    # mu(I) = 1 makes the standardization scale sqrt(pi~ (mu - mu^2)) zero
+    plan = MomentPlan(x=100.0, A=3, B=3, interval=Interval(0.0, beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"needs 0 < mu(I) < 1, got alpha = 0.0, beta = {beta}, mu = 1.0")):
+            clt_histogram(plan)
 
 
 @pytest.mark.parametrize("exclude_axes", [False, True])
