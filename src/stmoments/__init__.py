@@ -60,7 +60,6 @@ from .hecke import (
     miller_basis,
     normalized_trace,
     trace_average_probe,
-    trace_pair_probe,
     traces_via_birch,
 )
 from .moments_engine import (

@@ -28,7 +28,8 @@ are `curve_ap` and `_singular_pairs`/`_classify_singular`.
 Every trace the package reads goes through one function per shape of read,
 all on `_twist_traces` except the last: `ap_table` (the p x p grid),
 `_box_prime_data` and `box_summands` (one prime over a box) and `good_traces`
-(one curve at many primes, through `curve_ap`).
+(one curve at many primes, through `curve_ap`).  The box routes read every
+function of a_p/sqrt(p) off one `trace_values(p)` table by integer trace.
 
 Every O(p) table and the prime sieve stop at MAX_PRIME with a `BudgetError`
 before they allocate.
@@ -61,6 +62,7 @@ __all__ = [
     "count_in_interval",
     "good_traces",
     "box_summands",
+    "trace_values",
     "nonsingular_mask",
     "AP_TABLE_MAX_P",
     "MAX_PRIME",
@@ -155,7 +157,7 @@ class Interval:
     def contains(self, value: float | np.ndarray) -> bool | np.ndarray:
         """Whether ``value`` lies in the interval: a bool for a float, a boolean
         array for an array.  The one membership rule of the package; the box
-        sweep applies it to a prime's residue table."""
+        sweep applies it to a prime's `trace_values` table."""
         return (self.lo <= value) & ((value < self.hi) if self.half_open else (value <= self.hi))
 
 
@@ -207,12 +209,8 @@ def primes_in_window(x: float) -> PrimeWindow:
 
 
 def legendre(n: int, p: int) -> int:
-    """Quadratic residue symbol (n/p) in {-1, 0, 1} for odd p.
-
-    p is assumed prime; the check here only rejects even moduli.
-    """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("legendre symbol needs an odd prime modulus")
+    """Quadratic residue symbol (n/p) in {-1, 0, 1} for an odd prime p."""
+    require_prime(p, "the Legendre symbol", least=3)
     n %= p
     if n == 0:
         return 0
@@ -402,13 +400,21 @@ def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
 
 
 def box_summands(p: int, a_vals: np.ndarray, b_vals: np.ndarray, condition: SumCondition):
-    """a_p/sqrt(p) over the box a_vals x b_vals (runs of consecutive integers)
-    and the mask of the pairs whose prime sums keep p under ``condition``."""
+    """Integer traces a_p over the box a_vals x b_vals (runs of consecutive
+    integers) and the mask of the pairs whose prime sums keep p under ``condition``."""
     ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
     keep = good[ia][:, ib]  # good at p implies Delta != 0
     if condition is SumCondition.SKIP_BAD_AND_AB:
         keep &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
-    return ap[ia][:, ib] / math.sqrt(p), keep
+    return ap[ia][:, ib], keep
+
+
+def trace_values(p: int) -> np.ndarray:
+    """The one normalization of the box routes: a / sqrt(p) for every |a| <= r
+    = isqrt(4p), laid out as [0..r, -r..-1] so that ``trace_values(p)[ap]``
+    reads a trace array directly (numpy wraps negative traces; Hasse keeps |a_p| <= r)."""
+    r = math.isqrt(4 * p)
+    return np.concatenate((np.arange(r + 1), np.arange(-r, 0))) / math.sqrt(p)
 
 
 @dataclass

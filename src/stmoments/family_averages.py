@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_curves import ApTable, SumCondition, _twist_traces, ap_table, box_summands, nonsingular_mask
+from .arith_curves import ApTable, SumCondition, _twist_traces, ap_table, box_summands, nonsingular_mask, trace_values
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -137,16 +137,14 @@ def s12(p: int, m: int) -> tuple[float, float]:
     """One-parameter family averages S1 (the line b = 0) and S2 (the line a = 0).
 
     Every curve on the punctured axes has good reduction at p, so the
-    normalized coefficient is f_m of the normalized trace, read off
-    `_twist_traces` along each punctured line.
+    normalized coefficient is f_m on `trace_values`, indexed by the traces
+    `_twist_traces` gives along each punctured line.
     """
     line = np.arange(1, p)
     ap_a = _twist_traces(p, line, np.zeros(1, dtype=np.int64))[0][:, 0]
     ap_b = _twist_traces(p, np.zeros(1, dtype=np.int64), line)[0][0]
-    sqrt_p = math.sqrt(p)
-    s1 = float(f_eval(m, ap_a / sqrt_p).sum()) / p ** 2
-    s2 = float(f_eval(m, ap_b / sqrt_p).sum()) / p ** 2
-    return s1, s2
+    coeff = f_eval(m, trace_values(p))
+    return float(coeff[ap_a].sum()) / p ** 2, float(coeff[ap_b].sum()) / p ** 2
 
 
 def s_prime_power(p: int, m: int, store: TraceStore | None = None) -> float:
@@ -183,9 +181,9 @@ def _grid_coeff_product(
     coeff = np.ones((len(a_vals), len(b_vals)))
     mask = nonsingular_mask(a_vals, b_vals)
     for p, m in n.factors:
-        tilde, keep = box_summands(p, a_vals, b_vals, condition)
+        ap, keep = box_summands(p, a_vals, b_vals, condition)
         mask &= keep
-        coeff *= f_eval(m, tilde)
+        coeff *= f_eval(m, trace_values(p))[ap]
     return np.where(mask, coeff, 0.0)
 
 

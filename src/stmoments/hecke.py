@@ -39,7 +39,6 @@ __all__ = [
     "traces_via_birch",
     "normalized_trace",
     "trace_average_probe",
-    "trace_pair_probe",
     "MAX_WEIGHT",
     "MAX_TRACE_PRIME",
     "MAX_BASIS_TERMS",
@@ -282,14 +281,4 @@ def trace_average_probe(K: int, x: float, store: TraceStore | None = None) -> Tr
         scale=scale,
         ratio=total / scale if scale else float("nan"),
         per_weight=tuple(per_weight),
-    )
-
-
-def trace_pair_probe(k: int, l: int, x: float, store: TraceStore | None = None) -> float:
-    """sum over window primes of the product of two normalized traces."""
-    store = store or _default_store()
-    window = primes_in_window(x)
-    return sum(
-        normalized_trace(k, p, store) * normalized_trace(l, p, store)
-        for p in window.primes
     )

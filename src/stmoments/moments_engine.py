@@ -53,6 +53,7 @@ from .arith_curves import (
     good_traces,
     nonsingular_mask,
     primes_in_window,
+    trace_values,
 )
 from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, product_rule_fold, set_partitions
 from .errors import BudgetError
@@ -200,14 +201,14 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
     read-only N_I grid in the accumulator's narrow unsigned dtype (cast it
     before signed arithmetic) and ``admissible`` masks Delta != 0
     (`nonsingular_mask`).  Each prime's residue table (`_box_prime_data`,
-    residues in box order) is tested with `Interval.contains`.  The box is a periodic tiling of that
-    hit table, so the table is tiled once along b and added into the box one
-    block of rows at a time; no box-sized gather is made per prime.  The
-    accumulator has the narrowest unsigned dtype that holds pi~ (a count
-    never exceeds it): uint8 up to pi~ = 255, uint16 above, which always
-    suffices since MAX_PRIME keeps pi~ below 2^16; it is returned as is, not
-    widened.  All work is exact integer work, so the result is
-    bit-reproducible.
+    residues in box order) reads its hits off `interval.contains(trace_values(p))`
+    by integer trace.  The box is a periodic tiling of that hit table, so it is
+    tiled once along b and added into the box one block of rows at a time; no
+    box-sized gather is made per prime.  The accumulator has the narrowest
+    unsigned dtype that holds pi~ (a count never exceeds it): uint8 up to
+    pi~ = 255, uint16 above, which always suffices since MAX_PRIME keeps pi~
+    below 2^16; it is returned as is, not widened.  All work is exact integer
+    work, so the result is bit-reproducible.
     """
     window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
@@ -221,7 +222,7 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
     acc = np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count))
     for p in window.primes:
         ap, good, _, _ = _box_prime_data(p, a_vals, b_vals)
-        hits = (good & interval.contains(ap / math.sqrt(p))).astype(acc.dtype)
+        hits = (good & interval.contains(trace_values(p))[ap]).astype(acc.dtype)
         period_a, period_b = hits.shape
         tile = np.tile(hits, -(-n_b // period_b))[:, :n_b] if period_b < n_b else hits
         for i in range(0, n_a, period_a):
@@ -321,8 +322,8 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     b_vals = np.arange(-plan.B, plan.B + 1, dtype=np.int64)
     tables = []
     for p in window.primes:
-        tilde, keep = box_summands(p, a_vals, b_vals, plan.condition)
-        tables.append(_f_rows(tilde.ravel(), mmax) * keep.ravel())
+        ap, keep = box_summands(p, a_vals, b_vals, plan.condition)
+        tables.append(_f_rows(trace_values(p), mmax).take(ap.ravel(), axis=1) * keep.ravel())
     return tables
 
 

@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .arith_curves import CurveParams, Interval, SumCondition, good_traces, primes_in_window
+from .errors import BudgetError
 
 __all__ = [
     "CoeffMode",
@@ -46,7 +47,10 @@ __all__ = [
     "sandwich_error_bound",
     "profile_M",
     "coeffs_to_csv",
+    "MAX_DEGREE",
 ]
+
+MAX_DEGREE = 100_000  # largest degree M of a coefficient set (`sandwich_coeffs` grows as M^2)
 
 
 class CoeffMode(Enum):
@@ -191,9 +195,11 @@ def _finish(M: int, mode: CoeffMode, s: np.ndarray, const: float) -> BSCoefficie
 
 
 def exact_st_coeffs(interval: Interval, M: int) -> BSCoefficients:
-    """Exact Fourier data of the interval indicator, truncated at degree M."""
+    """Exact Fourier data of the interval indicator, truncated at degree M <= MAX_DEGREE."""
     if M < 1:
         raise ValueError(f"need M >= 1, got M = {M}")
+    if M > MAX_DEGREE:
+        raise BudgetError(f"coefficient degree M = {M} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
     s = _arc_cosine_coeffs(interval.alpha, interval.beta, M)
     const = st_measure(interval)
     s[0] = 0.0  # constant tracked by const_term instead
@@ -228,6 +234,7 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
         raise ValueError("side must be a sandwich mode")
     if M < 16:
         raise ValueError(f"need M >= 16 for the sandwich construction, got M = {M}")
+    exact = exact_st_coeffs(interval, M)  # for cert; first, so MAX_DEGREE is checked before the O(M^2) kernel
     N = M // 2
     h = N ** (-2.0 / 3.0)
     alpha, beta = interval.alpha, interval.beta
@@ -249,7 +256,6 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
         d0 += tail if side is CoeffMode.MAJORANT else -tail
     const = float(d0 - s[2])  # a Python float, as in the exact set
     out = _finish(M, side, s, const)
-    exact = exact_st_coeffs(interval, M)
     out.cert = float(np.max(np.abs(out.u - exact.u)))
     return out
 

@@ -31,6 +31,7 @@ from stmoments.arith_curves import (
     primes_in_window,
     primes_upto,
     require_prime,
+    trace_values,
 )
 from stmoments.errors import BudgetError
 
@@ -296,9 +297,22 @@ def test_box_summands_against_ap_table_gather(p, a_vals, b_vals, condition):
     keep = table.good[np.ix_(ia, ib)]
     if condition is SumCondition.SKIP_BAD_AND_AB:
         keep &= (ia[:, None] != 0) & (ib[None, :] != 0)
-    tilde, got_keep = box_summands(p, a_vals, b_vals, condition)
+    ap, got_keep = box_summands(p, a_vals, b_vals, condition)
     assert np.array_equal(got_keep, keep)
-    assert np.array_equal(tilde, table.ap[np.ix_(ia, ib)] / math.sqrt(p))
+    assert ap.dtype == np.int64 and np.array_equal(ap, table.ap[np.ix_(ia, ib)])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 2999, 999_983])
+def test_trace_values_index_by_integer_trace(p):
+    r = math.isqrt(4 * p)
+    values = trace_values(p)
+    assert values.shape == (2 * r + 1,) and values.dtype == np.float64
+    for a in range(-r, r + 1):
+        assert values[a] == a / math.sqrt(p)
+    if p <= 1009:  # the Hasse bound keeps every grid trace inside the table, so no index aliases
+        table = ap_table(p)
+        assert int(np.abs(table.ap).max()) <= r
+        assert np.array_equal(values[table.ap], table.ap / math.sqrt(p))
 
 
 @pytest.mark.parametrize("condition", list(SumCondition))

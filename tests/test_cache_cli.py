@@ -7,7 +7,7 @@ import pytest
 import jsonschema
 
 from stmoments import classnumbers
-from stmoments.arith_curves import MAX_PRIME, CurveParams, Interval, ap_table, curve_ap
+from stmoments.arith_curves import MAX_PRIME, CurveParams, Interval, ap_table, curve_ap, legendre
 from stmoments.classnumbers import MAX_HURWITZ_N, eichler_mass, family_moment_classnum
 from stmoments.cli import run
 from stmoments.errors import BudgetError
@@ -119,6 +119,12 @@ def test_cli_exit_codes(capsys):
          "moment orders need t >= 1, got t_list = (0,)"),
         (["moments", "--x", "100", "--A", "1", "--B", "1", "--t", "2", "-1"] + interval, 2,
          "moment orders need t >= 1, got t_list = (2, -1)"),
+        (["bs", "--M", "1000000000"] + interval, 3, "coefficient degree M = 1000000000 exceeds the cap MAX_DEGREE"),
+        (["bs", "--mode", "minor", "--M", "100001"] + interval, 3,
+         "coefficient degree M = 100001 exceeds the cap MAX_DEGREE = 100000"),
+        (["parseval", "--M", "1000000000"] + interval, 3, "coefficient degree M = 1000000000 exceeds the cap"),
+        (["moments", "--x", "100", "--A", "1", "--B", "1", "--M", "1000000000"] + interval, 3,
+         "coefficient degree M = 1000000000 exceeds the cap MAX_DEGREE = 100000"),
     ):
         assert run(argv) == code
         out, err = capsys.readouterr()
@@ -152,6 +158,7 @@ PRIME_ROUTES = {  # route: (least prime admitted, library call, CLI argv taking 
     "the class-number moment": (5, lambda p: family_moment_classnum(p, 2), None),
     "the class-number route": (5, lambda p: traces_via_birch(p, 1), ["trace", "--method", "birch", "--k", "4", "--p"]),
     "the Hecke trace": (2, lambda p: hecke_trace(12, p), ["trace", "--k", "12", "--p"]),
+    "the Legendre symbol": (3, lambda p: legendre(2, p), None),
 }
 NOT_ADMITTED = [(route, p) for route, (least, _, _) in PRIME_ROUTES.items()
                 for p in (-5, 0, 1, 4, 9, 15, 25, 2997, MAX_PRIME + 1) + ((3,) if least > 3 else ())]

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,18 @@ def test_star_import_and_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
     for attr in getattr(module, "__all__", ()):
         assert attr in namespace and namespace[attr] is getattr(module, attr), attr
+
+
+def test_readme_lists_every_cap():
+    # a module-level MAX/BUDGET constant added without a row in README's caps table fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Budget caps:", 1)[1].split("\n\n", 2)[1]
+    assert table.startswith("| cap |")
+    for info in pkgutil.iter_modules(stmoments.__path__):
+        tree = ast.parse(Path(info.module_finder.path, f"{info.name}.py").read_text())
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                name = getattr(target, "id", "")
+                if "MAX" in name or "BUDGET" in name:
+                    assert f"| `{info.name}.{name}` |" in table, f"{info.name}.{name}"

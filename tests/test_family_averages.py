@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from stmoments.arith_curves import CurveParams, SumCondition, _legendre_table, ap_table, curve_ap
+from stmoments.arith_curves import (
+    CurveParams,
+    SumCondition,
+    _legendre_table,
+    _twist_traces,
+    ap_table,
+    curve_ap,
+    nonsingular_mask,
+)
 from stmoments.chebycomb import f_eval
 from stmoments.errors import BudgetError
 from stmoments.family_averages import (
@@ -156,6 +164,38 @@ def test_double_periodicity():
     plain = _grid_coeff_product(n, base, base, SumCondition.SKIP_BAD_AND_AB)
     assert np.allclose(plain, shifted_a, atol=1e-12)
     assert np.allclose(plain, shifted_b, atol=1e-12)
+
+
+def _per_residue_coeff_product(n, a_vals, b_vals, condition):
+    """Oracle for `_grid_coeff_product`: f_m on the float a_p/sqrt(p) of every
+    box pair, gathered from residues found by np.unique."""
+    coeff = np.ones((len(a_vals), len(b_vals)))
+    mask = nonsingular_mask(a_vals, b_vals)
+    for p, m in n.factors:
+        ua, ia = np.unique(a_vals % p, return_inverse=True)
+        ub, ib = np.unique(b_vals % p, return_inverse=True)
+        ap, good = _twist_traces(p, ua, ub)
+        mask &= good[np.ix_(ia, ib)]
+        if condition is SumCondition.SKIP_BAD_AND_AB:
+            mask &= (a_vals % p != 0)[:, None] & (b_vals % p != 0)[None, :]
+        coeff *= f_eval(m, (ap / math.sqrt(p))[np.ix_(ia, ib)])
+    return np.where(mask, coeff, 0.0)
+
+
+@pytest.mark.parametrize("condition", list(SumCondition))
+@pytest.mark.parametrize("n, A, B", [
+    (7 ** 3, 20, 2),  # wider than p in a, narrower in b
+    (5 ** 2 * 11, 8, 9),  # wider than p = 5 on both axes, than p = 11 on neither
+    (101 ** 2, 30, 45),  # narrower than p on both axes
+    (5 * 7 * 13, 40, 40),  # wider than every factor
+])
+def test_grid_coeff_product_equals_per_residue_route(n, A, B, condition):
+    from stmoments.family_averages import _grid_coeff_product
+
+    n = FactoredInteger.from_int(n)
+    a_vals, b_vals = np.arange(-A, A + 1), np.arange(-B, B + 1)
+    got = _grid_coeff_product(n, a_vals, b_vals, condition)
+    assert np.array_equal(got, _per_residue_coeff_product(n, a_vals, b_vals, condition))
 
 
 def test_grid_guard():

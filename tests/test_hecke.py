@@ -17,7 +17,6 @@ from stmoments.hecke import (
     miller_basis,
     normalized_trace,
     trace_average_probe,
-    trace_pair_probe,
     traces_via_birch,
 )
 
@@ -188,13 +187,6 @@ def test_trace_average_probe(trace_store):
     assert probe.scale == pytest.approx(12 * math.sqrt(20))
     bigger = trace_average_probe(16, 20, trace_store)
     assert bigger.value >= probe.value  # sum of nonnegative contributions
-
-
-def test_trace_pair_probe(trace_store):
-    assert trace_pair_probe(8, 12, 20, trace_store) == 0.0
-    d = delta_qexp(20)
-    expected = sum(d[p] ** 2 / p ** 11 for p in (11, 13, 17, 19))
-    assert trace_pair_probe(12, 12, 20, trace_store) == pytest.approx(expected, rel=1e-12)
 
 
 def test_q_expansion_caps_stop_before_allocating():

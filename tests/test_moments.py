@@ -38,7 +38,7 @@ from stmoments.moments_engine import (
     moment_via_expansion,
     psum_moment_direct,
 )
-from stmoments.st_approx import exact_st_coeffs, st_measure
+from stmoments.st_approx import _f_rows, exact_st_coeffs, st_measure
 
 from conftest import poly_mul, to_f_basis
 
@@ -131,6 +131,39 @@ def test_sweep_equals_gather_oracle(x, A, B, interval):
     assert np.array_equal(counts, _gather_sweep(x, A, B, interval))
     if interval is FULL:
         assert primes_in_window(x).count == 302 and counts.max() > 255 and counts.dtype == np.uint16
+
+
+def _per_residue_power_tables(plan, mmax):
+    """Oracle for `_masked_power_tables`: f_m rows on the float a_p/sqrt(p) of
+    every box pair, gathered from residues found by np.unique."""
+    a_vals = np.arange(-plan.A, plan.A + 1, dtype=np.int64)
+    b_vals = np.arange(-plan.B, plan.B + 1, dtype=np.int64)
+    tables = []
+    for p in primes_in_window(plan.x).primes:
+        ua, ia = np.unique(a_vals % p, return_inverse=True)
+        ub, ib = np.unique(b_vals % p, return_inverse=True)
+        ap, good = _twist_traces(p, ua, ub)
+        keep = good[np.ix_(ia, ib)]
+        if plan.condition is SumCondition.SKIP_BAD_AND_AB:
+            keep &= (a_vals % p != 0)[:, None] & (b_vals % p != 0)[None, :]
+        tables.append(_f_rows((ap / math.sqrt(p))[np.ix_(ia, ib)].ravel(), mmax) * keep.ravel())
+    return tables
+
+
+@pytest.mark.parametrize("condition", list(SumCondition))
+@pytest.mark.parametrize("x, A, B", [
+    (60.0, 4, 6),  # narrower than every window prime (31..59)
+    (14.0, 9, 12),  # wider than p = 11, 13 on both axes
+    (40.0, 14, 3),  # wider than p = 23, 29 in a, narrower than p = 31, 37
+])
+def test_power_tables_equal_per_residue_route(x, A, B, condition):
+    plan = MomentPlan(x=x, A=A, B=B, interval=GEN, M=6, condition=condition)
+    u = exact_st_coeffs(GEN, 6).u[1:7]
+    got, want = _masked_power_tables(plan, 12), _per_residue_power_tables(plan, 12)
+    assert len(got) == len(want) == primes_in_window(x).count
+    for rows, oracle in zip(got, want):
+        assert rows.flags.c_contiguous and np.array_equal(rows, oracle)
+        assert np.array_equal(u @ rows[1:7], u @ oracle[1:7])  # the products of `psum_moment_direct`
 
 
 def test_family_moments_full_interval_zero():

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from stmoments.arith_curves import CurveParams, Interval, SumCondition, count_in_interval, primes_in_window
+from stmoments.errors import BudgetError
 from stmoments.st_approx import (
+    MAX_DEGREE,
     CoeffMode,
     _sin_multiples,
     coeffs_to_csv,
@@ -212,6 +215,22 @@ def test_sandwich_guards():
         sandwich_coeffs(Interval(0.7, 2.0), 8, CoeffMode.MAJORANT)
     with pytest.raises(ValueError):
         sandwich_coeffs(Interval(0.7, 2.0), 64, CoeffMode.EXACT)
+
+
+def test_degree_cap_stops_before_allocating():
+    iv = Interval(0.7, 2.0)
+    tracemalloc.start()
+    try:
+        for M in (MAX_DEGREE + 1, 10 ** 9):
+            message = f"^coefficient degree M = {M} exceeds the cap MAX_DEGREE = {MAX_DEGREE}$"
+            for build in (exact_st_coeffs, parseval_check, lambda iv, M: sandwich_coeffs(iv, M, CoeffMode.MINORANT)):
+                with pytest.raises(BudgetError, match=message):
+                    build(iv, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert exact_st_coeffs(iv, MAX_DEGREE).M == MAX_DEGREE  # the cap is inclusive
 
 
 def test_p_polynomial_sum_examples():
