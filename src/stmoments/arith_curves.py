@@ -29,7 +29,11 @@ Every trace the package reads goes through one function per shape of read,
 all on `_twist_traces` except the last: `ap_table` (the p x p grid),
 `_box_prime_data` and `box_summands` (one prime over a box) and `good_traces`
 (one curve at many primes, through `curve_ap`).  The box routes read every
-function of a_p/sqrt(p) off one `trace_values(p)` table by integer trace.
+function of a_p/sqrt(p) off one `trace_values(p)` table by integer trace:
+the interval membership of the count sweep `family_error_grid`, the
+Beurling-Selberg polynomial of the polynomial-sum sweep `polynomial_sum_grid`,
+the f_m rows of the expansion cross-check's power tables, and the f_m values
+of `family_averages`' box and grid sums.
 
 Every O(p) table and the prime sieve stop at MAX_PRIME with a `BudgetError`
 before they allocate.
@@ -200,11 +204,17 @@ def _sieve_limit(x: float) -> int:
     return int(math.floor(x))
 
 
-def primes_in_window(x: float) -> PrimeWindow:
-    """Sieve-exact list of primes in (x/2, x]; requires x >= 10."""
+def _window_limit(x: float) -> int:
+    """floor(x), the sieve limit of the window (x/2, x]: ValueError naming x
+    unless x >= 10 (NaN too); x = inf is the cap's BudgetError (`_sieve_limit`)."""
     if not x >= 10:  # NaN too
         raise ValueError(f"window operations require x >= 10, got x = {x}")
-    primes = tuple(q for q in primes_upto(_sieve_limit(x)) if q > x / 2)
+    return _sieve_limit(x)
+
+
+def primes_in_window(x: float) -> PrimeWindow:
+    """Sieve-exact list of primes in (x/2, x]; requires x >= 10."""
+    primes = tuple(q for q in primes_upto(_window_limit(x)) if q > x / 2)
     return PrimeWindow(x=x, primes=primes)
 
 

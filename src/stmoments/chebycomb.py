@@ -47,6 +47,7 @@ __all__ = [
     "distinct_sum",
     "gaussian_moment_constant",
     "all_exponent_multisets",
+    "exponent_product_tables",
 ]
 
 
@@ -262,3 +263,17 @@ def all_exponent_multisets(total: int) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - first, first, prefix + (first,))
 
     yield from rec(total, total, ())
+
+
+def exponent_product_tables(total: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """(ms, u_product_expand(ms)) for every ms of `all_exponent_multisets`,
+    in its order.  That order yields each prefix before the multisets that
+    extend it, so the table of ms is one `product_rule_fold` of its prefix's
+    table by {ms[-1]: 1}: the same left fold and the same integers, one fold
+    per multiset rather than len(ms) - 1.  Only the tables along the current
+    prefix are held."""
+    stack = [{0: 1}]  # stack[k]: the table of ms[:k]; f_0 = 1, so the first fold gives {m: 1}
+    for ms in all_exponent_multisets(total):
+        del stack[len(ms):]
+        stack.append(product_rule_fold(stack[-1], {ms[-1]: 1}))
+        yield ms, stack[-1]

@@ -14,7 +14,9 @@ system solves by forward substitution in exact integers.  Agreement of the
 two routes is the central cross-check of the whole package.
 
 All trace arithmetic uses arbitrary-precision integers; p^(k-1) overflows
-any fixed width long before the default caps k <= 60, p <= 500 bite.
+any fixed width long before the default caps k <= 60, p <= 500 bite.  Every
+q-series product behind `delta_qexp` and `miller_basis` is one big-integer
+product of the two series packed by Kronecker substitution (`_mul_trunc`).
 """
 
 from __future__ import annotations
@@ -61,14 +63,33 @@ def dim_cusp_forms(k: int) -> int:
 
 
 def _mul_trunc(f: list[int], g: list[int], n_terms: int) -> list[int]:
-    out = [0] * n_terms
-    for i, fi in enumerate(f[:n_terms]):
-        if fi == 0:
-            continue
-        top = min(len(g), n_terms - i)
-        for j in range(top):
-            out[i + j] += fi * g[j]
-    return out
+    """The first n_terms coefficients of f g, by Kronecker substitution.
+
+    Each series is packed into one integer, coefficient i in digit i of base
+    2^(8 w): the signed coefficients go in as w-byte two's complement, and
+    the borrow each negative one leaves is subtracted from the next digit.
+    A coefficient of f g is a sum of at most min(len f, len g) products, so
+    it lies strictly inside +-2^(8 w - 2) when 8 w >= bit_length(max|f| max|g|
+    min(len f, len g)) + 2.  One big-integer product then replaces the
+    schoolbook double loop; adding half a digit base to every digit makes
+    them all nonnegative, so the low n_terms digits unpack with no carry.
+    """
+    f, g = f[:n_terms], g[:n_terms]
+    bound = max(map(abs, f), default=0) * max(map(abs, g), default=0) * min(len(f), len(g))
+    if bound == 0:
+        return [0] * n_terms
+    width = (bound.bit_length() + 9) // 8  # bytes per digit
+
+    def pack(series: list[int]) -> int:
+        digits = b"".join(c.to_bytes(width, "little", signed=True) for c in series)
+        borrows = b"".join(bytes(width) if c >= 0 else (1).to_bytes(width, "little") for c in series)
+        return int.from_bytes(digits, "little") - (int.from_bytes(borrows, "little") << 8 * width)
+
+    half = 1 << 8 * width - 1
+    offset = int.from_bytes(half.to_bytes(width, "little") * n_terms, "little")
+    low = (pack(f) * pack(g) + offset) & ((1 << 8 * width * n_terms) - 1)
+    raw = low.to_bytes(width * n_terms, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 def _sigma_list(power: int, n_terms: int) -> list[int]:

@@ -9,7 +9,10 @@ normalization.  The per-prime residue tables come from the same twist-orbit
 construction as the full trace grid, restricted to the residues the box
 actually meets.  The box axes are runs of consecutive integers, so the box is
 a periodic tiling of each prime's hit table, added into the count grid tile
-by tile in a narrow integer accumulator.
+by tile in a narrow integer accumulator.  The same loop (`_sweep_box`) sums
+a Beurling-Selberg polynomial over the primes at every pair
+(`polynomial_sum_grid`), so the certified bracket of the count error holds
+or fails over a whole box from three sweeps.
 
 Every statistic (moments, the CLT sample's KS distance and histogram, the
 almost-all exceptions) depends only on the multiset of selected counts,
@@ -43,10 +46,12 @@ import numpy as np
 from .arith_curves import (
     CurveParams,
     Interval,
+    PrimeWindow,
     SumCondition,
     _box_prime_data,
     _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
+    _window_limit,
     box_summands,
     count_in_interval,
     curve_primes,
@@ -57,7 +62,7 @@ from .arith_curves import (
 )
 from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, product_rule_fold, set_partitions
 from .errors import BudgetError
-from .st_approx import BSCoefficients, _f_rows, exact_st_coeffs, profile_M, st_measure
+from .st_approx import BSCoefficients, _check_degree, _f_rows, exact_st_coeffs, profile_M, st_measure
 
 __all__ = [
     "Profile",
@@ -70,6 +75,7 @@ __all__ = [
     "FamilyGrid",
     "error_term",
     "family_error_grid",
+    "polynomial_sum_grid",
     "family_moments",
     "psum_moment_direct",
     "moment_via_expansion",
@@ -111,6 +117,7 @@ class MomentPlan:
     def __post_init__(self):
         if not self.t_list or min(self.t_list) < 1:
             raise ValueError(f"moment orders need t >= 1, got t_list = {self.t_list}")
+        _window_limit(self.x)  # NaN, x < 10 and inf fail here, before M or a sweep
 
     def resolved_m(self) -> int:
         if self.M is not None:
@@ -194,42 +201,79 @@ class FamilyGrid(NamedTuple):
         return FamilyGrid(a_vals[rows], b_vals[cols], counts[rows, cols], admissible[rows, cols], pi_tilde)
 
 
-def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGrid:
-    """Exact interval counts over the box |a| <= A, |b| <= B.
+def _sweep_box(window: PrimeWindow, A: int, B: int, dtype, residue_table) -> tuple[np.ndarray, ...]:
+    """The one box-sweep loop: (a_vals, b_vals, acc) over |a| <= A, |b| <= B.
 
-    Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    read-only N_I grid in the accumulator's narrow unsigned dtype (cast it
-    before signed arithmetic) and ``admissible`` masks Delta != 0
-    (`nonsingular_mask`).  Each prime's residue table (`_box_prime_data`,
-    residues in box order) reads its hits off `interval.contains(trace_values(p))`
-    by integer trace.  The box is a periodic tiling of that hit table, so it is
-    tiled once along b and added into the box one block of rows at a time; no
-    box-sized gather is made per prime.  The accumulator has the narrowest
-    unsigned dtype that holds pi~ (a count never exceeds it): uint8 up to
-    pi~ = 255, uint16 above, which always suffices since MAX_PRIME keeps pi~
-    below 2^16; it is returned as is, not widened.  All work is exact integer
-    work, so the result is bit-reproducible.
+    For each window prime, in ascending order, ``residue_table(p, ap, good)``
+    turns its residue table (`_box_prime_data`: integer traces and good mask
+    at the residues the box meets, in box order) into the values the prime
+    adds.  The box axes are runs of consecutive integers, so the box is a
+    periodic tiling of that table: it is tiled once along b and added into
+    ``acc`` (of ``dtype``) one block of rows at a time, and no box-sized
+    gather is made per prime.  The fixed prime order makes float
+    accumulators bit-reproducible too.  Past DEFAULT_BOX_BUDGET pairs x
+    primes it raises a BudgetError before any prime is swept.
     """
-    window = primes_in_window(x)
     n_pairs = (2 * A + 1) * (2 * B + 1)
     if n_pairs * max(window.count, 1) > DEFAULT_BOX_BUDGET:
         raise BudgetError(f"box sweep of {n_pairs} pairs x {window.count} primes = "
                           f"{n_pairs * window.count} exceeds the cap of {DEFAULT_BOX_BUDGET}")
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
-    admissible = nonsingular_mask(a_vals, b_vals)
     n_a, n_b = len(a_vals), len(b_vals)
-    acc = np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count))
+    acc = np.zeros((n_a, n_b), dtype=dtype)
     for p in window.primes:
         ap, good, _, _ = _box_prime_data(p, a_vals, b_vals)
-        hits = (good & interval.contains(trace_values(p))[ap]).astype(acc.dtype)
-        period_a, period_b = hits.shape
-        tile = np.tile(hits, -(-n_b // period_b))[:, :n_b] if period_b < n_b else hits
+        table = residue_table(p, ap, good).astype(dtype, copy=False)
+        period_a, period_b = table.shape
+        tile = np.tile(table, -(-n_b // period_b))[:, :n_b] if period_b < n_b else table
         for i in range(0, n_a, period_a):
             acc[i:i + period_a] += tile[:n_a - i]
+    return a_vals, b_vals, acc
+
+
+def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGrid:
+    """Exact interval counts over the box |a| <= A, |b| <= B.
+
+    Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
+    read-only N_I grid in the accumulator's narrow unsigned dtype (cast it
+    before signed arithmetic) and ``admissible`` masks Delta != 0
+    (`nonsingular_mask`).  Each prime's residue table reads its hits off
+    `interval.contains(trace_values(p))` by integer trace and is tiled over
+    the box by `_sweep_box`.  The accumulator has the narrowest unsigned
+    dtype that holds pi~ (a count never exceeds it): uint8 up to pi~ = 255,
+    uint16 above, which always suffices since MAX_PRIME keeps pi~ below 2^16;
+    it is returned as is, not widened.  All work is exact integer work, so
+    the result is bit-reproducible.
+    """
+    window = primes_in_window(x)
+    a_vals, b_vals, acc = _sweep_box(window, A, B, np.min_scalar_type(window.count),
+                                     lambda p, ap, good: good & interval.contains(trace_values(p))[ap])
+    admissible = nonsingular_mask(a_vals, b_vals)
     for arr in (a_vals, b_vals, acc, admissible):
         arr.setflags(write=False)
     return FamilyGrid(a_vals, b_vals, acc, admissible, window.count)
+
+
+def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients) -> np.ndarray:
+    """Polynomial prime sums over the box |a| <= A, |b| <= B: at each pair,
+    the sum over the window primes of good reduction (SKIP_BAD_ONLY) of
+    const_term + sum_m u[m] f_m(a_p/sqrt(p)).
+
+    With a sandwich set and pi~(x) mu(I) subtracted this is that side of
+    `sandwich_error_bound`'s bracket; without const_term times the good
+    primes it is `p_polynomial_sum`.  Per prime the polynomial is evaluated
+    once on `trace_values(p)` (`BSCoefficients.eval_traces`), read at each
+    residue by integer trace, zeroed where p | Delta, and tiled into a
+    float64 accumulator by `_sweep_box`, primes ascending, so the result is
+    bit-reproducible.  Returns that read-only (2A+1, 2B+1) array.
+    A degree past MAX_DEGREE is a BudgetError before anything is swept.
+    """
+    _check_degree(coeffs.M)
+    _, _, acc = _sweep_box(primes_in_window(x), A, B, np.float64,
+                           lambda p, ap, good: np.where(good, coeffs.eval_traces(trace_values(p))[ap], 0.0))
+    acc.setflags(write=False)
+    return acc
 
 
 def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, np.ndarray]:
@@ -261,13 +305,14 @@ def _count_table(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentReport:
     """Direct family moments of the interval-count error over the box; a given
     ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
+    M = plan.resolved_m()
+    _check_degree(M)  # before the sweep, so a degree past the cap fails fast
     (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
+    z = exact_st_coeffs(plan.interval, M).z if M >= 3 else float("nan")
     mu = st_measure(plan.interval)
     values, mult = _count_table(counts[admissible])
     errors = values - pi_tilde * mu
     norm = 4.0 * plan.A * plan.B
-    M = plan.resolved_m()
-    z = exact_st_coeffs(plan.interval, M).z if M >= 3 else float("nan")
     results = []
     for t in plan.t_list:
         empirical = math.fsum((mult * errors ** t).tolist()) / norm

@@ -120,6 +120,21 @@ class BSCoefficients:
             x += d0
         return out
 
+    def eval_traces(self, x: np.ndarray) -> np.ndarray:
+        """const_term + sum_m u[m] f_m(x) at normalized traces x, the term
+        that a prime adds to the polynomial sums.
+
+        Clenshaw's recurrence in the f basis, since f_m = x f_(m-1) - f_(m-2)
+        with f_0 = 1, f_1 = x: from b_(M+1) = b_(M+2) = 0,
+        b_m = u[m] + x b_(m+1) - b_(m+2) for m = M .. 1, the sum is
+        const_term + x b_1 - b_2.  O(M) passes over x, no (M, len(x)) table.
+        """
+        x = np.asarray(x, dtype=float)
+        b1, b2 = np.zeros_like(x), np.zeros_like(x)
+        for um in self.u[self.M:0:-1].tolist():
+            b1, b2 = um + x * b1 - b2, b1
+        return self.const_term + x * b1 - b2
+
     def eval_f_basis(self, thetas: np.ndarray) -> np.ndarray:
         """Same polynomial through the telescoped coefficients:
         const_term + sum_m u[m] f_m(2 cos t)."""
@@ -194,12 +209,17 @@ def _finish(M: int, mode: CoeffMode, s: np.ndarray, const: float) -> BSCoefficie
     )
 
 
+def _check_degree(M: int) -> None:
+    """BudgetError naming M when it exceeds MAX_DEGREE, before anything of that size is built."""
+    if M > MAX_DEGREE:
+        raise BudgetError(f"coefficient degree M = {M} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
+
+
 def exact_st_coeffs(interval: Interval, M: int) -> BSCoefficients:
     """Exact Fourier data of the interval indicator, truncated at degree M <= MAX_DEGREE."""
     if M < 1:
         raise ValueError(f"need M >= 1, got M = {M}")
-    if M > MAX_DEGREE:
-        raise BudgetError(f"coefficient degree M = {M} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
+    _check_degree(M)
     s = _arc_cosine_coeffs(interval.alpha, interval.beta, M)
     const = st_measure(interval)
     s[0] = 0.0  # constant tracked by const_term instead

@@ -18,7 +18,7 @@ import numpy as np
 from . import chebycomb as cc
 from . import classnumbers as cn
 from .arith_curves import (MIN_CURVE_PRIME, CurveParams, Interval, SumCondition, ap_table, count_in_interval,
-                           curve_primes, primes_in_window)
+                           curve_primes)
 from .family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
 from .hecke import TraceStore, delta_qexp, dim_cusp_forms, traces_via_birch
 from .moments_engine import (
@@ -30,6 +30,7 @@ from .moments_engine import (
     family_error_grid,
     family_moments,
     moment_via_expansion,
+    polynomial_sum_grid,
     psum_moment_direct,
 )
 from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
@@ -41,7 +42,8 @@ __all__ = ["CheckResult", "SUITES", "run_suites", "report", "mass_identity_check
 CLASSNUM_MAX_MASS_P, CLASSNUM_MAX_MOMENT_P = 2000, 100
 TRACE_MAX_P, TRACE_MAX_WEIGHT, TRACE_TAU_MAX_P = 200, 26, 50
 FAMILY_MAX_P, FAMILY_MAX_M = 100, 12
-BS_GRID_POINTS, BS_N_CURVES, BS_X, BS_M = 100_000, 200, 500.0, 256  # sandwich angles; curves, x, M of the bracket
+BS_GRID_POINTS, BS_X, BS_M, BS_HALF_BOX = 100_000, 500.0, 256, 50  # sandwich angles; x, M and box of the bracket
+BS_ORACLE_PAIRS = ((1, 1), (-50, 50), (0, 17))  # where the bracket sweep meets the per-curve bound
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,31 @@ _TEST_INTERVALS = [
 ]
 
 
+def _bracket_check(iv: Interval) -> CheckResult:
+    """The certified bracket minorant sum <= N_I - pi~ mu <= majorant sum at
+    every admissible pair of the box |a|, |b| <= BS_HALF_BOX, from one count
+    sweep and one polynomial-sum sweep per side; the sweeps' bracket must
+    also match the per-curve `sandwich_error_bound` at BS_ORACLE_PAIRS."""
+    minor = sandwich_coeffs(iv, BS_M, CoeffMode.MINORANT)
+    major = sandwich_coeffs(iv, BS_M, CoeffMode.MAJORANT)
+    grid = family_error_grid(BS_X, BS_HALF_BOX, BS_HALF_BOX, iv)
+    base = -grid.pi_tilde * st_measure(iv)
+    err = grid.counts + base
+    lower = polynomial_sum_grid(BS_X, BS_HALF_BOX, BS_HALF_BOX, minor) + base
+    upper = polynomial_sum_grid(BS_X, BS_HALF_BOX, BS_HALF_BOX, major) + base
+    outside = (err < lower - 1e-9) | (err > upper + 1e-9)
+    violations = int(np.count_nonzero(outside & grid.admissible))
+    gap = 0.0
+    for a, b in BS_ORACLE_PAIRS:
+        lo, hi = sandwich_error_bound(CurveParams(a, b), BS_X, iv, BS_M)
+        i, j = a + BS_HALF_BOX, b + BS_HALF_BOX
+        gap = max(gap, abs(lower[i, j] - lo), abs(upper[i, j] - hi))
+    n_pairs = int(np.count_nonzero(grid.admissible))
+    return _check(f"error bracket on {n_pairs} admissible pairs |a|, |b| <= {BS_HALF_BOX}, "
+                  f"per-curve bound at {len(BS_ORACLE_PAIRS)} pairs", violations == 0 and gap <= 1e-9,
+                  f"{violations} violations, per-curve gap {gap:.1e}")
+
+
 def suite_bs() -> list[CheckResult]:
     out = []
     for i, iv in enumerate(_TEST_INTERVALS):
@@ -231,22 +258,7 @@ def suite_bs() -> list[CheckResult]:
         out.append(_check(f"majorant pointwise I{i+1}", viol_plus >= -1e-12, f"min slack {viol_plus:.2e}"))
         out.append(_check(f"minorant pointwise I{i+1}", viol_minus >= -1e-12, f"min slack {viol_minus:.2e}"))
 
-    iv = _TEST_INTERVALS[0]
-    window = primes_in_window(BS_X)
-    mu = st_measure(iv)
-    rng = random.Random(8)
-    violations = 0
-    for _ in range(BS_N_CURVES):
-        while True:
-            a, b = rng.randint(-50, 50), rng.randint(-50, 50)
-            if 4 * a ** 3 + 27 * b ** 2 != 0:
-                break
-        curve = CurveParams(a, b)
-        lo, hi = sandwich_error_bound(curve, BS_X, iv, BS_M)
-        err = count_in_interval(curve, BS_X, iv) - window.count * mu
-        if not (lo - 1e-9 <= err <= hi + 1e-9):
-            violations += 1
-    out.append(_check(f"error bracket on {BS_N_CURVES} random curves", violations == 0, f"{violations} violations"))
+    out.append(_bracket_check(_TEST_INTERVALS[0]))
 
     coeffs = exact_st_coeffs(_TEST_INTERVALS[2], 40)
     tgrid = np.linspace(0.0, math.pi, 2001)
@@ -280,9 +292,8 @@ def suite_pipeline() -> list[CheckResult]:
 
     db_ok = True
     detail = ""
-    for ms in cc.all_exponent_multisets(24):
+    for ms, table in cc.exponent_product_tables(24):
         s = sum(ms)
-        table = cc.u_product_expand(ms)
         if any(v < 0 for v in table.values()) or any(m > s for m in table):
             db_ok, detail = False, f"support/positivity at {ms}"
             break

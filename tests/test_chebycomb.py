@@ -13,6 +13,7 @@ from stmoments.chebycomb import (
     a_lk,
     all_exponent_multisets,
     distinct_sum,
+    exponent_product_tables,
     f_eval,
     f_poly,
     gaussian_moment_constant,
@@ -105,9 +106,11 @@ def test_product_expand_against_basis_conversion(ms):
 
 
 def test_product_expand_relations_small():
-    for ms in all_exponent_multisets(12):
+    tables = list(exponent_product_tables(12))
+    assert [ms for ms, _ in tables] == list(all_exponent_multisets(12))
+    for ms, table in tables:
+        assert list(table.items()) == list(u_product_expand(ms).items())  # the same fold, key order too
         s = sum(ms)
-        table = u_product_expand(ms)
         assert all(v >= 0 for v in table.values())
         assert all(0 <= m <= s for m in table)
         assert all((m - s) % 2 == 0 for m in table)

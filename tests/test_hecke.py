@@ -2,6 +2,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from stmoments import hecke
 from stmoments.errors import BudgetError
@@ -51,6 +53,39 @@ def eta_power_24(n_terms: int) -> list[int]:
         base = mul(base, base)
         e >>= 1
     return [0] + power[: n_terms - 1]  # shift by the leading q
+
+
+def schoolbook_mul_trunc(f: list[int], g: list[int], n_terms: int) -> list[int]:
+    """The first n_terms coefficients of f g by the O(n^2) double loop: the
+    oracle for `hecke._mul_trunc`'s Kronecker substitution."""
+    out = [0] * n_terms
+    for i, fi in enumerate(f[:n_terms]):
+        for j in range(min(len(g), n_terms - i)):
+            out[i + j] += fi * g[j]
+    return out
+
+
+_series = st_.lists(st_.one_of(st_.integers(-3, 3), st_.integers(-2 ** 200, 2 ** 200)), max_size=12)
+
+
+@given(_series, _series, st_.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_packed_product_equals_schoolbook(f, g, n_terms):
+    """Signed big ints, unequal lengths, n_terms below and above the lengths,
+    and empty, all-zero and one-term series."""
+    assert hecke._mul_trunc(f, g, n_terms) == schoolbook_mul_trunc(f, g, n_terms)
+
+
+@pytest.mark.parametrize("f, g, n_terms", [
+    ([0, 0, 0], [5, -7], 4),  # all zero
+    ([-1], [2 ** 100, -(2 ** 100)], 3),  # one term against big signed ones
+    ([2 ** 64 - 1] * 9, [-(2 ** 64 - 1)] * 9, 9),  # every product of one sign
+    ([255], [-255], 2),  # a 16-bit product: the digits need a third byte for the sign margin
+    ([1, -1] * 5, [1, 1] * 5, 25),  # n_terms past the product's length
+    ([3, 1, 4, 1, 5], [9, 2, 6], 2),  # n_terms below both lengths
+])
+def test_packed_product_edge_cases(f, g, n_terms):
+    assert hecke._mul_trunc(f, g, n_terms) == schoolbook_mul_trunc(f, g, n_terms)
 
 
 def test_dimension_formula():

@@ -36,9 +36,11 @@ from stmoments.moments_engine import (
     family_moments,
     hypothesis2_probe,
     moment_via_expansion,
+    polynomial_sum_grid,
     psum_moment_direct,
 )
-from stmoments.st_approx import _f_rows, exact_st_coeffs, st_measure
+from stmoments.st_approx import (MAX_DEGREE, CoeffMode, _f_rows, exact_st_coeffs, p_polynomial_sum, sandwich_coeffs,
+                                 sandwich_error_bound, st_measure)
 
 from conftest import poly_mul, to_f_basis
 
@@ -203,6 +205,82 @@ def test_moment_symmetry_under_b_negation():
 def test_budget_guard():
     with pytest.raises(BudgetError, match="16008001 pairs x 135 primes = 2161080135 exceeds the cap of 500000000"):
         family_error_grid(2000.0, 2000, 2000, HALF)
+
+
+@pytest.mark.parametrize("x, A, B, interval, M", [
+    (300.0, 6, 9, HALF, 64),  # narrower than every window prime (151..293)
+    (14.0, 9, 12, GEN, 16),  # wider than p = 11, 13 on both axes: the tiling runs
+    (40.0, 30, 3, GEN, 8),  # wider than p = 23, 29 in a, narrower than p = 31, 37
+])
+def test_polynomial_sum_grid_against_per_curve_sum(x, A, B, interval, M):
+    """Without const_term the sweep is `p_polynomial_sum` at every pair."""
+    coeffs = dataclasses.replace(exact_st_coeffs(interval, M), const_term=0.0)
+    grid = polynomial_sum_grid(x, A, B, coeffs)
+    assert grid.shape == (2 * A + 1, 2 * B + 1) and grid.dtype == np.float64 and not grid.flags.writeable
+    for a, b in itertools.product(range(-A, A + 1, 2), range(-B, B + 1, 3)):
+        if 4 * a ** 3 + 27 * b ** 2:
+            want = p_polynomial_sum(CurveParams(a, b), x, coeffs, SumCondition.SKIP_BAD_ONLY)
+            assert grid[a + A, b + B] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        else:
+            assert grid[a + A, b + B] == 0.0  # p | Delta = 0 at every prime
+
+
+def test_polynomial_sum_grid_brackets_like_sandwich_error_bound():
+    """Each sandwich side's sweep minus pi~ mu is that side of the per-curve bracket."""
+    x, A, B, M = 200.0, 20, 13, 64
+    base = -primes_in_window(x).count * st_measure(GEN)
+    lower = polynomial_sum_grid(x, A, B, sandwich_coeffs(GEN, M, CoeffMode.MINORANT)) + base
+    upper = polynomial_sum_grid(x, A, B, sandwich_coeffs(GEN, M, CoeffMode.MAJORANT)) + base
+    for a, b in ((1, 1), (-20, 13), (0, 5), (7, 0), (-3, -1), (17, -11)):
+        lo, hi = sandwich_error_bound(CurveParams(a, b), x, GEN, M)
+        assert lower[a + A, b + B] == pytest.approx(lo, rel=1e-12, abs=1e-12)
+        assert upper[a + A, b + B] == pytest.approx(hi, rel=1e-12, abs=1e-12)
+        assert lo <= error_term(CurveParams(a, b), x, GEN) <= hi
+
+
+def test_polynomial_sum_grid_repeats_bit_for_bit():
+    coeffs = sandwich_coeffs(HALF, 32, CoeffMode.MAJORANT)
+    first = polynomial_sum_grid(60.0, 40, 35, coeffs)
+    again = polynomial_sum_grid(60.0, 40, 35, coeffs)
+    assert first.tobytes() == again.tobytes()
+
+
+def test_polynomial_sum_grid_guards(monkeypatch):
+    from stmoments import moments_engine
+
+    coeffs = exact_st_coeffs(HALF, 8)
+    with pytest.raises(BudgetError, match="16008001 pairs x 135 primes = 2161080135 exceeds the cap of 500000000"):
+        polynomial_sum_grid(2000.0, 2000, 2000, coeffs)
+
+    def no_sweep(*args):
+        raise AssertionError("swept a prime")
+
+    monkeypatch.setattr(moments_engine, "_box_prime_data", no_sweep)
+    too_wide = dataclasses.replace(coeffs, M=MAX_DEGREE + 1)
+    with pytest.raises(BudgetError, match=f"coefficient degree M = {MAX_DEGREE + 1} exceeds the cap MAX_DEGREE"):
+        polynomial_sum_grid(60.0, 4, 4, too_wide)
+
+
+def test_family_moments_checks_m_before_the_sweep(monkeypatch):
+    from stmoments import moments_engine
+
+    def no_sweep(*args):
+        raise AssertionError("swept the box")
+
+    monkeypatch.setattr(moments_engine, "family_error_grid", no_sweep)
+    plan = MomentPlan(x=20000.0, A=100, B=100, interval=HALF, M=10 ** 9)
+    with pytest.raises(BudgetError, match="coefficient degree M = 1000000000 exceeds the cap MAX_DEGREE = 100000"):
+        family_moments(plan)
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (float("nan"), ValueError, "window operations require x >= 10, got x = nan"),
+    (5.0, ValueError, "window operations require x >= 10, got x = 5.0"),
+    (math.inf, BudgetError, "x = inf exceeds the largest-prime cap"),
+])
+def test_plan_rejects_a_bad_x(x, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        MomentPlan(x=x, A=1, B=1, interval=HALF)
 
 
 @pytest.mark.parametrize("condition", [SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY])
