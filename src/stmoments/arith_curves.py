@@ -10,11 +10,17 @@ Residue grids of traces T(a, b) = -sum_x chi(x^3 + ax + b) for one prime
 come from its twist orbits.  Substituting x = d x' gives T(d^2 a, d^3 b) =
 chi(d) T(a, b), so every row a != 0 is a permuted, sign-flipped copy of row 1
 (a a square) or of row n (a a non-square, n the least non-residue), and a
-prime needs only the three base rows a = 0, 1, n, which `_twist_traces`
-builds itself.  The character sum is already the trace at singular pairs: at
-a node with double root e it is chi(3e), the split-tangent sign, and at the
-cusp it is -sum_x chi(x^3) = 0, so no entry is overwritten and only the good
-mask (Delta != 0 mod p) is needed.
+prime needs only the three base rows a = 0, 1, n.  The character sum is
+already the trace at singular pairs: at a node with double root e it is
+chi(3e), the split-tangent sign, and at the cusp it is -sum_x chi(x^3) = 0,
+so no entry is overwritten.  Delta(d^2 a, d^3 b) = d^6 Delta(a, b), so
+good reduction does not change along an orbit either.  `_twist_index`
+therefore returns a (6, p) table, the base rows and their negatives, its
+(6, p) good mask, and one flat index into both per residue pair: no trace,
+sign or Delta is formed per pair, and every consumer reads a pair's trace
+and good flag by `take`.  The index is uint32 while p < 2^16 (b d^-3 < p^2
+fits) and int64 above; its remainder mod p is taken as x - (x // p) p,
+since numpy divides by a scalar several times faster than it takes `%`.
 
 `_trace_rows` gives T(a, b) for every b at once: for each residue a the
 histogram of x^3 + ax over x is circularly correlated against the Legendre
@@ -26,11 +32,13 @@ over all residues it is an independent oracle for the twist construction, as
 are `curve_ap` and `_singular_pairs`/`_classify_singular`.
 
 Every trace the package reads goes through one function per shape of read,
-all on `_twist_traces` except the last: `ap_table` (the p x p grid),
-`_box_prime_data` and `box_summands` (one prime over a box) and `good_traces`
-(one curve at many primes, through `curve_ap`).  The box routes read every
-function of a_p/sqrt(p) off one `trace_values(p)` table by integer trace:
-the interval membership of the count sweep `family_error_grid`, the
+all on `_twist_index` except the last: `ap_table` (the p x p grid, through
+`_twist_traces`), `_box_prime_data` (one prime over a box in base form, for
+the box sweep) and `box_summands` (its traces gathered over the box), and
+`good_traces` (one curve at many primes, through `curve_ap`).  The box
+routes read every function of a_p/sqrt(p) off one `trace_values(p)` table
+by integer trace: the interval membership of the count sweep
+`family_error_grid` (on the (6, p) base table, before the gather), the
 Beurling-Selberg polynomial of the polynomial-sum sweep `polynomial_sum_grid`,
 the f_m rows of the expansion cross-check's power tables, and the f_m values
 of `family_averages`' box and grid sums.
@@ -342,18 +350,24 @@ def _twist_base(p: int) -> tuple[int, int, int]:
     return 0, 1, n
 
 
-def _twist_traces(p: int, a_res: np.ndarray, b_res: np.ndarray):
-    """Traces and good mask at the residue pairs (a_res x b_res) of one prime.
+def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray):
+    """Base table, good mask and twist index of the residue pairs (a_res x b_res) of one prime.
 
-    The base rows `_trace_rows(p, _twist_base(p))` are built here.  Row a != 0
-    is read off base row a0 = 1 or n through T(a, b) = chi(d) T(a0, b d^-3)
-    with d^2 = a / a0; d comes from a table of square roots, d^-3 = d^(p-4).
-    The work is O(p log p + len(a_res) len(b_res)).  Returns int64 traces and
-    the boolean mask Delta != 0 mod p, both of shape (len(a_res), len(b_res)).
+    ``base`` is the int64 (6, p) table of the base rows T(a0, .), a0 = 0, 1, n
+    (`_trace_rows(p, _twist_base(p))`, built here), followed by their
+    negatives, and ``good`` is its mask Delta(a0, b') != 0 mod p.  For a pair
+    (a, b) with d^2 = a / a0, ``index`` holds (row of a0, negated when
+    chi(d) = -1) * p + b d^-3 mod p, so ``base.take(index)`` and
+    ``good.take(index)`` are the traces and the good mask over a_res x b_res
+    (see the module docstring).  d comes from a table of square roots and
+    d^-3 = d^(p-4).  The index is uint32 for p < 2^16 and int64 above.  The
+    work is O(p log p + len(a_res) len(b_res)).
     """
     chi = _legendre_table(p)
     base_res = _twist_base(p)
-    base, n = _trace_rows(p, base_res), base_res[2]
+    rows, n = _trace_rows(p, base_res), base_res[2]
+    bs = np.arange(p, dtype=np.int64)
+    good = (4 * np.array(base_res, dtype=np.int64)[:, None] ** 3 + 27 * bs * bs) % p != 0
     a_res = np.asarray(a_res, dtype=np.int64)
     b_res = np.asarray(b_res, dtype=np.int64)
     ys = np.arange((p + 1) // 2, dtype=np.int64)
@@ -361,16 +375,28 @@ def _twist_traces(p: int, a_res: np.ndarray, b_res: np.ndarray):
     root[ys * ys % p] = ys  # y^2 are distinct for 0 <= y <= (p - 1) / 2
     square = chi[a_res] == 1
     d = np.where(a_res == 0, 1, root[np.where(square, a_res, a_res * pow(n, p - 2, p) % p)])
-    row = np.where(a_res == 0, 0, np.where(square, 1, 2))
+    row = np.where(a_res == 0, 0, np.where(square, 1, 2)) + 3 * (chi[d] == -1)
     d_inv3 = np.ones_like(d)  # d^(p-4) by square-and-multiply, entries stay below p^2
     power, e = d, p - 4
     while e:
         if e & 1:
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
-    ap = chi[d][:, None] * np.take(base, row[:, None] * p + b_res[None, :] * d_inv3[:, None] % p)
-    good = (4 * (a_res ** 3 % p) % p)[:, None] != (-27 * (b_res ** 2 % p) % p)[None, :]  # Delta != 0 mod p
-    return ap, good
+    dtype = np.uint32 if p < 1 << 16 else np.int64
+    index = b_res.astype(dtype)[None, :] * d_inv3.astype(dtype)[:, None]
+    quotient = index // p
+    quotient *= p
+    index -= quotient  # x - (x // p) p, with one p^2-sized temporary
+    index += (row * p).astype(dtype)[:, None]
+    return np.concatenate((rows, -rows)), np.concatenate((good, good)), index
+
+
+def _twist_traces(p: int, a_res: np.ndarray, b_res: np.ndarray):
+    """Int64 traces and the boolean mask Delta != 0 mod p at the residue pairs
+    (a_res x b_res) of one prime, both of shape (len(a_res), len(b_res)):
+    two takes of `_twist_index`'s base table and good mask."""
+    base, good, index = _twist_index(p, a_res, b_res)
+    return base.take(index), good.take(index)
 
 
 def _singular_pairs(p: int, a: int) -> list[int]:
@@ -396,27 +422,28 @@ def nonsingular_mask(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
 
 
 def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
-    """Residue table of one prime over the box: (ap, good, ia, ib).
+    """Residue table of one prime over the box in base form: (base, good, index).
 
     ``a_vals`` and ``b_vals`` are runs of consecutive integers, so their first
     min(n, p) residues are distinct and the rest repeat them with period p.
-    ``ap`` and ``good`` are `_twist_traces` at those residues in box order,
-    O(p log p + residues met) work whatever the box shape, and ``ia``, ``ib``
-    map the box rows and columns to them: ``ap[ia][:, ib]`` is the box.
+    ``base`` and ``good`` are `_twist_index`'s (6, p) base rows and good mask,
+    and ``index`` is its twist index at those residues in box order, so
+    ``base.take(index)`` is the trace table of one period of the box.  The
+    work is O(p log p + residues met) whatever the box shape.
     """
-    ua, ub = a_vals[:p] % p, b_vals[:p] % p
-    ap, good = _twist_traces(p, ua, ub)
-    return ap, good, np.arange(len(a_vals)) % len(ua), np.arange(len(b_vals)) % len(ub)
+    return _twist_index(p, a_vals[:p] % p, b_vals[:p] % p)
 
 
 def box_summands(p: int, a_vals: np.ndarray, b_vals: np.ndarray, condition: SumCondition):
     """Integer traces a_p over the box a_vals x b_vals (runs of consecutive
     integers) and the mask of the pairs whose prime sums keep p under ``condition``."""
-    ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
-    keep = good[ia][:, ib]  # good at p implies Delta != 0
+    base, good, index = _box_prime_data(p, a_vals, b_vals)
+    period_a, period_b = index.shape
+    index = index[np.ix_(np.arange(len(a_vals)) % period_a, np.arange(len(b_vals)) % period_b)]
+    keep = good.take(index)  # good at p implies Delta != 0
     if condition is SumCondition.SKIP_BAD_AND_AB:
         keep &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
-    return ap[ia][:, ib], keep
+    return base.take(index), keep
 
 
 def trace_values(p: int) -> np.ndarray:

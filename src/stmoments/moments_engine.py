@@ -6,13 +6,15 @@ count the window primes of good reduction whose normalized trace lands in I,
 subtract pi~(x) mu(I), and average powers of the result over the box.  All
 counting is exact integer work; floats appear only in the final
 normalization.  The per-prime residue tables come from the same twist-orbit
-construction as the full trace grid, restricted to the residues the box
-actually meets.  The box axes are runs of consecutive integers, so the box is
-a periodic tiling of each prime's hit table, added into the count grid tile
-by tile in a narrow integer accumulator.  The same loop (`_sweep_box`) sums
-a Beurling-Selberg polynomial over the primes at every pair
-(`polynomial_sum_grid`), so the certified bracket of the count error holds
-or fails over a whole box from three sweeps.
+construction as the full trace grid: each prime's hit rule runs on its six
+base rows only, and one gather through the twist index, in the
+accumulator's dtype, reads it at the residues the box meets.  The box axes
+are runs of consecutive integers, so the box is a periodic tiling of that
+hit table, added into the count grid tile by tile in a narrow integer
+accumulator.  The same loop (`_sweep_box`) sums a Beurling-Selberg
+polynomial over the primes at every pair (`polynomial_sum_grid`), so the
+certified bracket of the count error holds or fails over a whole box from
+three sweeps.
 
 Every statistic (moments, the CLT sample's KS distance and histogram, the
 almost-all exceptions) depends only on the multiset of selected counts,
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -205,15 +208,20 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, dtype, residue_table) -> tup
     """The one box-sweep loop: (a_vals, b_vals, acc) over |a| <= A, |b| <= B.
 
     For each window prime, in ascending order, ``residue_table(p, ap, good)``
-    turns its residue table (`_box_prime_data`: integer traces and good mask
-    at the residues the box meets, in box order) into the values the prime
-    adds.  The box axes are runs of consecutive integers, so the box is a
-    periodic tiling of that table: it is tiled once along b and added into
-    ``acc`` (of ``dtype``) one block of rows at a time, and no box-sized
-    gather is made per prime.  The fixed prime order makes float
-    accumulators bit-reproducible too.  Past DEFAULT_BOX_BUDGET pairs x
-    primes it raises a BudgetError before any prime is swept.
+    maps its (6, p) base table (`_box_prime_data`: the integer traces of the
+    twist base rows and their negatives, and their good mask) to the values
+    the prime adds.  Cast to ``dtype``, those are gathered once through the
+    twist index into the table of one period of the box; no trace, sign or
+    Delta is formed per residue pair.  The box axes are runs of consecutive
+    integers, so the box is a periodic tiling of that table: it is tiled
+    once along b and added into ``acc`` (of ``dtype``) one block of rows at
+    a time.  The fixed prime order makes float accumulators bit-reproducible
+    too.  Before any prime is swept, A or B that is not an integer >= 0 is a
+    ValueError naming both, and past DEFAULT_BOX_BUDGET pairs x primes a
+    BudgetError.
     """
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (A, B)):
+        raise ValueError(f"box sweep needs integers A, B >= 0, got A = {A}, B = {B}")
     n_pairs = (2 * A + 1) * (2 * B + 1)
     if n_pairs * max(window.count, 1) > DEFAULT_BOX_BUDGET:
         raise BudgetError(f"box sweep of {n_pairs} pairs x {window.count} primes = "
@@ -223,8 +231,8 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, dtype, residue_table) -> tup
     n_a, n_b = len(a_vals), len(b_vals)
     acc = np.zeros((n_a, n_b), dtype=dtype)
     for p in window.primes:
-        ap, good, _, _ = _box_prime_data(p, a_vals, b_vals)
-        table = residue_table(p, ap, good).astype(dtype, copy=False)
+        base, good, index = _box_prime_data(p, a_vals, b_vals)
+        table = residue_table(p, base, good).astype(dtype, copy=False).take(index)
         period_a, period_b = table.shape
         tile = np.tile(table, -(-n_b // period_b))[:, :n_b] if period_b < n_b else table
         for i in range(0, n_a, period_a):
@@ -238,13 +246,15 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
     read-only N_I grid in the accumulator's narrow unsigned dtype (cast it
     before signed arithmetic) and ``admissible`` masks Delta != 0
-    (`nonsingular_mask`).  Each prime's residue table reads its hits off
-    `interval.contains(trace_values(p))` by integer trace and is tiled over
-    the box by `_sweep_box`.  The accumulator has the narrowest unsigned
-    dtype that holds pi~ (a count never exceeds it): uint8 up to pi~ = 255,
-    uint16 above, which always suffices since MAX_PRIME keeps pi~ below 2^16;
-    it is returned as is, not widened.  All work is exact integer work, so
-    the result is bit-reproducible.
+    (`nonsingular_mask`).  Each prime's six base rows read their hits off
+    `interval.contains(trace_values(p))` by integer trace; `_sweep_box`
+    gathers them to the box's residues in the accumulator's dtype and tiles
+    them over the box.  The accumulator has the narrowest unsigned dtype
+    that holds pi~ (a count never exceeds it): uint8 up to pi~ = 255, uint16
+    above, which always suffices since MAX_PRIME keeps pi~ below 2^16; it is
+    returned as is, not widened.  All work is exact integer work, so
+    the result is bit-reproducible.  A and B must be integers >= 0; anything
+    else is a ValueError naming both before any prime is swept.
     """
     window = primes_in_window(x)
     a_vals, b_vals, acc = _sweep_box(window, A, B, np.min_scalar_type(window.count),
@@ -263,11 +273,14 @@ def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients) -> np.
     With a sandwich set and pi~(x) mu(I) subtracted this is that side of
     `sandwich_error_bound`'s bracket; without const_term times the good
     primes it is `p_polynomial_sum`.  Per prime the polynomial is evaluated
-    once on `trace_values(p)` (`BSCoefficients.eval_traces`), read at each
-    residue by integer trace, zeroed where p | Delta, and tiled into a
-    float64 accumulator by `_sweep_box`, primes ascending, so the result is
-    bit-reproducible.  Returns that read-only (2A+1, 2B+1) array.
-    A degree past MAX_DEGREE is a BudgetError before anything is swept.
+    once on `trace_values(p)` (`BSCoefficients.eval_traces`), read on the six
+    base rows by integer trace and zeroed where p | Delta; `_sweep_box`
+    gathers those float64 values to the box's residues and tiles them into a
+    float64 accumulator, primes ascending.  Every pair reads the same
+    `eval_traces` value as a per-residue evaluation would, so the result is
+    bit-reproducible.  Returns that read-only (2A+1, 2B+1) array.  A degree
+    past MAX_DEGREE is a BudgetError, and A or B that is not an integer
+    >= 0 a ValueError, before anything is swept.
     """
     _check_degree(coeffs.M)
     _, _, acc = _sweep_box(primes_in_window(x), A, B, np.float64,

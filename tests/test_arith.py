@@ -19,6 +19,7 @@ from stmoments.arith_curves import (
     _sqrt_lists,
     _trace_rows,
     _twist_base,
+    _twist_index,
     _twist_traces,
     ap_table,
     box_summands,
@@ -255,6 +256,43 @@ def test_twist_traces_entry_against_curve_ap(p, a, b, singular):
     assert bool(good[0]) == (delta % p != 0)
     expected = curve_ap(p, CurveParams(a, b)) if delta % p else _classify_singular(p, a, b)
     assert ap[0] == expected.ap
+
+
+@pytest.mark.parametrize("p, dtype", [(65521, np.uint32), (65537, np.int64), (999_983, np.int64)])
+def test_twist_index_dtype_boundary(p, dtype):
+    # b d^-3 < p^2 fits uint32 only for p < 2^16 (65521 is the largest such prime);
+    # at 999 983 the products of b = p - 1 with almost every d^-3 pass 2^32
+    rng = np.random.default_rng(p)
+    ks = rng.integers(1, p, 3).tolist()
+    delta_zero = [(0, 0)] + [(-3 * k * k % p, s * 2 * k ** 3 % p) for k in ks for s in (1, -1)]
+    a_res = [0, 1, 2, p - 1, *rng.integers(3, p - 1, 2).tolist(), *(-3 * k * k % p for k in ks)]
+    # singular pairs from the square-root lists at the two small primes; at
+    # 999 983 those lists would hold a million tuples, so the parametrisation
+    # (-3k^2, +-2k^3) of Delta = 0 stands in, which the small primes check
+    # against the lists
+    if p < 1 << 17:
+        singular = [(a, b) for a in a_res for b in _singular_pairs(p, a)]
+        assert set(delta_zero) <= set(singular)
+    else:
+        singular = delta_zero
+    assert len(singular) >= 6
+    b_good = [0, 1, p - 2, p - 1]
+    b_res = b_good + [b for _, b in singular]
+    base, good, index = _twist_index(p, np.array(a_res), np.array(b_res))
+    assert base.shape == good.shape == (6, p) and base.dtype == np.int64
+    assert index.dtype == dtype and index.shape == (len(a_res), len(b_res))
+    ap, ok = base.take(index), good.take(index)
+    for i, a in enumerate(a_res):
+        for j, b in enumerate(b_res):
+            delta = 4 * a ** 3 + 27 * b ** 2
+            assert bool(ok[i, j]) == (delta % p != 0)
+            if delta % p == 0:
+                assert ap[i, j] == _classify_singular(p, a, b).ap
+            elif j < len(b_good) and i < 6:  # curve_ap is O(p): the fixed rows and columns only
+                assert ap[i, j] == curve_ap(p, CurveParams(a, b)).ap
+    for a, b in singular:
+        i, j = a_res.index(a), b_res.index(b)
+        assert not ok[i, j] and ap[i, j] == _classify_singular(p, a, b).ap
 
 
 def _ap_table_oracle(p):

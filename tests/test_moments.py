@@ -238,6 +238,34 @@ def test_polynomial_sum_grid_brackets_like_sandwich_error_bound():
         assert lo <= error_term(CurveParams(a, b), x, GEN) <= hi
 
 
+def _per_residue_polynomial_sweep(x, A, B, coeffs):
+    """Oracle for `polynomial_sum_grid`: the polynomial on the float a_p/sqrt(p)
+    of every residue pair met, traces from all p FFT rows and the good mask
+    from Delta mod p, gathered to the box and added in ascending prime order."""
+    a_vals = np.arange(-A, A + 1, dtype=np.int64)
+    b_vals = np.arange(-B, B + 1, dtype=np.int64)
+    acc = np.zeros((len(a_vals), len(b_vals)))
+    for p in primes_in_window(x).primes:
+        ua, ia = np.unique(a_vals % p, return_inverse=True)
+        ub, ib = np.unique(b_vals % p, return_inverse=True)
+        ap = _trace_rows(p, ua)[:, ub]
+        good = (4 * ua[:, None] ** 3 + 27 * ub[None, :] ** 2) % p != 0
+        acc += np.where(good, coeffs.eval_traces(ap / math.sqrt(p)), 0.0)[np.ix_(ia, ib)]
+    return acc
+
+
+@pytest.mark.parametrize("x, A, B, interval, M", [
+    (40.0, 30, 3, GEN, 16),  # wider than p = 23, 29 in a, narrower than p = 31, 37
+    (40.0, 4, 33, HALF, 32),  # in b
+    (14.0, 40, 35, Interval(0.3, 2.9, half_open=True), 64),  # in both: p = 11 tiles the box 8 x 7 times
+    (300.0, 6, 9, HALF, 256),  # narrower than every window prime
+])
+def test_polynomial_sum_grid_equals_per_residue_oracle(x, A, B, interval, M):
+    for coeffs in (exact_st_coeffs(interval, M), sandwich_coeffs(interval, M, CoeffMode.MAJORANT)):
+        got = polynomial_sum_grid(x, A, B, coeffs)
+        assert got.tobytes() == _per_residue_polynomial_sweep(x, A, B, coeffs).tobytes()
+
+
 def test_polynomial_sum_grid_repeats_bit_for_bit():
     coeffs = sandwich_coeffs(HALF, 32, CoeffMode.MAJORANT)
     first = polynomial_sum_grid(60.0, 40, 35, coeffs)
@@ -259,6 +287,30 @@ def test_polynomial_sum_grid_guards(monkeypatch):
     too_wide = dataclasses.replace(coeffs, M=MAX_DEGREE + 1)
     with pytest.raises(BudgetError, match=f"coefficient degree M = {MAX_DEGREE + 1} exceeds the cap MAX_DEGREE"):
         polynomial_sum_grid(60.0, 4, 4, too_wide)
+
+
+@pytest.mark.parametrize("A, B", [(-1, 3), (3, -2), (2.5, 2), (2, 2.0), (-4, -4)])
+def test_sweeps_reject_a_bad_box_before_any_prime(monkeypatch, A, B):
+    from stmoments import moments_engine
+
+    def no_sweep(*args):
+        raise AssertionError("swept a prime")
+
+    monkeypatch.setattr(moments_engine, "_box_prime_data", no_sweep)
+    message = re.escape(f"box sweep needs integers A, B >= 0, got A = {A}, B = {B}")
+    with pytest.raises(ValueError, match=message):
+        family_error_grid(60.0, A, B, HALF)
+    with pytest.raises(ValueError, match=message):
+        polynomial_sum_grid(60.0, A, B, exact_st_coeffs(HALF, 8))
+
+
+def test_sweeps_take_an_empty_half_width():
+    # A = 0 and B = 0 stay legal: one row or one column of pairs
+    for A, B in ((0, 3), (3, 0), (0, 0), (np.int64(2), np.int64(1))):
+        grid = family_error_grid(60.0, A, B, HALF)
+        assert grid.counts.shape == (2 * A + 1, 2 * B + 1)
+        assert np.array_equal(grid.counts, _gather_sweep(60.0, int(A), int(B), HALF))
+        assert polynomial_sum_grid(60.0, A, B, exact_st_coeffs(HALF, 8)).shape == (2 * A + 1, 2 * B + 1)
 
 
 def test_family_moments_checks_m_before_the_sweep(monkeypatch):
@@ -450,8 +502,11 @@ def test_box_prime_data_against_fft_rows(p, A, B):
     # boxes wider than p in a, in b, and in both, all with A != B
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
-    ap, good, ia, ib = _box_prime_data(p, a_vals, b_vals)
-    ap_box, good_box = ap[ia][:, ib], good[ia][:, ib]
+    base, good, index = _box_prime_data(p, a_vals, b_vals)
+    assert base.shape == good.shape == (6, p) and index.dtype == np.uint32
+    assert index.shape == (min(len(a_vals), p), min(len(b_vals), p))
+    box = np.ix_(np.arange(len(a_vals)) % index.shape[0], np.arange(len(b_vals)) % index.shape[1])
+    ap_box, good_box = base.take(index)[box], good.take(index)[box]
     rows = _trace_rows(p, np.arange(p))
     assert np.array_equal(ap_box, rows[np.ix_(a_vals % p, b_vals % p)])
     delta = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
