@@ -32,16 +32,14 @@ over all residues it is an independent oracle for the twist construction, as
 are `curve_ap` and `_singular_pairs`/`_classify_singular`.
 
 Every trace the package reads goes through one function per shape of read,
-all on `_twist_index` except the last: `ap_table` (the p x p grid, through
-`_twist_traces`), `_box_prime_data` (one prime over a box in base form, for
-the box sweep) and `box_summands` (its traces gathered over the box), and
-`good_traces` (one curve at many primes, through `curve_ap`).  The box
-routes read every function of a_p/sqrt(p) off one `trace_values(p)` table
-by integer trace: the interval membership of the count sweep
-`family_error_grid` (on the (6, p) base table, before the gather), the
-Beurling-Selberg polynomial of the polynomial-sum sweep `polynomial_sum_grid`,
-the f_m rows of the expansion cross-check's power tables, and the f_m values
-of `family_averages`' box and grid sums.
+all on `_twist_index` except the last: `_box_prime_data` (one prime over a
+box in base form, for the box sweep), `box_summands` (traces over any grid:
+`ap_table`, `family_averages`, the expansion's power tables) and
+`good_traces` (one curve at many primes, through `curve_ap`).  The sweep and
+`box_summands` apply `SumCondition` by one rule on the base table, `_kept`.
+The box routes read every function of a_p/sqrt(p) (interval membership, a
+Beurling-Selberg polynomial, f_m) off one `trace_values(p)` table by integer
+trace; the two sweeps do so on the (6, p) base table, before the gather.
 
 Every O(p) table and the prime sieve stop at MAX_PRIME with a `BudgetError`
 before they allocate.
@@ -312,7 +310,7 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     [chi, chi] by one batched real FFT of 5-smooth length L >= 2p - 1, read at
     entries p - 1 .. 2p - 2.  For p = 2 mod 3 cubing permutes F_p, so row
     a = 0 is -sum_y chi(y + b) = 0 and skips the transforms.  The package
-    asks only for the base rows, inside `_twist_traces`, and tests compare
+    asks only for the base rows, inside `_twist_index`, and tests compare
     the twist grids with all p rows.
     """
     live = [i for i, a in enumerate(a_residues) if p % 3 != 2 or a % p]
@@ -342,7 +340,7 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
 
 
 def _twist_base(p: int) -> tuple[int, int, int]:
-    """The base residues (0, 1, n) of `_twist_traces`, n the least non-residue mod p."""
+    """The base residues (0, 1, n) of `_twist_index`, n the least non-residue mod p."""
     chi = _legendre_table(p)
     n = 2
     while chi[n] != -1:
@@ -391,14 +389,6 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray):
     return np.concatenate((rows, -rows)), np.concatenate((good, good)), index
 
 
-def _twist_traces(p: int, a_res: np.ndarray, b_res: np.ndarray):
-    """Int64 traces and the boolean mask Delta != 0 mod p at the residue pairs
-    (a_res x b_res) of one prime, both of shape (len(a_res), len(b_res)):
-    two takes of `_twist_index`'s base table and good mask."""
-    base, good, index = _twist_index(p, a_res, b_res)
-    return base.take(index), good.take(index)
-
-
 def _singular_pairs(p: int, a: int) -> list[int]:
     """Residues b with p | Delta(a, b), for a fixed residue a."""
     inv27 = pow(27, p - 2, p)
@@ -434,16 +424,23 @@ def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
     return _twist_index(p, a_vals[:p] % p, b_vals[:p] % p)
 
 
+def _kept(good: np.ndarray, condition: SumCondition) -> np.ndarray:
+    """The base-table mask of the primes a prime sum under ``condition`` keeps:
+    ``good``, less row 0 (only a = 0 reads it, d = 1) and column 0 (b d^-3 = 0
+    only for b = 0) under SKIP_BAD_AND_AB."""
+    if condition is SumCondition.SKIP_BAD_ONLY:
+        return good
+    keep = good.copy()
+    keep[[0, 3]] = False
+    keep[:, 0] = False
+    return keep
+
+
 def box_summands(p: int, a_vals: np.ndarray, b_vals: np.ndarray, condition: SumCondition):
-    """Integer traces a_p over the box a_vals x b_vals (runs of consecutive
-    integers) and the mask of the pairs whose prime sums keep p under ``condition``."""
-    base, good, index = _box_prime_data(p, a_vals, b_vals)
-    period_a, period_b = index.shape
-    index = index[np.ix_(np.arange(len(a_vals)) % period_a, np.arange(len(b_vals)) % period_b)]
-    keep = good.take(index)  # good at p implies Delta != 0
-    if condition is SumCondition.SKIP_BAD_AND_AB:
-        keep &= ((a_vals % p) != 0)[:, None] & ((b_vals % p) != 0)[None, :]
-    return base.take(index), keep
+    """Int64 traces a_p over the grid a_vals x b_vals and the mask of the pairs
+    whose prime sums keep p under ``condition``: two takes of `_twist_index`."""
+    base, good, index = _twist_index(p, a_vals % p, b_vals % p)
+    return base.take(index), _kept(good, condition).take(index)
 
 
 def trace_values(p: int) -> np.ndarray:
@@ -477,7 +474,7 @@ def ap_table(p: int) -> ApTable:
         raise BudgetError(f"ap_table capped at p <= {AP_TABLE_MAX_P}, got p = {p}")
     require_prime(p, "the trace grid")
     residues = np.arange(p)
-    ap, good = _twist_traces(p, residues, residues)
+    ap, good = box_summands(p, residues, residues, SumCondition.SKIP_BAD_ONLY)
     kind = np.where(good, np.uint8(_GOOD), np.uint8(_NODE))
     kind[0, 0] = _CUSP
     ap.setflags(write=False)

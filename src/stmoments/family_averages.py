@@ -15,12 +15,11 @@ which is the identity this module exercises from both ends: `s0_brute` sums
 the residue grid, `s0_formula` evaluates the trace expression.
 
 Grid sums are the test oracle; the production path for S(n) multiplies the
-prime-power values (exact traces and rationals, floats only at the end), with
-the axis averages S1 and S2 read off `_twist_traces` along each axis line.
-The sums over integer (a, b) boxes (`s_grid_brute`, `box_average`) read each
-prime through `arith_curves.box_summands`, the residue table of the moment
-sweep, so any prime up to MAX_PRIME is in reach; only `s0_brute` sums a full
-p x p `ap_table`.
+prime-power values (exact traces and rationals, floats only at the end).
+The axis averages S1 and S2 and the sums over integer (a, b) boxes
+(`s_grid_brute`, `box_average`) read each prime's traces through
+`arith_curves.box_summands`, so any prime up to MAX_PRIME is in reach; only
+`s0_brute` sums a full p x p `ap_table`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_curves import ApTable, SumCondition, _twist_traces, ap_table, box_summands, nonsingular_mask, trace_values
+from .arith_curves import ApTable, SumCondition, ap_table, box_summands, nonsingular_mask, trace_values
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -138,11 +137,11 @@ def s12(p: int, m: int) -> tuple[float, float]:
 
     Every curve on the punctured axes has good reduction at p, so the
     normalized coefficient is f_m on `trace_values`, indexed by the traces
-    `_twist_traces` gives along each punctured line.
+    `box_summands` gives along each punctured line.
     """
-    line = np.arange(1, p)
-    ap_a = _twist_traces(p, line, np.zeros(1, dtype=np.int64))[0][:, 0]
-    ap_b = _twist_traces(p, np.zeros(1, dtype=np.int64), line)[0][0]
+    line, zero = np.arange(1, p), np.zeros(1, dtype=np.int64)
+    ap_a = box_summands(p, line, zero, SumCondition.SKIP_BAD_ONLY)[0][:, 0]
+    ap_b = box_summands(p, zero, line, SumCondition.SKIP_BAD_ONLY)[0][0]
     coeff = f_eval(m, trace_values(p))
     return float(coeff[ap_a].sum()) / p ** 2, float(coeff[ap_b].sum()) / p ** 2
 

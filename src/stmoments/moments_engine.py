@@ -5,24 +5,22 @@ The direct route is elementary: for every admissible pair (a, b) in the box,
 count the window primes of good reduction whose normalized trace lands in I,
 subtract pi~(x) mu(I), and average powers of the result over the box.  All
 counting is exact integer work; floats appear only in the final
-normalization.  The per-prime residue tables come from the same twist-orbit
-construction as the full trace grid: each prime's hit rule runs on its six
-base rows only, and one gather through the twist index, in the
-accumulator's dtype, reads it at the residues the box meets.  The box axes
-are runs of consecutive integers, so the box is a periodic tiling of that
-hit table, added into the count grid tile by tile in a narrow integer
-accumulator.  The same loop (`_sweep_box`) sums a Beurling-Selberg
-polynomial over the primes at every pair (`polynomial_sum_grid`), so the
-certified bracket of the count error holds or fails over a whole box from
-three sweeps.
+normalization.  Each prime's hit rule runs on its six twist base rows only
+(`arith_curves`); one gather through the twist index reads it at the
+residues the box meets, and the box, a periodic tiling of that table, is
+added into a narrow integer accumulator.  The same loop (`_sweep_box`) sums
+a Beurling-Selberg polynomial over the primes at every pair
+(`polynomial_sum_grid`), so the certified bracket of the count error holds
+or fails over a whole box from three sweeps, and the cross-check's
+polynomial sums P_M come from one.
 
 Every statistic (moments, the CLT sample's KS distance and histogram, the
 almost-all exceptions) depends only on the multiset of selected counts,
 which take at most pi~ + 1 values: they run on its (value, multiplicity)
 table from `np.bincount`, not on box-sized float arrays.
 
-`moment_via_expansion` recomputes the t-th moment of the truncated
-polynomial sums by the algebraic route: open the t-th power, group equal
+`moment_via_expansion` recomputes the t-th moment of P_M by the algebraic
+route, on `box_summands`' power tables: open the t-th power, group equal
 primes with set partitions, expand coefficient products through the integer
 D tables, and attach to every exponent tuple the box average of the
 coefficient at p_1^a_1 ... p_u^a_u over pairwise-distinct prime tuples.
@@ -52,6 +50,7 @@ from .arith_curves import (
     PrimeWindow,
     SumCondition,
     _box_prime_data,
+    _kept,
     _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
     _window_limit,
@@ -120,6 +119,8 @@ class MomentPlan:
     def __post_init__(self):
         if not self.t_list or min(self.t_list) < 1:
             raise ValueError(f"moment orders need t >= 1, got t_list = {self.t_list}")
+        if self.M is not None and self.M < 1:
+            raise ValueError(f"need M >= 1, got M = {self.M}")
         _window_limit(self.x)  # NaN, x < 10 and inf fail here, before M or a sweep
 
     def resolved_m(self) -> int:
@@ -265,26 +266,27 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
     return FamilyGrid(a_vals, b_vals, acc, admissible, window.count)
 
 
-def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients) -> np.ndarray:
+def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients,
+                        condition: SumCondition = SumCondition.SKIP_BAD_ONLY) -> np.ndarray:
     """Polynomial prime sums over the box |a| <= A, |b| <= B: at each pair,
-    the sum over the window primes of good reduction (SKIP_BAD_ONLY) of
+    the sum over the window primes that ``condition`` keeps of
     const_term + sum_m u[m] f_m(a_p/sqrt(p)).
 
-    With a sandwich set and pi~(x) mu(I) subtracted this is that side of
-    `sandwich_error_bound`'s bracket; without const_term times the good
-    primes it is `p_polynomial_sum`.  Per prime the polynomial is evaluated
-    once on `trace_values(p)` (`BSCoefficients.eval_traces`), read on the six
-    base rows by integer trace and zeroed where p | Delta; `_sweep_box`
-    gathers those float64 values to the box's residues and tiles them into a
-    float64 accumulator, primes ascending.  Every pair reads the same
-    `eval_traces` value as a per-residue evaluation would, so the result is
-    bit-reproducible.  Returns that read-only (2A+1, 2B+1) array.  A degree
-    past MAX_DEGREE is a BudgetError, and A or B that is not an integer
-    >= 0 a ValueError, before anything is swept.
+    With a sandwich set and pi~(x) mu(I) subtracted, the default (good
+    primes) is that side of `sandwich_error_bound`'s bracket; without
+    const_term it is `p_polynomial_sum` under ``condition``, the direct side
+    of the expansion cross-check.  Per prime the polynomial is evaluated once
+    on `trace_values(p)` (`BSCoefficients.eval_traces`), read on the six base
+    rows by integer trace and zeroed off `_kept`; `_sweep_box` gathers those
+    float64 values to the box's residues and tiles them into a float64
+    accumulator, primes ascending, so the result is bit-reproducible.
+    Returns that read-only (2A+1, 2B+1) array.  A degree past MAX_DEGREE is
+    a BudgetError, and A or B that is not an integer >= 0 a ValueError,
+    before anything is swept.
     """
     _check_degree(coeffs.M)
-    _, _, acc = _sweep_box(primes_in_window(x), A, B, np.float64,
-                           lambda p, ap, good: np.where(good, coeffs.eval_traces(trace_values(p))[ap], 0.0))
+    _, _, acc = _sweep_box(primes_in_window(x), A, B, np.float64, lambda p, ap, good: np.where(
+        _kept(good, condition), coeffs.eval_traces(trace_values(p))[ap], 0.0))
     acc.setflags(write=False)
     return acc
 
@@ -321,7 +323,7 @@ def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentRe
     M = plan.resolved_m()
     _check_degree(M)  # before the sweep, so a degree past the cap fails fast
     (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
-    z = exact_st_coeffs(plan.interval, M).z if M >= 3 else float("nan")
+    z = exact_st_coeffs(plan.interval, M).z
     mu = st_measure(plan.interval)
     values, mult = _count_table(counts[admissible])
     errors = values - pi_tilde * mu
@@ -356,20 +358,12 @@ PIPELINE_MAX_PRIMES = 100
 PIPELINE_MAX_HALF_BOX = 15
 
 
-def _pipeline_guard(plan: MomentPlan, t: int) -> None:
-    """ValueError naming t < 1; BudgetError naming the first of t, M, A, B and
-    the prime count over its cap."""
+def _check_order_and_box(plan: MomentPlan, t: int) -> None:
+    """ValueError naming t < 1, or A and B unless both are >= 1 (norm 4AB)."""
     if t < 1:
         raise ValueError(f"expansion cross-check needs a moment order t >= 1, got t = {t}")
-    for name, value, cap in (
-        ("t", t, PIPELINE_MAX_T),
-        ("M", plan.resolved_m(), PIPELINE_MAX_M),
-        ("A", plan.A, PIPELINE_MAX_HALF_BOX),
-        ("B", plan.B, PIPELINE_MAX_HALF_BOX),
-        ("the window's prime count", primes_in_window(plan.x).count, PIPELINE_MAX_PRIMES),
-    ):
-        if value > cap:
-            raise BudgetError(f"expansion cross-check: {name} = {value} exceeds the cap of {cap}")
+    if not (plan.A >= 1 and plan.B >= 1):
+        raise ValueError(f"expansion cross-check needs A >= 1 and B >= 1, got A = {plan.A}, B = {plan.B}")
 
 
 def _masked_power_tables(plan: MomentPlan, mmax: int):
@@ -386,15 +380,15 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
 
 
 def psum_moment_direct(plan: MomentPlan, t: int, coeffs: BSCoefficients | None = None) -> float:
-    """(1/4AB) sum over the box of (sum_m U(m) sum_p coeff(p^m))^t, directly."""
-    _pipeline_guard(plan, t)
+    """(1/4AB) sum over the box of (sum_m U(m) sum_p coeff(p^m))^t, directly:
+    `polynomial_sum_grid` at the plan's M and condition, without const_term,
+    so bounded like every sweep, not by the PIPELINE_MAX_* caps."""
+    _check_order_and_box(plan, t)
     M = plan.resolved_m()
     coeffs = coeffs or exact_st_coeffs(plan.interval, M)
-    tables = _masked_power_tables(plan, M)
-    n_pairs = (2 * plan.A + 1) * (2 * plan.B + 1)
-    psum = np.zeros(n_pairs)
-    for rows in tables:
-        psum += coeffs.u[1:M + 1] @ rows[1:M + 1]
+    if coeffs.M < M:
+        raise ValueError(f"a coefficient set of degree {coeffs.M} is below the plan's M = {M}")
+    psum = polynomial_sum_grid(plan.x, plan.A, plan.B, replace(coeffs, M=M, const_term=0.0), plan.condition)
     return float((psum ** t).sum()) / (4.0 * plan.A * plan.B)
 
 
@@ -425,10 +419,20 @@ def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None
     Box averages of coefficients at square-free-supported prime powers stand
     in for their multiplicative approximation, which makes the rewriting an
     exact identity; agreement with `psum_moment_direct` to float accuracy is
-    the pipeline acceptance gate.
+    the pipeline acceptance gate.  Past the PIPELINE_MAX_* caps a BudgetError
+    names the first of t, M, A, B and the prime count over its cap.
     """
-    _pipeline_guard(plan, t)
+    _check_order_and_box(plan, t)
     M = plan.resolved_m()
+    for name, value, cap in (
+        ("t", t, PIPELINE_MAX_T),
+        ("M", M, PIPELINE_MAX_M),
+        ("A", plan.A, PIPELINE_MAX_HALF_BOX),
+        ("B", plan.B, PIPELINE_MAX_HALF_BOX),
+        ("the window's prime count", primes_in_window(plan.x).count, PIPELINE_MAX_PRIMES),
+    ):
+        if value > cap:
+            raise BudgetError(f"expansion cross-check: {name} = {value} exceeds the cap of {cap}")
     coeffs = coeffs or exact_st_coeffs(plan.interval, M)
     tables = np.stack(_masked_power_tables(plan, t * M))  # (prime, m, pair)
     norm = 4.0 * plan.A * plan.B

@@ -20,7 +20,6 @@ from stmoments.arith_curves import (
     _trace_rows,
     _twist_base,
     _twist_index,
-    _twist_traces,
     ap_table,
     box_summands,
     count_in_interval,
@@ -225,7 +224,7 @@ def test_curve_ap_requires_a_prime():
 
 
 def _twist_grid(p, a_res, b_res):
-    return _twist_traces(p, np.asarray(a_res), np.asarray(b_res))
+    return box_summands(p, np.asarray(a_res), np.asarray(b_res), SumCondition.SKIP_BAD_ONLY)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])

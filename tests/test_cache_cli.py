@@ -142,6 +142,8 @@ def test_cli_exit_codes(capsys):
         (["probe", "hyp2", "--x", "100", "--y", "200"], "need 0 <= y < x, got x = 100.0, y = 200.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "1"], "need x > 1 for the (log x)^c scale, got x = 1.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "0.5"], "need x > 1 for the (log x)^c scale, got x = 0.5"),
+        (["moments", "--x", "100", "--A", "1", "--B", "1", "--M", "-3"] + interval, "need M >= 1, got M = -3"),
+        (["moments", "--x", "100", "--A", "1", "--B", "1", "--M", "0"] + interval, "need M >= 1, got M = 0"),
     ):
         assert run(argv) == 2
         out, err = capsys.readouterr()
@@ -224,6 +226,22 @@ def test_cli_moments_json_schema(tmp_path, capsys):
     data = json.loads(out.read_text())
     jsonschema.validate(data, MOMENTS_SCHEMA)
     assert data["A"] == 4 and data["M"] == 8
+
+
+@pytest.mark.parametrize("M", ["1", "2"])
+def test_cli_moments_json_is_strict_at_low_degree(tmp_path, capsys, M):
+    # Z is a number at every M >= 1: no NaN, which strict JSON parsers reject
+    out = tmp_path / "report.json"
+    assert run(["moments", "--x", "100", "--A", "4", "--B", "4", "--alpha", "0", "--beta", "1.5707963267948966",
+                "--M", M, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    jsonschema.validate(data, MOMENTS_SCHEMA)
+    assert data["M"] == int(M) and data["Z"] == exact_st_coeffs(Interval(0.0, 1.5707963267948966), int(M)).z
 
 
 def test_cli_clt_csv(tmp_path, capsys):

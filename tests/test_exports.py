@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,10 @@ def test_readme_lists_every_cap():
                 name = getattr(target, "id", "")
                 if "MAX" in name or "BUDGET" in name:
                     assert f"| `{info.name}.{name}` |" in table, f"{info.name}.{name}"
+    # and back: every row names an existing module constant, with its value
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]*) \|", table, flags=re.MULTILINE)
+    assert len(rows) == table.count("\n| `")
+    for module, name, value in rows:
+        constant = getattr(importlib.import_module(f"stmoments.{module}"), name, None)
+        assert constant is not None, f"{module}.{name} is not a module constant"
+        assert value.replace(" ", "") == str(constant), f"{module}.{name}: README says {value}, the code {constant}"

@@ -7,8 +7,8 @@ from stmoments.arith_curves import (
     CurveParams,
     SumCondition,
     _legendre_table,
-    _twist_traces,
     ap_table,
+    box_summands,
     curve_ap,
     nonsingular_mask,
 )
@@ -174,7 +174,7 @@ def _per_residue_coeff_product(n, a_vals, b_vals, condition):
     for p, m in n.factors:
         ua, ia = np.unique(a_vals % p, return_inverse=True)
         ub, ib = np.unique(b_vals % p, return_inverse=True)
-        ap, good = _twist_traces(p, ua, ub)
+        ap, good = box_summands(p, ua, ub, SumCondition.SKIP_BAD_ONLY)
         mask &= good[np.ix_(ia, ib)]
         if condition is SumCondition.SKIP_BAD_AND_AB:
             mask &= (a_vals % p != 0)[:, None] & (b_vals % p != 0)[None, :]

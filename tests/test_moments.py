@@ -14,8 +14,9 @@ from stmoments.arith_curves import (
     Interval,
     SumCondition,
     _trace_rows,
-    _twist_traces,
+    box_summands,
     count_in_interval,
+    good_traces,
     primes_in_window,
 )
 from stmoments.chebycomb import f_poly, set_partitions
@@ -113,7 +114,7 @@ def _gather_sweep(x, A, B, interval):
     for p in primes_in_window(x).primes:
         ua, ia = np.unique(a_vals % p, return_inverse=True)
         ub, ib = np.unique(b_vals % p, return_inverse=True)
-        ap, good = _twist_traces(p, ua, ub)
+        ap, good = box_summands(p, ua, ub, SumCondition.SKIP_BAD_ONLY)
         counts += (good & interval.contains(ap / math.sqrt(p)))[ia][:, ib]
     return counts
 
@@ -144,7 +145,7 @@ def _per_residue_power_tables(plan, mmax):
     for p in primes_in_window(plan.x).primes:
         ua, ia = np.unique(a_vals % p, return_inverse=True)
         ub, ib = np.unique(b_vals % p, return_inverse=True)
-        ap, good = _twist_traces(p, ua, ub)
+        ap, good = box_summands(p, ua, ub, SumCondition.SKIP_BAD_ONLY)
         keep = good[np.ix_(ia, ib)]
         if plan.condition is SumCondition.SKIP_BAD_AND_AB:
             keep &= (a_vals % p != 0)[:, None] & (b_vals % p != 0)[None, :]
@@ -165,7 +166,7 @@ def test_power_tables_equal_per_residue_route(x, A, B, condition):
     assert len(got) == len(want) == primes_in_window(x).count
     for rows, oracle in zip(got, want):
         assert rows.flags.c_contiguous and np.array_equal(rows, oracle)
-        assert np.array_equal(u @ rows[1:7], u @ oracle[1:7])  # the products of `psum_moment_direct`
+        assert np.array_equal(u @ rows[1:7], u @ oracle[1:7])
 
 
 def test_family_moments_full_interval_zero():
@@ -225,6 +226,29 @@ def test_polynomial_sum_grid_against_per_curve_sum(x, A, B, interval, M):
             assert grid[a + A, b + B] == 0.0  # p | Delta = 0 at every prime
 
 
+@pytest.mark.parametrize("x, A, B, interval, M", [
+    (300.0, 6, 9, HALF, 64),  # narrower than every window prime
+    (14.0, 9, 12, GEN, 16),  # wider than p = 11, 13 on both axes
+    (40.0, 30, 3, GEN, 8),  # wider than p = 23, 29 in a, narrower than p = 31, 37
+])
+def test_polynomial_sum_grid_skips_ab_like_the_per_curve_sum(x, A, B, interval, M):
+    """Under SKIP_BAD_AND_AB the sweep is `p_polynomial_sum` under that
+    condition plus const_term times the primes it keeps, at every pair."""
+    coeffs = exact_st_coeffs(interval, M)
+    grid = polynomial_sum_grid(x, A, B, coeffs, SumCondition.SKIP_BAD_AND_AB)
+    primes = primes_in_window(x).primes
+    for a, b in itertools.product(range(-A, A + 1), range(-B, B + 1, 2)):
+        curve = CurveParams(a, b)
+        if curve.delta:
+            kept = len(good_traces(curve, primes, SumCondition.SKIP_BAD_AND_AB))
+            want = p_polynomial_sum(curve, x, coeffs, SumCondition.SKIP_BAD_AND_AB) + coeffs.const_term * kept
+            assert grid[a + A, b + B] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if a == 0 or b == 0:
+                assert kept == 0 and grid[a + A, b + B] == 0.0  # p | ab at every prime
+        else:
+            assert grid[a + A, b + B] == 0.0
+
+
 def test_polynomial_sum_grid_brackets_like_sandwich_error_bound():
     """Each sandwich side's sweep minus pi~ mu is that side of the per-curve bracket."""
     x, A, B, M = 200.0, 20, 13, 64
@@ -238,10 +262,11 @@ def test_polynomial_sum_grid_brackets_like_sandwich_error_bound():
         assert lo <= error_term(CurveParams(a, b), x, GEN) <= hi
 
 
-def _per_residue_polynomial_sweep(x, A, B, coeffs):
+def _per_residue_polynomial_sweep(x, A, B, coeffs, condition=SumCondition.SKIP_BAD_ONLY):
     """Oracle for `polynomial_sum_grid`: the polynomial on the float a_p/sqrt(p)
-    of every residue pair met, traces from all p FFT rows and the good mask
-    from Delta mod p, gathered to the box and added in ascending prime order."""
+    of every residue pair met, traces from all p FFT rows and the kept mask
+    from Delta mod p (and ab mod p under SKIP_BAD_AND_AB), gathered to the box
+    and added in ascending prime order."""
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     acc = np.zeros((len(a_vals), len(b_vals)))
@@ -250,6 +275,8 @@ def _per_residue_polynomial_sweep(x, A, B, coeffs):
         ub, ib = np.unique(b_vals % p, return_inverse=True)
         ap = _trace_rows(p, ua)[:, ub]
         good = (4 * ua[:, None] ** 3 + 27 * ub[None, :] ** 2) % p != 0
+        if condition is SumCondition.SKIP_BAD_AND_AB:
+            good &= (ua[:, None] != 0) & (ub[None, :] != 0)
         acc += np.where(good, coeffs.eval_traces(ap / math.sqrt(p)), 0.0)[np.ix_(ia, ib)]
     return acc
 
@@ -264,6 +291,9 @@ def test_polynomial_sum_grid_equals_per_residue_oracle(x, A, B, interval, M):
     for coeffs in (exact_st_coeffs(interval, M), sandwich_coeffs(interval, M, CoeffMode.MAJORANT)):
         got = polynomial_sum_grid(x, A, B, coeffs)
         assert got.tobytes() == _per_residue_polynomial_sweep(x, A, B, coeffs).tobytes()
+        for condition in SumCondition:
+            got = polynomial_sum_grid(x, A, B, coeffs, condition)
+            assert got.tobytes() == _per_residue_polynomial_sweep(x, A, B, coeffs, condition).tobytes()
 
 
 def test_polynomial_sum_grid_repeats_bit_for_bit():
@@ -367,12 +397,58 @@ def test_expansion_guard():
         (dict(x=1447.0), "prime count = 101 exceeds the cap of 100"),
     ):
         plan = dataclasses.replace(MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=2), **kwargs)
-        for route in (moment_via_expansion, psum_moment_direct):
-            with pytest.raises(BudgetError, match=message):
-                route(plan, 4)
+        with pytest.raises(BudgetError, match=message):
+            moment_via_expansion(plan, 4)
     for route in (moment_via_expansion, psum_moment_direct):
         with pytest.raises(ValueError, match="needs a moment order t >= 1, got t = 0"):
             route(plan, 0)
+
+
+@pytest.mark.parametrize("x, A, B, M, t", [
+    (40.0, 16, 3, 2, 2),  # A past the expansion's cap of 15
+    (40.0, 3, 16, 3, 3),  # B past it
+    (1447.0, 2, 1, 2, 4),  # 101 window primes, past the cap of 100
+    (40.0, 4, 4, 9, 4),  # M past the cap of 8
+    (60.0, 3, 2, 3, 5),  # t past the cap of 4
+])
+def test_psum_moment_direct_past_the_expansion_caps(x, A, B, M, t):
+    """The direct side is the polynomial-sum sweep, bounded only like every
+    sweep: against the per-pair `p_polynomial_sum` oracle where the
+    expansion refuses the plan."""
+    coeffs = exact_st_coeffs(GEN, M)
+    assert primes_in_window(1447.0).count == 101
+    for condition in SumCondition:
+        plan = MomentPlan(x=x, A=A, B=B, interval=GEN, M=M, condition=condition)
+        with pytest.raises(BudgetError, match="exceeds the cap of"):
+            moment_via_expansion(plan, t, coeffs)
+        sums = [p_polynomial_sum(CurveParams(a, b), x, coeffs, condition)
+                for a, b in itertools.product(range(-A, A + 1), range(-B, B + 1)) if 4 * a ** 3 + 27 * b ** 2]
+        want = math.fsum(s ** t for s in sums) / (4 * A * B)
+        assert psum_moment_direct(plan, t, coeffs) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("A, B", [(0, 3), (3, 0), (0, 0)])
+def test_cross_check_rejects_an_empty_half_width(monkeypatch, A, B):
+    from stmoments import arith_curves, moments_engine
+
+    def no_sweep(*args):
+        raise AssertionError("swept a prime")
+
+    monkeypatch.setattr(moments_engine, "_box_prime_data", no_sweep)
+    monkeypatch.setattr(moments_engine, "box_summands", no_sweep)
+    monkeypatch.setattr(arith_curves, "_twist_index", no_sweep)
+    plan = MomentPlan(x=40.0, A=A, B=B, interval=GEN, M=2)
+    for route in (moment_via_expansion, psum_moment_direct):
+        with pytest.raises(ValueError, match=re.escape(f"needs A >= 1 and B >= 1, got A = {A}, B = {B}")):
+            route(plan, 2)
+        with pytest.raises(ValueError, match="needs a moment order t >= 1, got t = 0"):
+            route(plan, 0)
+
+
+def test_psum_moment_direct_rejects_a_set_below_the_plans_degree():
+    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=3)
+    with pytest.raises(ValueError, match=re.escape("a coefficient set of degree 2 is below the plan's M = 3")):
+        psum_moment_direct(plan, 2, exact_st_coeffs(GEN, 2))
 
 
 @pytest.mark.parametrize("t_list", [(), (0,), (2, -1)])
