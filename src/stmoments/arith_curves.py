@@ -428,7 +428,7 @@ def _kept(good: np.ndarray, condition: SumCondition) -> np.ndarray:
     """The base-table mask of the primes a prime sum under ``condition`` keeps:
     ``good``, less row 0 (only a = 0 reads it, d = 1) and column 0 (b d^-3 = 0
     only for b = 0) under SKIP_BAD_AND_AB."""
-    if condition is SumCondition.SKIP_BAD_ONLY:
+    if SumCondition(condition) is SumCondition.SKIP_BAD_ONLY:
         return good
     keep = good.copy()
     keep[[0, 3]] = False
@@ -487,7 +487,7 @@ def good_traces(curve: CurveParams, primes, condition: SumCondition) -> np.ndarr
     keeps for the curve, in the given order; ValueError naming a and b when
     Delta(a, b) = 0."""
     _require_elliptic(curve)
-    skip_ab = condition is SumCondition.SKIP_BAD_AND_AB
+    skip_ab = SumCondition(condition) is SumCondition.SKIP_BAD_AND_AB
     kept = [p for p in primes if curve.delta % p and not (skip_ab and curve.a * curve.b % p == 0)]
     return np.array([curve_ap(p, curve).ap / math.sqrt(p) for p in kept], dtype=float)
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_curves import ApTable, SumCondition, ap_table, box_summands, nonsingular_mask, trace_values
+from .arith_curves import ApTable, SumCondition, ap_table, box_summands, nonsingular_mask, require_prime, trace_values
 from .chebycomb import f_eval
 from .errors import BudgetError
 from .hecke import TraceStore, _default_store
@@ -137,8 +137,9 @@ def s12(p: int, m: int) -> tuple[float, float]:
 
     Every curve on the punctured axes has good reduction at p, so the
     normalized coefficient is f_m on `trace_values`, indexed by the traces
-    `box_summands` gives along each punctured line.
+    `box_summands` gives along each punctured line.  p must be a prime >= 5.
     """
+    require_prime(p, "the axis averages")
     line, zero = np.arange(1, p), np.zeros(1, dtype=np.int64)
     ap_a = box_summands(p, line, zero, SumCondition.SKIP_BAD_ONLY)[0][:, 0]
     ap_b = box_summands(p, zero, line, SumCondition.SKIP_BAD_ONLY)[0][0]
@@ -221,7 +222,7 @@ def box_average(
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     total = float(_grid_coeff_product(n, a_vals, b_vals, condition).sum())
-    if condition is SumCondition.SKIP_BAD_AND_AB:
+    if SumCondition(condition) is SumCondition.SKIP_BAD_AND_AB:
         prediction = 4.0 * A * B * s_multiplicative(n, store)
     else:
         prediction = 4.0 * A * B * s0_multiplicative(n, store)

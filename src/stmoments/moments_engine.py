@@ -19,11 +19,11 @@ almost-all exceptions) depends only on the multiset of selected counts,
 which take at most pi~ + 1 values: they run on its (value, multiplicity)
 table from `np.bincount`, not on box-sized float arrays.
 
-`moment_via_expansion` recomputes the t-th moment of P_M by the algebraic
-route, on `box_summands`' power tables: open the t-th power, group equal
-primes with set partitions, expand coefficient products through the integer
-D tables, and attach to every exponent tuple the box average of the
-coefficient at p_1^a_1 ... p_u^a_u over pairwise-distinct prime tuples.
+`moment_via_expansion` recomputes the moments of P_M at every t of a plan's
+`t_list` on one build of `box_summands`' power tables: open the t-th power,
+group equal primes with set partitions, expand coefficient products through
+the integer D tables, and attach to every exponent tuple the box average of
+the coefficient at p_1^a_1 ... p_u^a_u over pairwise-distinct prime tuples.
 Those distinct-prime sums go by the partition route (`chebycomb.distinct_sum`):
 Bell(u) products of plain prime sums, not an O(P^u) enumeration.  Before
 any analytic estimation that rewriting is an identity, so the two routes
@@ -117,6 +117,8 @@ class MomentPlan:
     exclude_axes: bool = False  # drop the complex-multiplication lines a=0, b=0
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (*self.t_list, 1 if self.M is None else self.M)):
+            raise ValueError(f"moment orders and M must be integers, got t_list = {self.t_list}, M = {self.M}")
         if not self.t_list or min(self.t_list) < 1:
             raise ValueError(f"moment orders need t >= 1, got t_list = {self.t_list}")
         if self.M is not None and self.M < 1:
@@ -358,10 +360,8 @@ PIPELINE_MAX_PRIMES = 100
 PIPELINE_MAX_HALF_BOX = 15
 
 
-def _check_order_and_box(plan: MomentPlan, t: int) -> None:
-    """ValueError naming t < 1, or A and B unless both are >= 1 (norm 4AB)."""
-    if t < 1:
-        raise ValueError(f"expansion cross-check needs a moment order t >= 1, got t = {t}")
+def _check_box(plan: MomentPlan) -> None:
+    """ValueError naming A and B unless both are >= 1 (norm 4AB)."""
     if not (plan.A >= 1 and plan.B >= 1):
         raise ValueError(f"expansion cross-check needs A >= 1 and B >= 1, got A = {plan.A}, B = {plan.B}")
 
@@ -379,17 +379,14 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     return tables
 
 
-def psum_moment_direct(plan: MomentPlan, t: int, coeffs: BSCoefficients | None = None) -> float:
-    """(1/4AB) sum over the box of (sum_m U(m) sum_p coeff(p^m))^t, directly:
-    `polynomial_sum_grid` at the plan's M and condition, without const_term,
-    so bounded like every sweep, not by the PIPELINE_MAX_* caps."""
-    _check_order_and_box(plan, t)
-    M = plan.resolved_m()
-    coeffs = coeffs or exact_st_coeffs(plan.interval, M)
-    if coeffs.M < M:
-        raise ValueError(f"a coefficient set of degree {coeffs.M} is below the plan's M = {M}")
-    psum = polynomial_sum_grid(plan.x, plan.A, plan.B, replace(coeffs, M=M, const_term=0.0), plan.condition)
-    return float((psum ** t).sum()) / (4.0 * plan.A * plan.B)
+def psum_moment_direct(plan: MomentPlan) -> tuple[float, ...]:
+    """(1/4AB) sum over the box of (sum_m U(m) sum_p coeff(p^m))^t at each t of
+    the plan's t_list, from one `polynomial_sum_grid` sweep at the plan's M and
+    condition, without const_term: bounded like every sweep, not by the caps."""
+    _check_box(plan)
+    coeffs = replace(exact_st_coeffs(plan.interval, plan.resolved_m()), const_term=0.0)
+    psum = polynomial_sum_grid(plan.x, plan.A, plan.B, coeffs, plan.condition)
+    return tuple(float((psum ** t).sum()) / (4.0 * plan.A * plan.B) for t in plan.t_list)
 
 
 def _fold_u_tables(u: np.ndarray, M: int, t: int) -> list[dict[int, float]]:
@@ -413,19 +410,20 @@ def _expansion_terms(u: np.ndarray, M: int, t: int):
             yield alphas, math.prod(ft[alpha] for ft, alpha in zip(factor_tables, alphas))
 
 
-def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None = None) -> float:
-    """The same t-th moment through the partition/product-rule expansion.
+def moment_via_expansion(plan: MomentPlan) -> tuple[float, ...]:
+    """The same moments through the partition/product-rule expansion, from
+    one build of the power tables and one cache of distinct-prime averages.
 
     Box averages of coefficients at square-free-supported prime powers stand
     in for their multiplicative approximation, which makes the rewriting an
     exact identity; agreement with `psum_moment_direct` to float accuracy is
     the pipeline acceptance gate.  Past the PIPELINE_MAX_* caps a BudgetError
-    names the first of t, M, A, B and the prime count over its cap.
+    names the first of max(t_list), M, A, B and the prime count over its cap.
     """
-    _check_order_and_box(plan, t)
-    M = plan.resolved_m()
+    _check_box(plan)
+    M, t_max = plan.resolved_m(), max(plan.t_list)
     for name, value, cap in (
-        ("t", t, PIPELINE_MAX_T),
+        ("t", t_max, PIPELINE_MAX_T),
         ("M", M, PIPELINE_MAX_M),
         ("A", plan.A, PIPELINE_MAX_HALF_BOX),
         ("B", plan.B, PIPELINE_MAX_HALF_BOX),
@@ -433,8 +431,8 @@ def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None
     ):
         if value > cap:
             raise BudgetError(f"expansion cross-check: {name} = {value} exceeds the cap of {cap}")
-    coeffs = coeffs or exact_st_coeffs(plan.interval, M)
-    tables = np.stack(_masked_power_tables(plan, t * M))  # (prime, m, pair)
+    u = exact_st_coeffs(plan.interval, M).u
+    tables = np.stack(_masked_power_tables(plan, t_max * M))  # (prime, m, pair)
     norm = 4.0 * plan.A * plan.B
 
     @lru_cache(maxsize=None)
@@ -446,11 +444,14 @@ def moment_via_expansion(plan: MomentPlan, t: int, coeffs: BSCoefficients | None
         pairs = distinct_sum(len(alphas), lambda block: block_sum(tuple(sorted(alphas[i] for i in block))))
         return float(pairs.sum()) / norm
 
-    total = 0.0
-    for alphas, coeff in _expansion_terms(coeffs.u, M, t):
-        if coeff != 0.0:
-            total += coeff * distinct_average(tuple(sorted(alphas)))
-    return total
+    moments = []
+    for t in plan.t_list:
+        total = 0.0
+        for alphas, coeff in _expansion_terms(u, M, t):
+            if coeff != 0.0:
+                total += coeff * distinct_average(tuple(sorted(alphas)))
+        moments.append(total)
+    return tuple(moments)
 
 
 def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ...]) -> float:

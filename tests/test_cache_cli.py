@@ -1,5 +1,9 @@
+import functools
+import importlib.util
 import json
+import pathlib
 import re
+import sys
 import warnings
 
 import pytest
@@ -295,11 +299,25 @@ def test_cli_probe(capsys):
     assert "value=" in out
 
 
+@functools.cache
+def _benchmark_suite_checks() -> dict:
+    """The check count per suite that the benchmark's identity gate expects,
+    read from perfbench/workloads.py without adding perfbench to sys.path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.SUITE_CHECKS
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_cli_verify_single_suite(suite, capsys):
     assert run(["verify", "--suite", suite]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    checks = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(checks) == _benchmark_suite_checks()[suite]
 
 
 def test_cli_eichler(capsys, monkeypatch):

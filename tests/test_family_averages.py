@@ -118,6 +118,12 @@ def test_s12_examples():
             assert abs(s2) <= (m + 1) / p + 1e-12
 
 
+@pytest.mark.parametrize("p", [9, 2])
+def test_s12_needs_a_prime(p):
+    with pytest.raises(ValueError, match=f"the axis averages needs a prime p >= 5, got p = {p}"):
+        s12(p, 2)
+
+
 def test_s12_matches_scalar_loop():
     from stmoments.arith_curves import CurveParams, curve_ap
 
@@ -236,6 +242,13 @@ def test_box_average_residual_scale():
     assert abs(res0.residual) <= 10 * res0.bound_shape
     with pytest.raises(BudgetError, match="16008001 pairs exceeds the cap of 4000000"):
         box_average(n, 2000, 2000)
+
+
+def test_box_average_reads_a_condition_value_as_its_member():
+    # the summation and the prediction read the same condition
+    n = FactoredInteger.from_int(5)
+    for condition in SumCondition:
+        assert box_average(n, 6, 6, condition.value) == box_average(n, 6, 6, condition)
 
 
 def test_box_average_beyond_the_ap_table_cap():

@@ -368,40 +368,33 @@ def test_plan_rejects_a_bad_x(x, error, message):
 @pytest.mark.parametrize("condition", [SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY])
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_expansion_identity(condition, t):
-    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=2, condition=condition)
-    coeffs = exact_st_coeffs(GEN, 2)
-    direct = psum_moment_direct(plan, t, coeffs)
-    expanded = moment_via_expansion(plan, t, coeffs)
+    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(t,), M=2, condition=condition)
+    (direct,), (expanded,) = psum_moment_direct(plan), moment_via_expansion(plan)
     assert expanded == pytest.approx(direct, abs=1e-9, rel=1e-9)
 
 
 def test_expansion_t1_linearity():
-    plan = MomentPlan(x=40.0, A=3, B=3, interval=HALF, M=3, condition=SumCondition.SKIP_BAD_AND_AB)
-    coeffs = exact_st_coeffs(HALF, 3)
-    direct = psum_moment_direct(plan, 1, coeffs)
-    expanded = moment_via_expansion(plan, 1, coeffs)
+    plan = MomentPlan(x=40.0, A=3, B=3, interval=HALF, t_list=(1,), M=3, condition=SumCondition.SKIP_BAD_AND_AB)
+    (direct,), (expanded,) = psum_moment_direct(plan), moment_via_expansion(plan)
     assert expanded == pytest.approx(direct, abs=1e-12)
 
 
 def test_expansion_guard():
-    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=32)
+    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(2,), M=32)
     with pytest.raises(BudgetError, match="M = 32 exceeds the cap of 8"):
-        moment_via_expansion(plan, 2)
-    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=2)
+        moment_via_expansion(plan)
+    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(2, 5, 1), M=2)
     with pytest.raises(BudgetError, match="t = 5 exceeds the cap of 4"):
-        moment_via_expansion(plan, 5)
+        moment_via_expansion(plan)
     for kwargs, message in (
         (dict(M=9), "M = 9 exceeds the cap of 8"),
         (dict(A=16), "A = 16 exceeds the cap of 15"),
         (dict(B=16), "B = 16 exceeds the cap of 15"),
         (dict(x=1447.0), "prime count = 101 exceeds the cap of 100"),
     ):
-        plan = dataclasses.replace(MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=2), **kwargs)
+        plan = dataclasses.replace(MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(4,), M=2), **kwargs)
         with pytest.raises(BudgetError, match=message):
-            moment_via_expansion(plan, 4)
-    for route in (moment_via_expansion, psum_moment_direct):
-        with pytest.raises(ValueError, match="needs a moment order t >= 1, got t = 0"):
-            route(plan, 0)
+            moment_via_expansion(plan)
 
 
 @pytest.mark.parametrize("x, A, B, M, t", [
@@ -418,13 +411,13 @@ def test_psum_moment_direct_past_the_expansion_caps(x, A, B, M, t):
     coeffs = exact_st_coeffs(GEN, M)
     assert primes_in_window(1447.0).count == 101
     for condition in SumCondition:
-        plan = MomentPlan(x=x, A=A, B=B, interval=GEN, M=M, condition=condition)
+        plan = MomentPlan(x=x, A=A, B=B, interval=GEN, t_list=(t,), M=M, condition=condition)
         with pytest.raises(BudgetError, match="exceeds the cap of"):
-            moment_via_expansion(plan, t, coeffs)
+            moment_via_expansion(plan)
         sums = [p_polynomial_sum(CurveParams(a, b), x, coeffs, condition)
                 for a, b in itertools.product(range(-A, A + 1), range(-B, B + 1)) if 4 * a ** 3 + 27 * b ** 2]
         want = math.fsum(s ** t for s in sums) / (4 * A * B)
-        assert psum_moment_direct(plan, t, coeffs) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert psum_moment_direct(plan) == pytest.approx((want,), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("A, B", [(0, 3), (3, 0), (0, 0)])
@@ -440,15 +433,7 @@ def test_cross_check_rejects_an_empty_half_width(monkeypatch, A, B):
     plan = MomentPlan(x=40.0, A=A, B=B, interval=GEN, M=2)
     for route in (moment_via_expansion, psum_moment_direct):
         with pytest.raises(ValueError, match=re.escape(f"needs A >= 1 and B >= 1, got A = {A}, B = {B}")):
-            route(plan, 2)
-        with pytest.raises(ValueError, match="needs a moment order t >= 1, got t = 0"):
-            route(plan, 0)
-
-
-def test_psum_moment_direct_rejects_a_set_below_the_plans_degree():
-    plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, M=3)
-    with pytest.raises(ValueError, match=re.escape("a coefficient set of degree 2 is below the plan's M = 3")):
-        psum_moment_direct(plan, 2, exact_st_coeffs(GEN, 2))
+            route(plan)
 
 
 @pytest.mark.parametrize("t_list", [(), (0,), (2, -1)])
@@ -457,14 +442,64 @@ def test_plan_rejects_moment_orders_below_one(t_list):
         MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=t_list)
 
 
-def _expansion_by_permutations(plan, t, coeffs):
+@pytest.mark.parametrize("kwargs", [dict(t_list=(2.0,)), dict(t_list=(1, 2.5)), dict(M=2.5), dict(M=3.0)])
+def test_plan_rejects_non_integer_orders_and_degree(kwargs):
+    plan = dict(t_list=(1, 2), M=None) | kwargs
+    message = f"moment orders and M must be integers, got t_list = {plan['t_list']}, M = {plan['M']}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MomentPlan(x=40.0, A=4, B=4, interval=GEN, **kwargs)
+
+
+@pytest.mark.parametrize("condition", list(SumCondition))
+def test_cross_check_builds_once_for_every_order(monkeypatch, condition):
+    """Each side reads its box data once for the whole t_list, and each
+    entry equals the plan's single-t moment bit for bit."""
+    from stmoments import moments_engine
+
+    def counted(name):
+        real, calls = getattr(moments_engine, name), []
+        monkeypatch.setattr(moments_engine, name, lambda p, *args: calls.append(p) or real(p, *args))
+        return calls
+
+    plan = MomentPlan(x=60.0, A=6, B=5, interval=GEN, t_list=(1, 2, 3), M=3, condition=condition)
+    prime_data, power_tables = counted("_box_prime_data"), counted("_masked_power_tables")
+    direct, expanded = psum_moment_direct(plan), moment_via_expansion(plan)
+    assert prime_data == list(primes_in_window(plan.x).primes)
+    assert power_tables == [plan]
+    assert len(direct) == len(expanded) == 3
+    for t, d, e in zip(plan.t_list, direct, expanded):
+        single = dataclasses.replace(plan, t_list=(t,))
+        assert psum_moment_direct(single) == (d,) and moment_via_expansion(single) == (e,)
+        assert e == pytest.approx(d, rel=1e-9, abs=1e-9)
+
+
+def test_sum_condition_values_mean_one_thing_on_both_routes():
+    """A SumCondition's value string selects that member on the box route and
+    on the per-curve route alike; any other value is a ValueError naming it."""
+    coeffs, curve = exact_st_coeffs(GEN, 3), CurveParams(23, 1)  # 23 is a window prime of x = 40
+    grids = {c: polynomial_sum_grid(40.0, 4, 5, coeffs, c) for c in SumCondition}
+    sums = {c: p_polynomial_sum(curve, 40.0, coeffs, c) for c in SumCondition}
+    assert not np.array_equal(*grids.values()) and len(set(sums.values())) == 2
+    for c in SumCondition:
+        assert np.array_equal(polynomial_sum_grid(40.0, 4, 5, coeffs, c.value), grids[c])
+        assert p_polynomial_sum(curve, 40.0, coeffs, c.value) == sums[c]
+        assert np.array_equal(good_traces(curve, [23, 29], c.value), good_traces(curve, [23, 29], c))
+    for route in (lambda c: polynomial_sum_grid(40.0, 4, 5, coeffs, c),
+                  lambda c: box_summands(7, np.arange(3), np.arange(3), c),
+                  lambda c: p_polynomial_sum(curve, 40.0, coeffs, c),
+                  lambda c: good_traces(curve, [23, 29], c)):
+        with pytest.raises(ValueError, match="'bogus' is not a valid SumCondition"):
+            route("bogus")
+
+
+def _expansion_by_permutations(plan, t):
     """The enumeration route: each distinct-prime sum taken over all ordered
     tuples of distinct window primes, O(P^u) box products per exponent tuple."""
     M = plan.resolved_m()
     tables = _masked_power_tables(plan, t * M)
     n_primes = len(tables)
     norm = 4.0 * plan.A * plan.B
-    u_tables = _fold_u_tables(coeffs.u, M, t)
+    u_tables = _fold_u_tables(exact_st_coeffs(plan.interval, M).u, M, t)
 
     tuple_cache = {}
 
@@ -520,20 +555,16 @@ def test_expansion_matches_permutation_route(x, half):
     for interval in (HALF, GEN):
         for condition in (SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY):
             for M in (1, 2, 3):
-                plan = MomentPlan(x=x, A=half, B=half, interval=interval, M=M, condition=condition)
-                coeffs = exact_st_coeffs(interval, M)
-                for t in (1, 2, 3):
-                    oracle = _expansion_by_permutations(plan, t, coeffs)
-                    assert moment_via_expansion(plan, t, coeffs) == pytest.approx(oracle, rel=1e-12)
+                plan = MomentPlan(x=x, A=half, B=half, interval=interval, t_list=(1, 2, 3), M=M, condition=condition)
+                oracle = [_expansion_by_permutations(plan, t) for t in plan.t_list]
+                assert moment_via_expansion(plan) == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("interval", [HALF, GEN])
 def test_expansion_t4_matches_direct_on_61_primes(interval):
-    plan = MomentPlan(x=800.0, A=15, B=15, interval=interval, M=8)
+    plan = MomentPlan(x=800.0, A=15, B=15, interval=interval, t_list=(4,), M=8)
     assert primes_in_window(plan.x).count == 61
-    coeffs = exact_st_coeffs(interval, 8)
-    direct = psum_moment_direct(plan, 4, coeffs)
-    assert moment_via_expansion(plan, 4, coeffs) == pytest.approx(direct, rel=1e-12)
+    assert moment_via_expansion(plan) == pytest.approx(psum_moment_direct(plan), rel=1e-12)
 
 
 def test_c_coefficient_gaussian_collapse():
