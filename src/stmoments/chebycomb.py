@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
     "PowerPoly",
     "f_poly",
@@ -265,15 +267,30 @@ def all_exponent_multisets(total: int) -> Iterator[tuple[int, ...]]:
     yield from rec(total, total, ())
 
 
-def exponent_product_tables(total: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """(ms, u_product_expand(ms)) for every ms of `all_exponent_multisets`,
-    in its order.  That order yields each prefix before the multisets that
-    extend it, so the table of ms is one `product_rule_fold` of its prefix's
-    table by {ms[-1]: 1}: the same left fold and the same integers, one fold
-    per multiset rather than len(ms) - 1.  Only the tables along the current
-    prefix are held."""
-    stack = [{0: 1}]  # stack[k]: the table of ms[:k]; f_0 = 1, so the first fold gives {m: 1}
-    for ms in all_exponent_multisets(total):
-        del stack[len(ms):]
-        stack.append(product_rule_fold(stack[-1], {ms[-1]: 1}))
-        yield ms, stack[-1]
+def exponent_product_tables(total: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """u_product_expand(ms) for every ms of `all_exponent_multisets(total)`, one
+    (exps, rows) pair per length k = 1, 2, ...: exps[i] is a nonincreasing
+    k-tuple and rows[i, c] its D[c] for c <= total, in int64.  Length k + 1
+    folds every extension of length k by a last exponent m at once, rows @ F_m,
+    with row a of F_m the table of f_a f_m from `product_rule_fold`.  Since
+    f_m(2) = m + 1, sum_c (c+1) D[c] = prod (m_i + 1) <= 2^total bounds every
+    entry, so int64 is exact for total <= 62.
+    """
+    if total > 62:
+        raise ValueError(f"dense product tables need total <= 62, got total = {total}")
+    size = total + 1
+    # dense to c <= total: a parent row's support ends at its sum, so its a + m never passes total
+    products = [[product_rule_fold({a: 1}, {m: 1}) for a in range(size)] for m in range(size)]
+    folds = [np.array([[fa.get(c, 0) for c in range(size)] for fa in row]) for row in products]
+    exps, rows, last = np.zeros((1, 0), dtype=np.int64), np.eye(1, size, dtype=np.int64), np.array([total])
+    levels = []
+    while True:  # exps, rows: the level just built, first the empty product f_0
+        room = total - exps.sum(axis=1)
+        picks = [(m, idx) for m in range(1, size) if (idx := np.flatnonzero((last >= m) & (room >= m))).size]
+        if not picks:
+            return levels
+        exps = np.concatenate([np.column_stack([exps[idx], np.full(idx.size, m)]) for m, idx in picks])
+        rows = np.concatenate([rows[idx] @ folds[m] for m, idx in picks])
+        assert 0 <= rows.min() and rows.max() <= 1 << total, "a product table left [0, 2^total]"
+        last = exps[:, -1]
+        levels.append((exps, rows))

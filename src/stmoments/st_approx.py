@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -84,41 +85,33 @@ class BSCoefficients:
     z: float
     cert: float | None = None
 
-    def eval_cosine(self, thetas: np.ndarray) -> np.ndarray:
-        """Polynomial value at angles: d0 + sum_m s[m] 2 cos(m t), where
-        d0 = const_term + s[2] (just const_term when M = 1).
+    def cosine_grid_blocks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Polynomial value d0 + sum_m s[m] 2 cos(m t), where d0 = const_term
+        + s[2] (just const_term when M = 1), on the grid t_j = j pi/(n-1),
+        j < n, as blocks (start, values): values[i] is the value at t_(start+i).
 
-        Clenshaw's recurrence in x = 2 cos t, since 2 cos(m t) satisfies
-        C_m = x C_(m-1) - C_(m-2) with C_0 = 2, C_1 = x: from
-        b_(M+1) = b_(M+2) = 0, b_m = s[m] + x b_(m+1) - b_(m+2) for
-        m = M .. 1, and the sum is x b_1 - 2 b_2.  One cosine per angle and
-        O(M) multiply-adds, over blocks of angles in fixed work buffers.
+        Split angles: with R = isqrt(n-1) + 1 and j = qR + r, cos(m t_j) =
+        cos(m qR h) cos(m r h) - sin(m qR h) sin(m r h), h = pi/(n-1), so a
+        block of 64 q-rows is two matrix products against (M, R) tables of
+        2 s[m] cos(m r h) and 2 s[m] sin(m r h), built once.  Each multiple
+        m j is reduced mod 2(n-1) in integers first, so every angle lies in
+        [0, 2 pi) whatever M.
         """
-        thetas = np.asarray(thetas, dtype=float)
+        if n < 2:
+            raise ValueError(f"a grid on [0, pi] needs n >= 2 points, got n = {n}")
+        h, period, R = math.pi / (n - 1), 2 * (n - 1), math.isqrt(n - 1) + 1
+        ms = np.arange(1, self.M + 1)
+        r_angles = np.outer(ms, np.arange(R)) % period * h
+        cos_r, sin_r = np.cos(r_angles), np.sin(r_angles, out=r_angles)  # no third (M, R) array
+        cos_r *= 2.0 * self.s[1:self.M + 1, None]
+        sin_r *= 2.0 * self.s[1:self.M + 1, None]
         d0 = self.const_term + (self.s[2] if self.M >= 2 else 0.0)
-        out = np.empty(thetas.shape)
-        flat_t, flat_out = thetas.reshape(-1), out.reshape(-1)
-        block = 8192
-        b1_buf, b2_buf, new_buf = np.empty(block), np.empty(block), np.empty(block)
-        coeffs = self.s[self.M:0:-1].tolist()
-        for start in range(0, flat_t.size, block):
-            x = flat_out[start:start + block]
-            n = x.size
-            np.cos(flat_t[start:start + n], out=x)
-            x *= 2.0
-            b1, b2, new = b1_buf[:n], b2_buf[:n], new_buf[:n]
-            b1.fill(0.0)
-            b2.fill(0.0)
-            for sm in coeffs:
-                np.multiply(x, b1, out=new)
-                new -= b2
-                new += sm
-                b1, b2, new = new, b1, b2
-            x *= b1
-            x -= b2
-            x -= b2
-            x += d0
-        return out
+        rows = -(-n // R)
+        for q0 in range(0, rows, 64):
+            q_angles = np.outer(np.arange(q0, min(q0 + 64, rows)) * R, ms) % period * h
+            block = np.cos(q_angles) @ cos_r - np.sin(q_angles) @ sin_r
+            block += d0
+            yield q0 * R, block.reshape(-1)[:n - q0 * R]
 
     def eval_traces(self, x: np.ndarray) -> np.ndarray:
         """const_term + sum_m u[m] f_m(x) at normalized traces x, the term

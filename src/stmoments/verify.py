@@ -105,6 +105,15 @@ def mass_identity_check(max_p: int, table: cn.HurwitzTable | None = None) -> Che
     return _check(f"mass identity residual, 5 <= p <= {max_p}", worst == 0, f"max |residual| = {worst}")
 
 
+def _good_trace_moments(p: int, max_g: int) -> list[int]:
+    """sum of a_p^g over the good residue pairs of `ap_table(p)` for g = 0..max_g,
+    exactly: Python ints over the number of pairs with each trace."""
+    grid = ap_table(p)
+    rmax = math.isqrt(4 * p)  # Hasse: |a_p| <= rmax
+    counts = np.bincount(grid.ap[grid.good] + rmax).tolist()
+    return [sum(c * (i - rmax) ** g for i, c in enumerate(counts) if c) for g in range(max_g + 1)]
+
+
 def suite_classnum() -> list[CheckResult]:
     out = []
     anchors_ok = all(cn.hurwitz(n) == Fraction(h) for n, h in _H_ANCHORS.items())
@@ -119,10 +128,7 @@ def suite_classnum() -> list[CheckResult]:
     moment_ok = True
     detail = ""
     for p in curve_primes(CLASSNUM_MAX_MOMENT_P):
-        grid = ap_table(p)
-        vals = grid.ap[grid.good]
-        for g in range(7):
-            brute = int((vals.astype(object) ** g).sum())
+        for g, brute in enumerate(_good_trace_moments(p, 6)):
             closed = cn.family_moment_classnum(p, g, table)
             if brute != closed:
                 moment_ok = False
@@ -141,11 +147,14 @@ def route_agreement_checks(max_p: int, max_weight: int) -> list[CheckResult]:
     primes = _primes_to(max_p)
     table = cn.build_hurwitz_table(4 * max_p)
     store = TraceStore(max_prime=max_p)
+    records = [traces_via_birch(p, (max_weight - 2) // 2, table) for p in primes]
+    for rec in records[-1]:
+        store.trace(rec.k, rec.p)  # the largest prime first: one Miller basis per weight, at full precision
     agree = True
     deligne = True
     detail = ""
-    for p in primes:
-        for rec in traces_via_birch(p, (max_weight - 2) // 2, table):
+    for p, birch in zip(primes, records):
+        for rec in birch:
             miller = store.trace(rec.k, p)
             if rec.trace != miller:
                 agree = False
@@ -250,19 +259,19 @@ def suite_bs() -> list[CheckResult]:
 
     thetas = np.linspace(0.0, math.pi, BS_GRID_POINTS)
     for i, iv in enumerate(_TEST_INTERVALS):
-        chi = ((thetas >= iv.alpha) & (thetas <= iv.beta)).astype(float)
-        plus = sandwich_coeffs(iv, BS_M, CoeffMode.MAJORANT).eval_cosine(thetas)
-        minus = sandwich_coeffs(iv, BS_M, CoeffMode.MINORANT).eval_cosine(thetas)
-        viol_plus = float((plus - chi).min())
-        viol_minus = float((chi - minus).min())
-        out.append(_check(f"majorant pointwise I{i+1}", viol_plus >= -1e-12, f"min slack {viol_plus:.2e}"))
-        out.append(_check(f"minorant pointwise I{i+1}", viol_minus >= -1e-12, f"min slack {viol_minus:.2e}"))
+        for side, sign, name in ((CoeffMode.MAJORANT, 1.0, "majorant"), (CoeffMode.MINORANT, -1.0, "minorant")):
+            slack = math.inf  # min of sign (S - chi): S^+ - chi, or chi - S^-, a block of the grid at a time
+            for start, values in sandwich_coeffs(iv, BS_M, side).cosine_grid_blocks(thetas.size):
+                t = thetas[start:start + values.size]
+                slack = min(slack, float((sign * (values - ((t >= iv.alpha) & (t <= iv.beta)))).min()))
+            out.append(_check(f"{name} pointwise I{i+1}", slack >= -1e-12, f"min slack {slack:.2e}"))
 
     out.append(_bracket_check(_TEST_INTERVALS[0]))
 
     coeffs = exact_st_coeffs(_TEST_INTERVALS[2], 40)
     tgrid = np.linspace(0.0, math.pi, 2001)
-    tel = float(np.max(np.abs(coeffs.eval_cosine(tgrid) - coeffs.eval_f_basis(tgrid))))
+    tel = max(float(np.max(np.abs(values - coeffs.eval_f_basis(tgrid[start:start + values.size]))))
+              for start, values in coeffs.cosine_grid_blocks(tgrid.size))
     out.append(_check("telescoped basis matches cosine basis", tel <= 1e-10, f"max gap {tel:.2e}"))
     return out
 
@@ -290,22 +299,21 @@ def suite_pipeline() -> list[CheckResult]:
             break
     out.append(_check("Melzak identity on 200 random instances", melzak_ok))
 
-    db_ok = True
-    detail = ""
-    for ms, table in cc.exponent_product_tables(24):
-        s = sum(ms)
-        if any(v < 0 for v in table.values()) or any(m > s for m in table):
-            db_ok, detail = False, f"support/positivity at {ms}"
-            break
-        if any((m - s) % 2 for m in table):
-            db_ok, detail = False, f"parity at {ms}"
-            break
-        if len(ms) == 1 and table != {ms[0]: 1}:
-            db_ok, detail = False, f"identity case at {ms}"
-            break
-        if len(ms) == 2 and table.get(0, 0) != (1 if ms[0] == ms[1] else 0):
-            db_ok, detail = False, f"pair constant term at {ms}"
-            break
+    db_ok, detail = True, ""
+    for exps, rows in cc.exponent_product_tables(24):
+        s = exps.sum(axis=1, keepdims=True)
+        c = np.arange(rows.shape[1])
+        bad = {"support/positivity": (rows < 0) | ((c > s) & (rows != 0)),
+               "parity": ((c - s) % 2 == 1) & (rows != 0)}
+        if exps.shape[1] == 1:
+            bad["identity case"] = rows != (c == exps)
+        if exps.shape[1] == 2:
+            bad["pair constant term"] = (rows[:, 0] != (exps[:, 0] == exps[:, 1]))[:, None]
+        bad["dimension"] = (rows @ (c + 1) != np.prod(exps + 1, axis=1))[:, None]  # f_m(2) = m + 1
+        for name, mask in bad.items():
+            hit = np.flatnonzero(mask.any(axis=1))
+            if db_ok and hit.size:
+                db_ok, detail = False, f"{name} at {tuple(exps[hit[0]].tolist())}"
     out.append(_check("product-expansion table relations, sum <= 24", db_ok, detail))
 
     grid_ok = True

@@ -159,8 +159,8 @@ def test_criterion_8_sandwich():
     pointwise_ok = True
     for iv in INTERVALS:
         chi = ((thetas >= iv.alpha) & (thetas <= iv.beta)).astype(float)
-        plus = sandwich_coeffs(iv, 256, CoeffMode.MAJORANT).eval_cosine(thetas)
-        minus = sandwich_coeffs(iv, 256, CoeffMode.MINORANT).eval_cosine(thetas)
+        plus = np.concatenate([v for _, v in sandwich_coeffs(iv, 256, CoeffMode.MAJORANT).cosine_grid_blocks(100_000)])
+        minus = np.concatenate([v for _, v in sandwich_coeffs(iv, 256, CoeffMode.MINORANT).cosine_grid_blocks(100_000)])
         pointwise_ok = pointwise_ok and float((plus - chi).min()) >= -1e-12
         pointwise_ok = pointwise_ok and float((chi - minus).min()) >= -1e-12
 

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
@@ -106,16 +107,24 @@ def test_product_expand_against_basis_conversion(ms):
 
 
 def test_product_expand_relations_small():
-    tables = list(exponent_product_tables(12))
-    assert [ms for ms, _ in tables] == list(all_exponent_multisets(12))
-    for ms, table in tables:
-        assert list(table.items()) == list(u_product_expand(ms).items())  # the same fold, key order too
-        s = sum(ms)
-        assert all(v >= 0 for v in table.values())
-        assert all(0 <= m <= s for m in table)
-        assert all((m - s) % 2 == 0 for m in table)
-        if len(ms) == 2:
-            assert table.get(0, 0) == (1 if ms[0] == ms[1] else 0)
+    levels = exponent_product_tables(24)
+    multisets = [tuple(ms) for exps, _ in levels for ms in exps.tolist()]
+    assert len(multisets) == 7337 and set(multisets) == set(all_exponent_multisets(24))
+    assert max(int(rows.max()) for _, rows in levels) == 653_752  # far below the 2^24 that f_m(2) = m + 1 allows
+    for k, (exps, rows) in enumerate(levels, start=1):
+        assert exps.shape[1] == k and rows.shape == (len(exps), 25) and rows.dtype == np.int64
+        for ms, row in zip(exps.tolist(), rows.tolist()):
+            s = sum(ms)
+            assert sum((c + 1) * v for c, v in enumerate(row)) == math.prod(m + 1 for m in ms)
+            if s <= 12:
+                assert row == [u_product_expand(ms).get(c, 0) for c in range(25)]
+            assert all(v >= 0 for v in row)
+            assert all(v == 0 for c, v in enumerate(row) if c > s or (c - s) % 2)
+            if len(ms) == 2:
+                assert row[0] == (1 if ms[0] == ms[1] else 0)
+    assert exponent_product_tables(0) == []
+    with pytest.raises(ValueError, match="need total <= 62, got total = 63"):
+        exponent_product_tables(63)
 
 
 def test_melzak_examples():

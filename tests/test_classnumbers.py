@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stmoments.arith_curves import ap_table
@@ -16,6 +17,7 @@ from stmoments.classnumbers import (
 )
 
 from stmoments.errors import BudgetError
+from stmoments.verify import _good_trace_moments
 
 from conftest import trial_division_primes
 
@@ -71,6 +73,50 @@ def test_table_matches_single_enumeration():
         if n % 4 in (0, 3):
             assert table.twelve(n) == twelve_hurwitz(n)
     assert all(table.twelve_h[n] == 0 for n in range(1201) if n % 4 in (1, 2))
+
+
+def triple_loop_hurwitz(max_n: int) -> np.ndarray:
+    """12 H(N) for N <= max_n by weighing every reduced triple (b, a, c) one
+    at a time: the loop `build_hurwitz_table` ran before its c-runs became
+    strided slices."""
+    t12 = np.zeros(max_n + 1, dtype=np.int64)
+    b = 0
+    while 3 * b * b <= max_n:
+        a = max(b, 1)
+        while 4 * a * a - b * b <= max_n:
+            c = a
+            n = 4 * a * c - b * b
+            while n <= max_n:
+                if a == b == c:
+                    w12 = 4
+                elif b == 0 and a == c:
+                    w12 = 6
+                else:
+                    w12 = 12
+                mult = 2 if 0 < b < a < c else 1
+                t12[n] += mult * w12
+                c += 1
+                n += 4 * a
+            a += 1
+        b += 1
+    return t12
+
+
+def test_table_equals_the_triple_loop():
+    for max_n in (3, 4, 7, 100, 1201, 20_000):
+        table = build_hurwitz_table(max_n)
+        assert table.twelve_h.dtype == np.int64 and table.twelve_h.shape == (max_n + 1,)
+        assert np.array_equal(table.twelve_h, triple_loop_hurwitz(max_n)), max_n
+    assert all(table.twelve_h[n] == twelve_hurwitz(n) for n in range(3, 3000) if n % 4 in (0, 3))
+
+
+def test_good_trace_moments_equal_the_object_sums():
+    # the brute side of verify's class-number moment check counts each trace
+    # once; the direct route raises every good pair's trace in Python ints
+    for p in (q for q in trial_division_primes(100) if q >= 5):
+        grid = ap_table(p)
+        vals = grid.ap[grid.good].astype(object)
+        assert _good_trace_moments(p, 6) == [int((vals ** g).sum()) for g in range(7)], p
 
 
 def test_table_bounds_and_csv(tmp_path):

@@ -21,6 +21,7 @@ from stmoments.hecke import (
     trace_average_probe,
     traces_via_birch,
 )
+from stmoments.verify import route_agreement_checks
 
 from conftest import trial_division_primes
 
@@ -200,6 +201,22 @@ def test_store_grows_basis_geometrically(monkeypatch):
     reference = miller_basis(24, 2 * 200 + 1)
     assert traces == [hecke_trace(24, p, reference).trace for p in primes]
     assert store.trace(13, 7) == store.trace(14, 7) == 0 and 13 not in store._bases
+
+
+def test_route_agreement_builds_one_basis_per_weight(monkeypatch):
+    # the check asks for every weight at the largest prime first, so each
+    # weight with dim S_k >= 1 gets one basis, at full precision, where an
+    # ascending sweep grows each by doubling (49 builds at p <= 200, k <= 26)
+    built = []
+
+    def counting_basis(k, n_terms):
+        built.append((k, n_terms))
+        return miller_basis(k, n_terms)
+
+    monkeypatch.setattr(hecke, "miller_basis", counting_basis)
+    checks = route_agreement_checks(200, 26)
+    assert all(res.ok for res in checks) and len(checks) == 2
+    assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)]
 
 
 def test_normalized_trace(trace_store):

@@ -136,6 +136,17 @@ def test_sin_multiples_matches_numpy(theta):
     assert np.all(diff <= 4 * ks * theta * eps + 4 * eps)
 
 
+def grid_values(coeffs, n: int) -> np.ndarray:
+    """The blocks of ``coeffs.cosine_grid_blocks(n)`` joined, after checking
+    that they cover the indices 0..n-1 in order, each exactly once, in blocks
+    of one size but a shorter last one."""
+    blocks = list(coeffs.cosine_grid_blocks(n))
+    sizes = [values.size for _, values in blocks]
+    assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert sum(sizes) == n and all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
+    return np.concatenate([values for _, values in blocks])
+
+
 @pytest.mark.parametrize("iv", INTERVALS[:3])
 @pytest.mark.parametrize("M", [16, 64, 256])
 def test_sandwich_pointwise(iv, M):
@@ -143,13 +154,14 @@ def test_sandwich_pointwise(iv, M):
     chi = ((thetas >= iv.alpha) & (thetas <= iv.beta)).astype(float)
     plus = sandwich_coeffs(iv, M, CoeffMode.MAJORANT)
     minus = sandwich_coeffs(iv, M, CoeffMode.MINORANT)
-    assert float((plus.eval_cosine(thetas) - chi).min()) >= -1e-12
-    assert float((chi - minus.eval_cosine(thetas)).min()) >= -1e-12
+    assert float((grid_values(plus, thetas.size) - chi).min()) >= -1e-12
+    assert float((chi - grid_values(minus, thetas.size)).min()) >= -1e-12
 
 
 def direct_cosine_sums(coeff_sets, thetas) -> np.ndarray:
-    """Oracle for ``eval_cosine``: row i is d0 + sum_m s[m] 2 cos(m t) for
-    coefficient set i, from explicit cosine rows shared by all sets."""
+    """Oracle for ``cosine_grid_blocks``: row i is d0 + sum_m s[m] 2 cos(m t)
+    for coefficient set i, from explicit cosine rows shared by all sets, in
+    tiles of 128 degrees by 4096 angles."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     M = coeff_sets[0].M
     s = np.array([c.s[1:M + 1] for c in coeff_sets])
@@ -157,42 +169,40 @@ def direct_cosine_sums(coeff_sets, thetas) -> np.ndarray:
     out = np.repeat(d0[:, None], thetas.size, axis=1)
     for lo in range(0, M, 128):
         ms = np.arange(lo + 1, min(lo + 128, M) + 1)
-        out += s[:, lo:lo + ms.size] @ (2.0 * np.cos(np.outer(ms, thetas)))
+        for j in range(0, thetas.size, 4096):
+            out[:, j:j + 4096] += s[:, lo:lo + ms.size] @ (2.0 * np.cos(np.outer(ms, thetas[j:j + 4096])))
     return out
-
-
-COSINE_ANGLES = np.concatenate([
-    [0.0, math.pi, np.nextafter(0.0, 1.0), math.pi - 1e-9],
-    np.linspace(0.0, math.pi, 3001),
-])
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 40, 256, 4096])
 def test_eval_cosine_matches_direct_sum(M):
+    # the grid evaluator against the oracle on every grid of the package's
+    # checks and the ends n = 2, 3; n = 100 000 only up to M = 256, where the
+    # oracle's 25.6M cosines already take a third of a second
     coeff_sets = [exact_st_coeffs(iv, M) for iv in INTERVALS]
     if M >= 16:
         coeff_sets += [sandwich_coeffs(iv, M, side) for iv in INTERVALS
                        for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
-    # a 2-D grid of more angles than one work block of eval_cosine holds,
-    # ending in a partial block; left out at M = 4096, where it costs seconds
-    grid = np.linspace(0.0, math.pi, 4 * 3001).reshape(4, 3001)
     eps = np.finfo(float).eps
-    for thetas in (COSINE_ANGLES, grid) if M <= 256 else (COSINE_ANGLES,):
-        oracle = direct_cosine_sums(coeff_sets, thetas)
+    for n in (2, 3, 2001, 20_001, 100_000) if M <= 256 else (2, 3, 2001, 20_001):
+        oracle = direct_cosine_sums(coeff_sets, np.linspace(0.0, math.pi, n))
         for coeffs, want in zip(coeff_sets, oracle):
-            got = coeffs.eval_cosine(thetas)
-            assert got.shape == thetas.shape
             tol = 64 * M * eps * float(np.abs(coeffs.s[1:]).sum())
-            assert float(np.max(np.abs(got.reshape(-1) - want))) <= tol, (coeffs.mode, thetas.shape)
-    for coeffs in coeff_sets:
-        assert coeffs.eval_cosine(np.array([])).shape == (0,)
+            assert float(np.max(np.abs(grid_values(coeffs, n) - want))) <= tol, (coeffs.mode, n)
+    blocks = [values.size for _, values in coeff_sets[0].cosine_grid_blocks(20_001)]
+    assert len(blocks) == 3 and blocks[-1] < blocks[0]  # R = 142: q-rows 64 + 64 + 13, the last block partial
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"needs n >= 2 points, got n = {n}"):
+            next(coeff_sets[0].cosine_grid_blocks(n))
 
 
 def test_eval_cosine_degree_one():
     coeffs = exact_st_coeffs(Interval(0.7, 2.0), 1)
-    got = coeffs.eval_cosine(COSINE_ANGLES)
-    assert np.allclose(got, coeffs.eval_f_basis(COSINE_ANGLES), rtol=0.0, atol=1e-15)
-    assert np.array_equal(got, direct_cosine_sums([coeffs], COSINE_ANGLES)[0])
+    thetas = np.linspace(0.0, math.pi, 3001)
+    got = grid_values(coeffs, thetas.size)
+    assert np.allclose(got, coeffs.eval_f_basis(thetas), rtol=0.0, atol=1e-15)
+    tol = 64 * np.finfo(float).eps * abs(float(coeffs.s[1]))
+    assert float(np.max(np.abs(got - direct_cosine_sums([coeffs], thetas)[0]))) <= tol
 
 
 def test_sandwich_converges_to_exact():
