@@ -17,7 +17,12 @@ polynomial sums P_M come from one.
 Every statistic (moments, the CLT sample's KS distance and histogram, the
 almost-all exceptions) depends only on the multiset of selected counts,
 which take at most pi~ + 1 values: they run on its (value, multiplicity)
-table from `np.bincount`, not on box-sized float arrays.
+table from `np.bincount`, not on box-sized float arrays.  A `MomentPlan`
+sweeps its box once, inside the first statistic that needs it, and keeps the
+read-only grid while it lives (1-2 bytes of counts plus 1 byte of mask per
+pair), so its moments, CLT sample and almost-all count read one sweep.
+``grid=`` is for a covering grid swept elsewhere, shared by plans of
+different boxes.
 
 `moment_via_expansion` recomputes the moments of P_M at every t of a plan's
 `t_list` on one build of `box_summands`' power tables: open the t-th power,
@@ -38,7 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -97,12 +102,17 @@ class Profile(Enum):
     HYPOTHESES = "hypotheses"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentPlan:
-    """Parameters of one family-moment run.
+    """Parameters of one family-moment run, and the sweep of its box.
 
     The analytic knobs (c and the profile) set the default M and the
-    almost-all threshold; they never enter the counting.
+    almost-all threshold; they never enter the counting.  The first
+    statistic run without ``grid=`` sweeps the plan's box and the plan keeps
+    that read-only `FamilyGrid` while it lives (1-2 bytes of counts and 1
+    byte of mask per pair), so every later statistic of the plan reads the
+    same sweep.  The kept grid is not a field: `repr`, ``==``, `hash` and
+    `dataclasses.replace` ignore it, and a replaced plan sweeps afresh.
     """
 
     x: float
@@ -129,6 +139,11 @@ class MomentPlan:
         if self.M is not None:
             return self.M
         return profile_M(self.x, max(self.t_list), self.profile.value, self.c)
+
+    @cached_property
+    def _grid(self) -> FamilyGrid:
+        """The box's sweep, on first use; a sweep that raises keeps nothing."""
+        return family_error_grid(self.x, self.A, self.B, self.interval)
 
 
 @dataclass(frozen=True)
@@ -294,11 +309,13 @@ def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients,
 
 
 def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, np.ndarray]:
-    """The plan's box of ``grid`` (swept here when None) and the pairs the plan
-    selects.  A given grid must be swept at the plan's x and interval over a
-    covering box; only pi~(x) is checked, so another interval goes unnoticed."""
+    """The plan's box of ``grid`` and the pairs the plan selects.  Without a
+    grid it reads the plan's own sweep, made on first use and kept by the
+    plan.  A given grid, swept elsewhere at the plan's x and interval over a
+    covering box, is never kept; only pi~(x) is checked, so another interval
+    goes unnoticed."""
     if grid is None:
-        grid = family_error_grid(plan.x, plan.A, plan.B, plan.interval)
+        grid = plan._grid
     elif grid.pi_tilde != (pi_tilde := primes_in_window(plan.x).count):
         raise ValueError(f"grid has pi~ = {grid.pi_tilde}, but x = {plan.x} has pi~ = {pi_tilde}")
     grid = grid.box(plan.A, plan.B)
@@ -320,8 +337,9 @@ def _count_table(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentReport:
-    """Direct family moments of the interval-count error over the box; a given
-    ``grid`` must be swept at the same x and interval (see `_plan_grid`)."""
+    """Direct family moments of the interval-count error over the box, read
+    from the plan's kept sweep, or from ``grid``, a covering grid swept
+    elsewhere at the same x and interval (see `_plan_grid`)."""
     M = plan.resolved_m()
     _check_degree(M)  # before the sweep, so a degree past the cap fails fast
     (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
@@ -541,10 +559,11 @@ def _ks_against_normal(values: np.ndarray, mult: np.ndarray) -> float:
 
 
 def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = None) -> CltSample:
-    """Standardized error sample over the box, with histogram and KS distance;
-    a given ``grid`` must be swept at the same x and interval (see `_plan_grid`).
-    Only the selected counts are gathered; the histogram, the KS distance,
-    the mean and the variance run on the count table."""
+    """Standardized error sample over the box, with histogram and KS distance,
+    read from the plan's kept sweep, or from ``grid``, a covering grid swept
+    elsewhere at the same x and interval (see `_plan_grid`).  Only the
+    selected counts are gathered; the histogram, the KS distance, the mean
+    and the variance run on the count table."""
     mu = st_measure(plan.interval)
     if not mu - mu * mu > 0:  # mu rounds to 1 when I covers [-2, 2]: a zero scale
         raise ValueError(f"the CLT sample needs 0 < mu(I) < 1, got alpha = {plan.interval.alpha}, "
@@ -601,8 +620,9 @@ def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None
     """Count box pairs whose error exceeds y times the profile threshold.
 
     Also fits the per-curve exponent log |error| / log x, the quantity the
-    square-root-cancellation conjecture predicts to hover near 1/2.  A given
-    ``grid`` must be swept at the same x and interval (see `_plan_grid`).
+    square-root-cancellation conjecture predicts to hover near 1/2.  The
+    counts come from the plan's kept sweep, or from ``grid``, a covering grid
+    swept elsewhere at the same x and interval (see `_plan_grid`).
     Everything is read from the count table.
     """
     if not y > 0:

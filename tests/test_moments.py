@@ -22,6 +22,7 @@ from stmoments.arith_curves import (
 from stmoments.chebycomb import f_poly, set_partitions
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
+    DEFAULT_BOX_BUDGET,
     MomentPlan,
     Profile,
     almost_all_report,
@@ -859,6 +860,20 @@ def test_grid_rejects_uncovered_box_and_other_x():
         family_moments(MomentPlan(x=300.0, A=2, B=2, interval=HALF, M=8), grid)
 
 
+def _counted_sweeps(monkeypatch) -> list:
+    """The argument tuples of every `moments_engine.family_error_grid` call from now on."""
+    from stmoments import moments_engine
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return family_error_grid(*args)
+
+    monkeypatch.setattr(moments_engine, "family_error_grid", counting)
+    return calls
+
+
 def _assert_same_result(got, want):
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -866,13 +881,16 @@ def _assert_same_result(got, want):
 
 
 @pytest.mark.parametrize("exclude_axes", [False, True])
-def test_statistics_same_with_and_without_grid(exclude_axes):
+def test_statistics_same_with_and_without_grid(monkeypatch, exclude_axes):
+    # the given covering grid is never kept, and one sweep of the plan's own box serves every statistic
     plan = MomentPlan(x=200.0, A=5, B=4, interval=GEN, t_list=(1, 2, 3), M=8, exclude_axes=exclude_axes)
     grid = family_error_grid(200.0, 7, 6, GEN)
+    calls = _counted_sweeps(monkeypatch)
     _assert_same_result(family_moments(plan, grid), family_moments(plan))
     _assert_same_result(clt_histogram(plan, bins=10, grid=grid), clt_histogram(plan, bins=10))
     for profile in Profile:
         _assert_same_result(almost_all_report(plan, 0.5, profile, grid=grid), almost_all_report(plan, 0.5, profile))
+    assert calls == [(200.0, 5, 4, GEN)]
 
 
 def test_soft_diagnostics_runs_one_sweep(monkeypatch):
@@ -898,5 +916,32 @@ def test_soft_diagnostics_runs_one_sweep(monkeypatch):
         if not excl:
             aa = almost_all_report(plan, y=3.0, profile=Profile.HYPOTHESES)
             want.update({"exception_fraction": aa.fraction, "exception_scale_y2": aa.y_power})
-    assert len(calls) == 6  # each statistic without a grid sweeps its own box
+    assert len(calls) == 5  # each oracle plan sweeps its box once; the almost-all count reuses its plan's sweep
     assert diag == want
+
+
+def test_replaced_plan_sweeps_afresh(monkeypatch):
+    calls = _counted_sweeps(monkeypatch)
+    plan = MomentPlan(x=200.0, A=6, B=5, interval=HALF, M=8)
+    family_moments(plan)
+    wider = dataclasses.replace(plan, A=9)
+    _assert_same_result(family_moments(wider), family_moments(wider, family_error_grid(200.0, 9, 5, HALF)))
+    same = dataclasses.replace(plan)
+    assert (same, hash(same), repr(same)) == (plan, hash(plan), repr(plan))
+    family_moments(same)
+    assert calls == [(200.0, 6, 5, HALF), (200.0, 9, 5, HALF), (200.0, 6, 5, HALF)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.A = 3
+
+
+@pytest.mark.parametrize("A, B, error, message", [
+    (2000, 2000, BudgetError, f"exceeds the cap of {DEFAULT_BOX_BUDGET}"),
+    (2.5, 2, ValueError, re.escape("box sweep needs integers A, B >= 0, got A = 2.5, B = 2")),
+])
+def test_failed_sweep_keeps_nothing(monkeypatch, A, B, error, message):
+    calls = _counted_sweeps(monkeypatch)
+    plan = MomentPlan(x=2000.0, A=A, B=B, interval=HALF, M=8)
+    for statistic in (family_moments, clt_histogram, lambda plan: almost_all_report(plan, 1.0)):
+        with pytest.raises(error, match=message):
+            statistic(plan)
+    assert len(calls) == 3
