@@ -44,6 +44,7 @@ __all__ = [
     "u_product_expand",
     "melzak_eval",
     "a_lk",
+    "a_lk_table",
     "set_partitions",
     "partition_coeff",
     "distinct_sum",
@@ -147,14 +148,6 @@ def u_product_expand(ms: Sequence[int]) -> dict[int, int]:
     return acc
 
 
-def _rational_binomial(top: Fraction, n: int) -> Fraction:
-    """Generalized binomial C(top, n) = top (top-1) ... (top-n+1) / n!."""
-    num = Fraction(1)
-    for i in range(n):
-        num *= top - i
-    return num / math.factorial(n)
-
-
 def melzak_eval(f: PowerPoly, x, y, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of Melzak's identity, evaluated exactly.
 
@@ -162,7 +155,10 @@ def melzak_eval(f: PowerPoly, x, y, n: int) -> tuple[Fraction, Fraction]:
 
         f(x+y) = x C(x+n, n) sum_{a=0}^n (-1)^a C(n, a) f(y-a) / (x+a).
 
-    Returns (lhs, rhs) as Fractions; callers assert equality.
+    Returns (lhs, rhs) as Fractions; callers assert equality.  With x = p/q,
+    y = r/s and d = deg f, each side is one sum of integer products over a
+    known denominator: (qs)^d f(x+y) and s^d f(y-a) are integers, and
+    x C(x+n, n) / (x+a) = prod_{i != a} (p + iq) / (q^n n!).
     """
     if f.degree > n:
         raise ValueError("polynomial degree exceeds n")
@@ -170,12 +166,15 @@ def melzak_eval(f: PowerPoly, x, y, n: int) -> tuple[Fraction, Fraction]:
     y = Fraction(y)
     if x.denominator == 1 and -n <= x <= 0:
         raise ValueError(f"x={x} is a pole of the identity")
-    lhs = Fraction(f(x + y))
-    total = Fraction(0)
-    for a in range(n + 1):
-        total += (-1) ** a * math.comb(n, a) * Fraction(f(y - a)) / (x + a)
-    rhs = x * _rational_binomial(x + n, n) * total
-    return lhs, rhs
+    (p, q), (r, s), d = x.as_integer_ratio(), y.as_integer_ratio(), f.degree
+
+    def scaled(num: int, den: int):  # den^d f(num / den)
+        return sum(c * num ** j * den ** (d - j) for j, c in enumerate(f.coeffs))
+
+    poles = [p + i * q for i in range(n + 1)]
+    total = sum((-1) ** a * math.comb(n, a) * scaled(r - a * s, s) * math.prod(poles[:a] + poles[a + 1:])
+                for a in range(n + 1))
+    return Fraction(scaled(p * s + r * q, q * s), (q * s) ** d), Fraction(total, q ** n * math.factorial(n) * s ** d)
 
 
 def _birch_weight(j: int, l: int) -> int:
@@ -195,6 +194,18 @@ def a_lk(l: int, k: int) -> int:
     if not 0 <= l <= k:
         raise ValueError("need 0 <= l <= k")
     return sum((-1) ** (k - j) * math.comb(k + j, k - j) * _birch_weight(j, l) for j in range(l, k + 1))
+
+
+def a_lk_table(kmax: int) -> list[list[int]]:
+    """Rows k = 0..kmax of `a_lk`, row k holding A_{l,k} for l = 0..k: each
+    Birch weight and each row's signed C(k+j, k-j) are computed once, so the
+    triangle costs O(kmax^3) integer products and no per-entry comb sums."""
+    weights = [[_birch_weight(j, l) for l in range(j + 1)] for j in range(kmax + 1)]
+    rows = []
+    for k in range(kmax + 1):
+        signed = [(-1) ** (k - j) * math.comb(k + j, k - j) for j in range(k + 1)]
+        rows.append([sum(signed[j] * weights[j][l] for j in range(l, k + 1)) for l in range(k + 1)])
+    return rows
 
 
 def set_partitions(items: Iterable) -> Iterator[tuple[tuple, ...]]:

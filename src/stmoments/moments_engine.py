@@ -10,9 +10,11 @@ normalization.  Each prime's hit rule runs on its six twist base rows only
 residues the box meets, and the box, a periodic tiling of that table, is
 added into a narrow integer accumulator.  The same loop (`_sweep_box`) sums
 a Beurling-Selberg polynomial over the primes at every pair
-(`polynomial_sum_grid`), so the certified bracket of the count error holds
-or fails over a whole box from three sweeps, and the cross-check's
-polynomial sums P_M come from one.
+(`polynomial_sum_grid`), and one sweep feeds any number of such channels
+from one base table per prime, each channel evaluated once per block of
+primes: the certified bracket of the count error holds or fails over a
+whole box from one sweep, and the cross-check's polynomial sums P_M come
+from one sweep per box for every plan on it.
 
 Every statistic (moments, the CLT sample's KS distance and histogram, the
 almost-all exceptions) depends only on the multiset of selected counts,
@@ -85,6 +87,7 @@ __all__ = [
     "polynomial_sum_grid",
     "family_moments",
     "psum_moment_direct",
+    "psum_moment_direct_many",
     "moment_via_expansion",
     "expansion_c_coefficient",
     "clt_histogram",
@@ -94,6 +97,7 @@ __all__ = [
 
 DEFAULT_BOX_BUDGET = 500_000_000  # pairs x primes
 PAIR_BLOCK = 65_536  # pairs per block of the count table and of the CLT CSV writer
+_EVAL_BLOCK = 4096  # trace values per evaluation block of a sweep; a prime near MAX_PRIME has 4001
 
 
 class Profile(Enum):
@@ -222,22 +226,30 @@ class FamilyGrid(NamedTuple):
         return FamilyGrid(a_vals[rows], b_vals[cols], counts[rows, cols], admissible[rows, cols], pi_tilde)
 
 
-def _sweep_box(window: PrimeWindow, A: int, B: int, dtype, residue_table) -> tuple[np.ndarray, ...]:
-    """The one box-sweep loop: (a_vals, b_vals, acc) over |a| <= A, |b| <= B.
+def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """The one box-sweep loop: (a_vals, b_vals, accs) over |a| <= A, |b| <= B,
+    one read-only accumulator per channel: an `Interval` counts the good
+    primes whose normalized trace lies in it (narrowest unsigned dtype that
+    holds pi~), a (`BSCoefficients`, `SumCondition`) pair sums the polynomial
+    over the primes the condition keeps (float64).
 
-    For each window prime, in ascending order, ``residue_table(p, ap, good)``
-    maps its (6, p) base table (`_box_prime_data`: the integer traces of the
-    twist base rows and their negatives, and their good mask) to the values
-    the prime adds.  Cast to ``dtype``, those are gathered once through the
-    twist index into the table of one period of the box; no trace, sign or
-    Delta is formed per residue pair.  The box axes are runs of consecutive
-    integers, so the box is a periodic tiling of that table: it is tiled
-    once along b and added into ``acc`` (of ``dtype``) one block of rows at
-    a time.  The fixed prime order makes float accumulators bit-reproducible
-    too.  Before any prime is swept, A or B that is not an integer >= 0 is a
-    ValueError naming both, and past DEFAULT_BOX_BUDGET pairs x primes a
-    BudgetError.
+    Each channel is evaluated once per block of primes, on their concatenated
+    `trace_values` (at most _EVAL_BLOCK values).  Per prime, in ascending
+    order, `_box_prime_data` builds the (6, p) base table once (the integer
+    traces of the twist base rows and their negatives, and their good mask);
+    each channel reads its values there by integer trace, masks them, and
+    gathers them once through the twist index into the table of one period
+    of the box, which is tiled along b and added one block of rows at a time.
+    The fixed prime order makes float accumulators bit-reproducible, each
+    equal to its one-channel sweep.  Before any prime is swept, a degree past
+    MAX_DEGREE is a BudgetError, a condition that is not a SumCondition a
+    ValueError, A or B that is not an integer >= 0 a ValueError naming both,
+    and past DEFAULT_BOX_BUDGET pairs x primes a BudgetError.
     """
+    channels = [ch if isinstance(ch, Interval) else (ch[0], SumCondition(ch[1])) for ch in channels]
+    for ch in channels:
+        if not isinstance(ch, Interval):
+            _check_degree(ch[0].M)
     if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (A, B)):
         raise ValueError(f"box sweep needs integers A, B >= 0, got A = {A}, B = {B}")
     n_pairs = (2 * A + 1) * (2 * B + 1)
@@ -247,65 +259,67 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, dtype, residue_table) -> tup
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     n_a, n_b = len(a_vals), len(b_vals)
-    acc = np.zeros((n_a, n_b), dtype=dtype)
-    for p in window.primes:
-        base, good, index = _box_prime_data(p, a_vals, b_vals)
-        table = residue_table(p, base, good).astype(dtype, copy=False).take(index)
-        period_a, period_b = table.shape
-        tile = np.tile(table, -(-n_b // period_b))[:, :n_b] if period_b < n_b else table
-        for i in range(0, n_a, period_a):
-            acc[i:i + period_a] += tile[:n_a - i]
-    return a_vals, b_vals, acc
+    counting = [isinstance(ch, Interval) for ch in channels]
+    accs = [np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count) if count else np.float64)
+            for count in counting]
+    step = max(1, _EVAL_BLOCK // (2 * math.isqrt(4 * window.primes[-1]) + 1))  # primes per block
+    for first in range(0, window.count, step):
+        block = window.primes[first:first + step]
+        values = [trace_values(p) for p in block]
+        flat = np.concatenate(values)
+        evaluated = [ch.contains(flat) if count else ch[0].eval_traces(flat) for ch, count in zip(channels, counting)]
+        start = 0
+        for p, n in zip(block, map(len, values)):
+            base, good, index = _box_prime_data(p, a_vals, b_vals)
+            for ch, count, ev, acc in zip(channels, counting, evaluated, accs):
+                at_base = ev[start:start + n][base]
+                rows = good & at_base if count else np.where(_kept(good, ch[1]), at_base, 0.0)
+                table = rows.astype(acc.dtype, copy=False).take(index)
+                period_a, period_b = table.shape
+                tile = np.tile(table, -(-n_b // period_b))[:, :n_b] if period_b < n_b else table
+                for i in range(0, n_a, period_a):
+                    acc[i:i + period_a] += tile[:n_a - i]
+            start += n
+    for arr in (a_vals, b_vals, *accs):
+        arr.setflags(write=False)
+    return a_vals, b_vals, accs
 
 
 def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGrid:
-    """Exact interval counts over the box |a| <= A, |b| <= B.
+    """Exact interval counts over the box |a| <= A, |b| <= B: the one-channel
+    `_sweep_box` of ``interval``.
 
     Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    read-only N_I grid in the accumulator's narrow unsigned dtype (cast it
-    before signed arithmetic) and ``admissible`` masks Delta != 0
-    (`nonsingular_mask`).  Each prime's six base rows read their hits off
-    `interval.contains(trace_values(p))` by integer trace; `_sweep_box`
-    gathers them to the box's residues in the accumulator's dtype and tiles
-    them over the box.  The accumulator has the narrowest unsigned dtype
-    that holds pi~ (a count never exceeds it): uint8 up to pi~ = 255, uint16
-    above, which always suffices since MAX_PRIME keeps pi~ below 2^16; it is
-    returned as is, not widened.  All work is exact integer work, so
-    the result is bit-reproducible.  A and B must be integers >= 0; anything
-    else is a ValueError naming both before any prime is swept.
+    read-only N_I grid in the accumulator's narrow unsigned dtype, uint8 up
+    to pi~ = 255 and uint16 above (MAX_PRIME keeps pi~ below 2^16), returned
+    as is, not widened, so cast it before signed arithmetic; ``admissible``
+    masks Delta != 0 (`nonsingular_mask`).  All work is exact integer work,
+    so the result is bit-reproducible.  A and B must be integers >= 0;
+    anything else is a ValueError naming both before any prime is swept.
     """
     window = primes_in_window(x)
-    a_vals, b_vals, acc = _sweep_box(window, A, B, np.min_scalar_type(window.count),
-                                     lambda p, ap, good: good & interval.contains(trace_values(p))[ap])
+    a_vals, b_vals, (counts,) = _sweep_box(window, A, B, [interval])
     admissible = nonsingular_mask(a_vals, b_vals)
-    for arr in (a_vals, b_vals, acc, admissible):
-        arr.setflags(write=False)
-    return FamilyGrid(a_vals, b_vals, acc, admissible, window.count)
+    admissible.setflags(write=False)
+    return FamilyGrid(a_vals, b_vals, counts, admissible, window.count)
 
 
 def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients,
                         condition: SumCondition = SumCondition.SKIP_BAD_ONLY) -> np.ndarray:
     """Polynomial prime sums over the box |a| <= A, |b| <= B: at each pair,
     the sum over the window primes that ``condition`` keeps of
-    const_term + sum_m u[m] f_m(a_p/sqrt(p)).
+    const_term + sum_m u[m] f_m(a_p/sqrt(p)), as the read-only float64
+    (2A+1, 2B+1) accumulator of the one-channel `_sweep_box` of
+    (coeffs, condition).
 
     With a sandwich set and pi~(x) mu(I) subtracted, the default (good
     primes) is that side of `sandwich_error_bound`'s bracket; without
     const_term it is `p_polynomial_sum` under ``condition``, the direct side
-    of the expansion cross-check.  Per prime the polynomial is evaluated once
-    on `trace_values(p)` (`BSCoefficients.eval_traces`), read on the six base
-    rows by integer trace and zeroed off `_kept`; `_sweep_box` gathers those
-    float64 values to the box's residues and tiles them into a float64
-    accumulator, primes ascending, so the result is bit-reproducible.
-    Returns that read-only (2A+1, 2B+1) array.  A degree past MAX_DEGREE is
-    a BudgetError, and A or B that is not an integer >= 0 a ValueError,
-    before anything is swept.
+    of the expansion cross-check.  A degree past MAX_DEGREE is a
+    BudgetError, and A or B that is not an integer >= 0 a ValueError, before
+    anything is swept.
     """
-    _check_degree(coeffs.M)
-    _, _, acc = _sweep_box(primes_in_window(x), A, B, np.float64, lambda p, ap, good: np.where(
-        _kept(good, condition), coeffs.eval_traces(trace_values(p))[ap], 0.0))
-    acc.setflags(write=False)
-    return acc
+    return _sweep_box(primes_in_window(x), A, B, [(coeffs, condition)])[2][0]
 
 
 def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, np.ndarray]:
@@ -399,12 +413,25 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
 
 def psum_moment_direct(plan: MomentPlan) -> tuple[float, ...]:
     """(1/4AB) sum over the box of (sum_m U(m) sum_p coeff(p^m))^t at each t of
-    the plan's t_list, from one `polynomial_sum_grid` sweep at the plan's M and
+    the plan's t_list, from one polynomial-sum sweep at the plan's M and
     condition, without const_term: bounded like every sweep, not by the caps."""
-    _check_box(plan)
-    coeffs = replace(exact_st_coeffs(plan.interval, plan.resolved_m()), const_term=0.0)
-    psum = polynomial_sum_grid(plan.x, plan.A, plan.B, coeffs, plan.condition)
-    return tuple(float((psum ** t).sum()) / (4.0 * plan.A * plan.B) for t in plan.t_list)
+    return psum_moment_direct_many([plan])[0]
+
+
+def psum_moment_direct_many(plans: list[MomentPlan]) -> list[tuple[float, ...]]:
+    """`psum_moment_direct` of each plan, in order, from one `_sweep_box` per
+    distinct box (x, A, B), with one polynomial-sum channel per distinct plan
+    on it; each entry equals the plan's own call bit for bit."""
+    boxes: dict[tuple, dict[MomentPlan, None]] = {}
+    for plan in plans:
+        _check_box(plan)
+        boxes.setdefault((plan.x, plan.A, plan.B), {})[plan] = None
+    moments = {}
+    for (x, A, B), group in boxes.items():
+        channels = [(replace(exact_st_coeffs(p.interval, p.resolved_m()), const_term=0.0), p.condition) for p in group]
+        for plan, psum in zip(group, _sweep_box(primes_in_window(x), A, B, channels)[2]):
+            moments[plan] = tuple(float((psum ** t).sum()) / (4.0 * A * B) for t in plan.t_list)
+    return [moments[plan] for plan in plans]
 
 
 def _fold_u_tables(u: np.ndarray, M: int, t: int) -> list[dict[int, float]]:

@@ -18,20 +18,20 @@ import numpy as np
 from . import chebycomb as cc
 from . import classnumbers as cn
 from .arith_curves import (MIN_CURVE_PRIME, CurveParams, Interval, SumCondition, ap_table, count_in_interval,
-                           curve_primes)
+                           curve_primes, nonsingular_mask, primes_in_window)
 from .family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
 from .hecke import TraceStore, delta_qexp, dim_cusp_forms, traces_via_birch
 from .moments_engine import (
     MomentPlan,
     Profile,
+    _sweep_box,
     almost_all_report,
     clt_histogram,
     expansion_c_coefficient,
     family_error_grid,
     family_moments,
     moment_via_expansion,
-    polynomial_sum_grid,
-    psum_moment_direct,
+    psum_moment_direct_many,
 )
 from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
 
@@ -172,7 +172,8 @@ def suite_trace() -> list[CheckResult]:
     out.append(_check("zero trace on zero-dimensional spaces", dims_ok))
 
     delta = delta_qexp(TRACE_TAU_MAX_P + 1)
-    tau_ok = all(store.trace(12, p) == delta[p] for p in curve_primes(TRACE_TAU_MAX_P))
+    primes = reversed(curve_primes(TRACE_TAU_MAX_P))  # the largest prime first: one Miller basis, at full precision
+    tau_ok = all(store.trace(12, p) == delta[p] for p in primes)
     out.append(_check(f"weight-12 trace equals the discriminant coefficient, p <= {TRACE_TAU_MAX_P}", tau_ok))
     return out
 
@@ -190,7 +191,7 @@ def suite_family() -> list[CheckResult]:
     out = []
     store = TraceStore()
     worst = 0.0
-    for p in curve_primes(FAMILY_MAX_P):
+    for p in reversed(curve_primes(FAMILY_MAX_P)):  # the largest prime first: one Miller basis per weight
         table = ap_table(p)
         for m in range(FAMILY_MAX_M + 1):
             gap = abs(s0_brute(p, m, table) - s0_formula(p, m, store))
@@ -223,24 +224,25 @@ _TEST_INTERVALS = [
 
 def _bracket_check(iv: Interval) -> CheckResult:
     """The certified bracket minorant sum <= N_I - pi~ mu <= majorant sum at
-    every admissible pair of the box |a|, |b| <= BS_HALF_BOX, from one count
-    sweep and one polynomial-sum sweep per side; the sweeps' bracket must
-    also match the per-curve `sandwich_error_bound` at BS_ORACLE_PAIRS."""
-    minor = sandwich_coeffs(iv, BS_M, CoeffMode.MINORANT)
-    major = sandwich_coeffs(iv, BS_M, CoeffMode.MAJORANT)
-    grid = family_error_grid(BS_X, BS_HALF_BOX, BS_HALF_BOX, iv)
-    base = -grid.pi_tilde * st_measure(iv)
-    err = grid.counts + base
-    lower = polynomial_sum_grid(BS_X, BS_HALF_BOX, BS_HALF_BOX, minor) + base
-    upper = polynomial_sum_grid(BS_X, BS_HALF_BOX, BS_HALF_BOX, major) + base
+    every admissible pair of the box |a|, |b| <= BS_HALF_BOX, from one sweep
+    with three channels (the counts and the good-prime sums of both sides);
+    the sweep's bracket must also match the per-curve `sandwich_error_bound`
+    at BS_ORACLE_PAIRS."""
+    window = primes_in_window(BS_X)
+    channels = [iv, *((sandwich_coeffs(iv, BS_M, side), SumCondition.SKIP_BAD_ONLY)
+                      for side in (CoeffMode.MINORANT, CoeffMode.MAJORANT))]
+    a_vals, b_vals, (counts, minor, major) = _sweep_box(window, BS_HALF_BOX, BS_HALF_BOX, channels)
+    admissible = nonsingular_mask(a_vals, b_vals)
+    base = -window.count * st_measure(iv)
+    err, lower, upper = counts + base, minor + base, major + base
     outside = (err < lower - 1e-9) | (err > upper + 1e-9)
-    violations = int(np.count_nonzero(outside & grid.admissible))
+    violations = int(np.count_nonzero(outside & admissible))
     gap = 0.0
     for a, b in BS_ORACLE_PAIRS:
         lo, hi = sandwich_error_bound(CurveParams(a, b), BS_X, iv, BS_M)
         i, j = a + BS_HALF_BOX, b + BS_HALF_BOX
         gap = max(gap, abs(lower[i, j] - lo), abs(upper[i, j] - hi))
-    n_pairs = int(np.count_nonzero(grid.admissible))
+    n_pairs = int(np.count_nonzero(admissible))
     return _check(f"error bracket on {n_pairs} admissible pairs |a|, |b| <= {BS_HALF_BOX}, "
                   f"per-curve bound at {len(BS_ORACLE_PAIRS)} pairs", violations == 0 and gap <= 1e-9,
                   f"{violations} violations, per-curve gap {gap:.1e}")
@@ -281,8 +283,8 @@ def suite_bs() -> list[CheckResult]:
 
 def suite_pipeline() -> list[CheckResult]:
     out = []
-    alk_ok = all(cc.a_lk(l, k) == (1 if l == k else 0)
-                 for k in range(61) for l in range(k + 1))
+    alk_ok = all(value == (1 if l == k else 0)
+                 for k, row in enumerate(cc.a_lk_table(60)) for l, value in enumerate(row))
     out.append(_check("triangular coefficients A(l,k) = [l=k], k <= 60", alk_ok))
 
     rng = random.Random(1)
@@ -319,17 +321,18 @@ def suite_pipeline() -> list[CheckResult]:
     grid_ok = True
     worst = 0.0
     detail = ""
-    for x, half in ((40.0, 4), (60.0, 6)):
-        for iv in (_TEST_INTERVALS[0], _TEST_INTERVALS[2]):
-            for condition in (SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY):
-                for M in (1, 2, 3):
-                    plan = MomentPlan(x=x, A=half, B=half, interval=iv, t_list=(1, 2, 3), M=M, condition=condition)
-                    for t, direct, expanded in zip(plan.t_list, psum_moment_direct(plan), moment_via_expansion(plan)):
-                        gap = abs(direct - expanded)
-                        worst = max(worst, gap)
-                        if gap > 1e-9 * max(1.0, abs(direct)):
-                            grid_ok = False
-                            detail = detail or f"x={x} M={M} t={t} {condition.value}: gap {gap:.2e}"
+    plans = [MomentPlan(x=x, A=half, B=half, interval=iv, t_list=(1, 2, 3), M=M, condition=condition)
+             for x, half in ((40.0, 4), (60.0, 6))
+             for iv in (_TEST_INTERVALS[0], _TEST_INTERVALS[2])
+             for condition in (SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY)
+             for M in (1, 2, 3)]
+    for plan, directs in zip(plans, psum_moment_direct_many(plans)):  # one sweep per box
+        for t, direct, expanded in zip(plan.t_list, directs, moment_via_expansion(plan)):
+            gap = abs(direct - expanded)
+            worst = max(worst, gap)
+            if gap > 1e-9 * max(1.0, abs(direct)):
+                grid_ok = False
+                detail = detail or f"x={plan.x} M={plan.M} t={t} {plan.condition.value}: gap {gap:.2e}"
     out.append(_check("expansion equals direct moment on the tiny grid", grid_ok, detail or f"max gap {worst:.2e}"))
 
     z_ok = True

@@ -12,6 +12,7 @@ from stmoments.chebycomb import (
     PowerPoly,
     _birch_weight,
     a_lk,
+    a_lk_table,
     all_exponent_multisets,
     distinct_sum,
     exponent_product_tables,
@@ -151,6 +152,34 @@ def test_melzak_random_instances():
         assert lhs == rhs
 
 
+def _melzak_sides_by_fractions(f, x, y, n):
+    """Both sides of Melzak's identity term by term in Fractions: the oracle for `melzak_eval`."""
+    x, y = Fraction(x), Fraction(y)
+    binom = Fraction(1)
+    for i in range(n):
+        binom *= x + n - i
+    binom /= math.factorial(n)
+    total = sum((-1) ** a * math.comb(n, a) * Fraction(f(y - a)) / (x + a) for a in range(n + 1))
+    return Fraction(f(x + y)), x * binom * total
+
+
+def test_melzak_eval_equals_the_fraction_formula():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        coeffs = tuple(rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+                       for _ in range(rng.randint(1, n + 1)))
+        x, y = Fraction(rng.randint(-20, 20), rng.randint(1, 7)), Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        if x.denominator == 1 and -n <= x <= 0:
+            continue
+        got = melzak_eval(PowerPoly(coeffs), x, y, n)
+        assert got == _melzak_sides_by_fractions(PowerPoly(coeffs), x, y, n) and got[0] == got[1]
+        assert all(type(side) is Fraction for side in got)
+        checked += 1
+    assert checked > 250
+
+
 def test_birch_weight_matches_factorial_form():
     # the rational term of the old a_lk sum, kept as the independent oracle
     for j in range(61):
@@ -169,6 +198,15 @@ def test_alk_examples_and_triangle():
             assert a_lk(l, k) == (1 if l == k else 0)
     with pytest.raises(ValueError):
         a_lk(3, 2)
+
+
+def test_alk_table_equals_the_per_entry_sums():
+    table = a_lk_table(60)
+    assert [len(row) for row in table] == list(range(1, 62))
+    for k, row in enumerate(table):
+        for l, value in enumerate(row):
+            assert type(value) is int and value == a_lk(l, k)
+    assert a_lk_table(0) == [[1]]
 
 
 def test_partition_coeff():

@@ -21,7 +21,7 @@ from stmoments.hecke import (
     trace_average_probe,
     traces_via_birch,
 )
-from stmoments.verify import route_agreement_checks
+from stmoments.verify import route_agreement_checks, suite_family, suite_trace
 
 from conftest import trial_division_primes
 
@@ -217,6 +217,23 @@ def test_route_agreement_builds_one_basis_per_weight(monkeypatch):
     checks = route_agreement_checks(200, 26)
     assert all(res.ok for res in checks) and len(checks) == 2
     assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)]
+
+
+def test_tau_and_family_checks_build_one_basis_each(monkeypatch):
+    # the weight-12 checks of suite_trace (p <= 50) and suite_family (p <= 100)
+    # ask their largest prime first, so neither grows its basis by doubling
+    built = []
+
+    def counting_basis(k, n_terms):
+        built.append((k, n_terms))
+        return miller_basis(k, n_terms)
+
+    monkeypatch.setattr(hecke, "miller_basis", counting_basis)
+    assert all(res.ok for res in suite_trace())
+    assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)] + [(12, 47 + 1)]
+    built.clear()
+    assert all(res.ok for res in suite_family())
+    assert built == [(12, 97 + 1)]
 
 
 def test_normalized_trace(trace_store):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -18,11 +19,13 @@ from stmoments.arith_curves import (
     count_in_interval,
     good_traces,
     primes_in_window,
+    trace_values,
 )
 from stmoments.chebycomb import f_poly, set_partitions
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
     DEFAULT_BOX_BUDGET,
+    _EVAL_BLOCK,
     MomentPlan,
     Profile,
     almost_all_report,
@@ -32,6 +35,7 @@ from stmoments.moments_engine import (
     _ks_against_normal,
     _masked_power_tables,
     _normal_cdf,
+    _sweep_box,
     error_term,
     expansion_c_coefficient,
     family_error_grid,
@@ -40,6 +44,7 @@ from stmoments.moments_engine import (
     moment_via_expansion,
     polynomial_sum_grid,
     psum_moment_direct,
+    psum_moment_direct_many,
 )
 from stmoments.st_approx import (MAX_DEGREE, CoeffMode, _f_rows, exact_st_coeffs, p_polynomial_sum, sandwich_coeffs,
                                  sandwich_error_bound, st_measure)
@@ -472,6 +477,112 @@ def test_cross_check_builds_once_for_every_order(monkeypatch, condition):
         single = dataclasses.replace(plan, t_list=(t,))
         assert psum_moment_direct(single) == (d,) and moment_via_expansion(single) == (e,)
         assert e == pytest.approx(d, rel=1e-9, abs=1e-9)
+
+
+def _sha(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def _counted_prime_data(monkeypatch):
+    """The primes of every `moments_engine._box_prime_data` call from now on."""
+    from stmoments import moments_engine
+
+    real, calls = moments_engine._box_prime_data, []
+    monkeypatch.setattr(moments_engine, "_box_prime_data", lambda p, *args: calls.append(p) or real(p, *args))
+    return calls
+
+
+MIXED_CHANNELS = [
+    HALF,
+    (exact_st_coeffs(GEN, 16), SumCondition.SKIP_BAD_ONLY),
+    Interval(0.7, 2.0, half_open=True),
+    (sandwich_coeffs(HALF, 64, CoeffMode.MAJORANT), SumCondition.SKIP_BAD_AND_AB),
+    (exact_st_coeffs(GEN, 16), SumCondition.SKIP_BAD_AND_AB),
+    (sandwich_coeffs(HALF, 64, CoeffMode.MAJORANT), SumCondition.SKIP_BAD_ONLY),
+]
+
+
+@pytest.mark.parametrize("x, A, B", [(60.0, 40, 35), (300.0, 6, 9), (14.0, 0, 12)])
+def test_multi_channel_sweep_equals_one_channel_sweeps(monkeypatch, x, A, B):
+    calls = _counted_prime_data(monkeypatch)
+    a_vals, b_vals, accs = _sweep_box(primes_in_window(x), A, B, MIXED_CHANNELS)
+    assert calls == list(primes_in_window(x).primes)  # one base table per prime for all six channels
+    grid = family_error_grid(x, A, B, HALF)
+    assert np.array_equal(a_vals, grid.a_vals) and np.array_equal(b_vals, grid.b_vals)
+    for channel, acc in zip(MIXED_CHANNELS, accs):
+        if isinstance(channel, Interval):
+            want = family_error_grid(x, A, B, channel).counts
+        else:
+            want = polynomial_sum_grid(x, A, B, *channel)
+        assert acc.dtype == want.dtype and not acc.flags.writeable
+        assert _sha(acc) == _sha(want)
+
+
+def test_sweep_spanning_several_evaluation_blocks(monkeypatch):
+    from stmoments import moments_engine
+
+    x, A, B = 5000.0, 3, 2
+    primes = primes_in_window(x).primes
+    assert sum(len(trace_values(p)) for p in primes) > 10 * _EVAL_BLOCK  # more than ten blocks
+    channels = [GEN, (exact_st_coeffs(GEN, 32), SumCondition.SKIP_BAD_ONLY),
+                (sandwich_coeffs(HALF, 64, CoeffMode.MINORANT), SumCondition.SKIP_BAD_AND_AB)]
+    _, _, accs = _sweep_box(primes_in_window(x), A, B, channels)
+    assert np.array_equal(accs[0], _gather_sweep(x, A, B, GEN))
+    for acc, (coeffs, condition) in zip(accs[1:], channels[1:]):
+        assert _sha(acc) == _sha(_per_residue_polynomial_sweep(x, A, B, coeffs, condition))
+    monkeypatch.setattr(moments_engine, "_EVAL_BLOCK", 1)  # every prime its own block
+    _, _, single = _sweep_box(primes_in_window(x), A, B, channels)
+    assert [_sha(acc) for acc in single] == [_sha(acc) for acc in accs]
+
+
+def test_bracket_check_sweeps_each_prime_once(monkeypatch):
+    from stmoments import verify
+
+    calls = _counted_prime_data(monkeypatch)
+    res = verify._bracket_check(verify._TEST_INTERVALS[0])
+    assert res.ok and res.detail == "0 violations, per-curve gap 1.1e-14"
+    assert calls == list(primes_in_window(verify.BS_X).primes) and len(calls) == 42
+
+
+def test_cross_check_direct_side_sweeps_each_box_once(monkeypatch):
+    from stmoments import verify
+
+    calls = _counted_prime_data(monkeypatch)
+    checks = verify.suite_pipeline()  # the expansion side reads box_summands, not _box_prime_data
+    assert all(res.ok for res in checks)
+    assert calls == list(primes_in_window(40.0).primes) + list(primes_in_window(60.0).primes) and len(calls) == 11
+
+    plans = [MomentPlan(x=x, A=A, B=B, interval=iv, t_list=(1, 3), M=M, condition=condition)
+             for x, A, B in ((40.0, 4, 3), (60.0, 2, 5), (40.0, 4, 3))
+             for iv, M, condition in ((GEN, 2, SumCondition.SKIP_BAD_AND_AB), (HALF, 3, SumCondition.SKIP_BAD_ONLY))]
+    calls.clear()
+    many = psum_moment_direct_many(plans)
+    assert calls == list(primes_in_window(40.0).primes) + list(primes_in_window(60.0).primes)
+    assert many == [psum_moment_direct(plan) for plan in plans]
+    assert psum_moment_direct_many([]) == []
+
+
+def test_multi_channel_sweep_guards(monkeypatch):
+    from stmoments import moments_engine
+
+    def no_sweep(*args):
+        raise AssertionError("swept a prime")
+
+    monkeypatch.setattr(moments_engine, "_box_prime_data", no_sweep)
+    window = primes_in_window(60.0)
+    for A, B in ((2.5, 2), (-1, 3), (3, 2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"box sweep needs integers A, B >= 0, got A = {A}, B = {B}")):
+            _sweep_box(window, A, B, MIXED_CHANNELS)
+    with pytest.raises(BudgetError, match="16008001 pairs x 135 primes = 2161080135 exceeds the cap of 500000000"):
+        _sweep_box(primes_in_window(2000.0), 2000, 2000, MIXED_CHANNELS)
+    with pytest.raises(ValueError, match="'bogus' is not a valid SumCondition"):
+        _sweep_box(window, 2, 2, [HALF, (exact_st_coeffs(HALF, 8), "bogus")])
+    too_wide = dataclasses.replace(exact_st_coeffs(HALF, 8), M=MAX_DEGREE + 1)
+    with pytest.raises(BudgetError, match=f"coefficient degree M = {MAX_DEGREE + 1} exceeds the cap MAX_DEGREE"):
+        _sweep_box(window, 2, 2, [HALF, (too_wide, SumCondition.SKIP_BAD_ONLY)])
+    plans = [MomentPlan(x=60.0, A=3, B=3, interval=GEN, M=2), MomentPlan(x=60.0, A=0, B=3, interval=GEN, M=2)]
+    with pytest.raises(ValueError, match=re.escape("needs A >= 1 and B >= 1, got A = 0, B = 3")):
+        psum_moment_direct_many(plans)
 
 
 def test_sum_condition_values_mean_one_thing_on_both_routes():
