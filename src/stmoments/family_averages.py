@@ -15,7 +15,7 @@ which is the identity this module exercises from both ends: `s0_brute` sums
 the residue grid, `s0_formula` evaluates the trace expression.
 
 Grid sums are the test oracle; the production path for S(n) multiplies the
-prime-power values (exact traces and rationals, floats only at the end).
+prime-power values (exact Birch traces and rationals, floats only at the end).
 The axis averages S1 and S2 and the sums over integer (a, b) boxes
 (`s_grid_brute`, `box_average`) read each prime's traces through
 `arith_curves.box_summands`, so any prime up to MAX_PRIME is in reach; only
@@ -33,7 +33,7 @@ import numpy as np
 from .arith_curves import ApTable, SumCondition, ap_table, box_summands, nonsingular_mask, require_prime, trace_values
 from .chebycomb import f_eval
 from .errors import BudgetError
-from .hecke import TraceStore, _default_store
+from .hecke import _default_store
 
 __all__ = [
     "FactoredInteger",
@@ -96,10 +96,6 @@ class FactoredInteger:
             out *= e + 1
         return out
 
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
-
 
 def s0_brute(p: int, m: int, table: ApTable | None = None) -> float:
     """Grid average of the p^m coefficient over good pairs, from the trace table (built when None)."""
@@ -110,7 +106,7 @@ def s0_brute(p: int, m: int, table: ApTable | None = None) -> float:
     return math.fsum((counts * f_eval(m, traces / math.sqrt(p))).tolist()) / p ** 2
 
 
-def s0_formula(p: int, m: int, store: TraceStore | None = None) -> float:
+def s0_formula(p: int, m: int) -> float:
     """Closed form of the good-grid average of the p^m coefficient.
 
     For even m = 2k the class-number moment identity plus the triangular
@@ -121,14 +117,13 @@ def s0_formula(p: int, m: int, store: TraceStore | None = None) -> float:
     and odd m gives 0 by the r -> -r symmetry.  (A frequently quoted variant
     reads +(1 - 1/p) p^(-(k+1)) trace_{m+2}(T_p); the exhaustive grid oracle
     matches the form above, with the shift and the sign, to float accuracy.)
-    S0(p^0) is the good-pair density 1 - 1/p.
+    S0(p^0) is the good-pair density 1 - 1/p; even m >= 2 needs a prime p >= 5.
     """
     if m % 2 == 1:
         return 0.0
     if m == 0:
         return float(Fraction(p - 1, p))
-    store = store or _default_store()
-    trace = store.trace(m + 2, p)
+    trace = _default_store().trace(m + 2, p)
     return float(Fraction(-(p - 1) * (trace + 1), p ** (m // 2 + 2)))
 
 
@@ -147,25 +142,25 @@ def s12(p: int, m: int) -> tuple[float, float]:
     return float(coeff[ap_a].sum()) / p ** 2, float(coeff[ap_b].sum()) / p ** 2
 
 
-def s_prime_power(p: int, m: int, store: TraceStore | None = None) -> float:
+def s_prime_power(p: int, m: int) -> float:
     """S(p^m) = S0 - S1 - S2 via the trace formula and the axis sums."""
     s1, s2 = s12(p, m)
-    return s0_formula(p, m, store) - s1 - s2
+    return s0_formula(p, m) - s1 - s2
 
 
-def s_multiplicative(n: FactoredInteger, store: TraceStore | None = None) -> float:
+def s_multiplicative(n: FactoredInteger) -> float:
     """S(n) as the product of its prime-power values."""
     out = 1.0
     for p, m in n.factors:
-        out *= s_prime_power(p, m, store)
+        out *= s_prime_power(p, m)
     return out
 
 
-def s0_multiplicative(n: FactoredInteger, store: TraceStore | None = None) -> float:
+def s0_multiplicative(n: FactoredInteger) -> float:
     """S0(n) (the variant without the ab coprimality), multiplicatively."""
     out = 1.0
     for p, m in n.factors:
-        out *= s0_formula(p, m, store)
+        out *= s0_formula(p, m)
     return out
 
 
@@ -212,7 +207,6 @@ def box_average(
     A: int,
     B: int,
     condition: SumCondition = SumCondition.SKIP_BAD_AND_AB,
-    store: TraceStore | None = None,
 ) -> BoxAverageResult:
     """Box sum of the coefficient at n over |a| <= A, |b| <= B versus its
     multiplicative prediction 4AB S(n) (or 4AB S0(n) without the ab condition)."""
@@ -223,9 +217,9 @@ def box_average(
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     total = float(_grid_coeff_product(n, a_vals, b_vals, condition).sum())
     if SumCondition(condition) is SumCondition.SKIP_BAD_AND_AB:
-        prediction = 4.0 * A * B * s_multiplicative(n, store)
+        prediction = 4.0 * A * B * s_multiplicative(n)
     else:
-        prediction = 4.0 * A * B * s0_multiplicative(n, store)
+        prediction = 4.0 * A * B * s0_multiplicative(n)
     residual = total - prediction
     bound = n.divisor_count * n.radical ** 0.6 * (A + B)
     return BoxAverageResult(total=total, prediction=prediction, residual=residual, bound_shape=bound)

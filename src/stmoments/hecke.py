@@ -10,13 +10,14 @@ inverts the class-number moment identity: with
 one has m_j = C_j p^(j+1) - sum_{l=1}^{j} w(j,l) p^(j-l) (trace_{2l+2} + 1),
 where C_j is the j-th Catalan number and w(j, l) = C(2j, j-l) - C(2j, j-l-1)
 (`chebycomb._birch_weight`) is a positive integer with w(j, j) = 1, so the
-system solves by forward substitution in exact integers.  Agreement of the
-two routes is the central cross-check of the whole package.
+system solves by forward substitution in exact integers.  `TraceStore`, the
+production route, takes it; agreement with the q-expansion route, kept as the
+oracle, is the central cross-check of the whole package.
 
 All trace arithmetic uses arbitrary-precision integers; p^(k-1) overflows
-any fixed width long before the default caps k <= 60, p <= 500 bite.  Every
-q-series product behind `delta_qexp` and `miller_basis` is one big-integer
-product of the two series packed by Kronecker substitution (`_mul_trunc`).
+any fixed width long before the caps bite.  Every q-series product behind
+`delta_qexp` and `miller_basis` is one big-integer product of the two series
+packed by Kronecker substitution (`_mul_trunc`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .arith_curves import primes_in_window, require_prime
 from .chebycomb import _birch_weight
-from .classnumbers import HurwitzTable, _signed_power_class_sum, _table_for
+from .classnumbers import HurwitzTable, _signed_power_class_sum, _table_for, build_hurwitz_table
 from .errors import BudgetError
 
 __all__ = [
@@ -42,13 +43,11 @@ __all__ = [
     "normalized_trace",
     "trace_average_probe",
     "MAX_WEIGHT",
-    "MAX_TRACE_PRIME",
     "MAX_BASIS_TERMS",
 ]
 
 MAX_WEIGHT = 60
-MAX_TRACE_PRIME = 500
-MAX_BASIS_TERMS = (MAX_WEIGHT // 12) * MAX_TRACE_PRIME + 1  # the largest basis the default TraceStore builds
+MAX_BASIS_TERMS = 2501  # q-expansion terms of one Miller basis: weight 60 (dim 5) at every p <= 500
 
 
 def dim_cusp_forms(k: int) -> int:
@@ -228,35 +227,31 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
 
 
 class TraceStore:
-    """Cached exact traces, q-expansion route, with weight/prime caps."""
+    """Cached exact traces by the class-number route: every weight of each solve
+    is kept, on one Hurwitz table that is rebuilt only when 4p passes it."""
 
-    def __init__(self, max_weight: int = MAX_WEIGHT, max_prime: int = MAX_TRACE_PRIME):
-        self.max_weight = max_weight
-        self.max_prime = max_prime
+    def __init__(self):
         self._traces: dict[tuple[int, int], int] = {}
-        self._bases: dict[int, list[tuple[int, ...]]] = {}
+        self._table: HurwitzTable | None = None
 
     def trace(self, k: int, p: int) -> int:
-        if k > self.max_weight:
-            raise BudgetError(f"weight capped at {self.max_weight}, got k = {k}")
-        if p > self.max_prime:
-            raise BudgetError(f"trace prime capped at {self.max_prime}, got p = {p}")
+        if k > MAX_WEIGHT:
+            raise BudgetError(f"weight capped at {MAX_WEIGHT}, got k = {k}")
+        require_prime(p, "the class-number route")
+        if k % 2 or k < 4:
+            return dim_cusp_forms(k)  # 0, or the ValueError of a negative weight
         key = (k, p)
         if key not in self._traces:
-            d = dim_cusp_forms(k)
-            basis = self._bases.get(k)
-            if d and (basis is None or len(basis[0]) < d * p + 1):
-                # at least double the precision, so an ascending sweep rebuilds O(log) times
-                grown = min(2 * len(basis[0]) if basis else 0, d * self.max_prime + 1, MAX_BASIS_TERMS)
-                basis = self._bases[k] = miller_basis(k, max(d * p + 1, grown))
-            self._traces[key] = hecke_trace(k, p, basis).trace
+            if self._table is None or self._table.max_n < 4 * p:
+                self._table = build_hurwitz_table(4 * p)
+            for rec in traces_via_birch(p, (k - 2) // 2, self._table):
+                self._traces[(rec.k, p)] = rec.trace
         return self._traces[key]
 
 
-def normalized_trace(k: int, p: int, store: TraceStore | None = None) -> float:
+def normalized_trace(k: int, p: int) -> float:
     """trace / p^((k-1)/2); bounded by twice the dimension."""
-    store = store or _default_store()
-    return store.trace(k, p) / float(p) ** ((k - 1) / 2)
+    return _default_store().trace(k, p) / float(p) ** ((k - 1) / 2)
 
 
 _STORE: TraceStore | None = None
@@ -279,21 +274,22 @@ class TraceAverageProbe:
     per_weight: tuple[tuple[int, float], ...]
 
 
-def trace_average_probe(K: int, x: float, store: TraceStore | None = None) -> TraceAverageProbe:
+def trace_average_probe(K: int, x: float) -> TraceAverageProbe:
     """sum_{k <= K} (1/k) |sum over window primes of the normalized trace|.
 
     Reported against the K sqrt(x) scaling only; at exact-trace scale the
     averaging regime of interest is far out of reach, so this is a small-K
     diagnostic and never a pass/fail quantity.
     """
-    store = store or _default_store()
     window = primes_in_window(x)
+    weights = [k for k in range(12, K + 1, 2) if dim_cusp_forms(k)]
+    if weights:  # the largest prime and weight first: one solve per prime, and the Hurwitz cap before any
+        for p in reversed(window.primes):
+            _default_store().trace(weights[-1], p)
     per_weight = []
     total = 0.0
-    for k in range(12, K + 1, 2):
-        if dim_cusp_forms(k) == 0:
-            continue
-        inner = sum(normalized_trace(k, p, store) for p in window.primes)
+    for k in weights:
+        inner = sum(normalized_trace(k, p) for p in window.primes)
         per_weight.append((k, inner))
         total += abs(inner) / k
     scale = K * math.sqrt(x)

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import chebycomb as cc
 from . import classnumbers as cn
+from . import hecke
 from .arith_curves import (MIN_CURVE_PRIME, CurveParams, Interval, SumCondition, ap_table, count_in_interval,
                            curve_primes, nonsingular_mask, primes_in_window)
 from .family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
-from .hecke import TraceStore, delta_qexp, dim_cusp_forms, traces_via_birch
 from .moments_engine import (
     MomentPlan,
     Profile,
@@ -146,16 +146,15 @@ def route_agreement_checks(max_p: int, max_weight: int) -> list[CheckResult]:
     4 <= k <= max_weight, and the Deligne bound on each Birch record."""
     primes = _primes_to(max_p)
     table = cn.build_hurwitz_table(4 * max_p)
-    store = TraceStore(max_prime=max_p)
-    records = [traces_via_birch(p, (max_weight - 2) // 2, table) for p in primes]
-    for rec in records[-1]:
-        store.trace(rec.k, rec.p)  # the largest prime first: one Miller basis per weight, at full precision
+    records = [hecke.traces_via_birch(p, (max_weight - 2) // 2, table) for p in primes]
+    bases = {rec.k: hecke.miller_basis(rec.k, hecke.dim_cusp_forms(rec.k) * primes[-1] + 1)
+             for rec in records[-1] if hecke.dim_cusp_forms(rec.k)}
     agree = True
     deligne = True
     detail = ""
     for p, birch in zip(primes, records):
         for rec in birch:
-            miller = store.trace(rec.k, p)
+            miller = hecke.hecke_trace(rec.k, p, bases.get(rec.k)).trace
             if rec.trace != miller:
                 agree = False
                 detail = f"k={rec.k} p={p}: birch {rec.trace} != miller {miller}"
@@ -167,12 +166,12 @@ def route_agreement_checks(max_p: int, max_weight: int) -> list[CheckResult]:
 
 def suite_trace() -> list[CheckResult]:
     out = route_agreement_checks(TRACE_MAX_P, TRACE_MAX_WEIGHT)
-    store = TraceStore(max_prime=TRACE_TAU_MAX_P)
-    dims_ok = all(store.trace(k, 7) == 0 for k in (4, 6, 8, 10, 14) if dim_cusp_forms(k) == 0)
+    store = hecke._default_store()
+    dims_ok = all(store.trace(k, 7) == 0 for k in (4, 6, 8, 10, 14) if hecke.dim_cusp_forms(k) == 0)
     out.append(_check("zero trace on zero-dimensional spaces", dims_ok))
 
-    delta = delta_qexp(TRACE_TAU_MAX_P + 1)
-    primes = reversed(curve_primes(TRACE_TAU_MAX_P))  # the largest prime first: one Miller basis, at full precision
+    delta = hecke.delta_qexp(TRACE_TAU_MAX_P + 1)
+    primes = reversed(curve_primes(TRACE_TAU_MAX_P))  # the largest prime first: one Hurwitz table
     tau_ok = all(store.trace(12, p) == delta[p] for p in primes)
     out.append(_check(f"weight-12 trace equals the discriminant coefficient, p <= {TRACE_TAU_MAX_P}", tau_ok))
     return out
@@ -189,12 +188,11 @@ _COPRIME_PAIRS = [
 
 def suite_family() -> list[CheckResult]:
     out = []
-    store = TraceStore()
     worst = 0.0
-    for p in reversed(curve_primes(FAMILY_MAX_P)):  # the largest prime first: one Miller basis per weight
+    for p in reversed(curve_primes(FAMILY_MAX_P)):  # the largest prime first: one Hurwitz table
         table = ap_table(p)
-        for m in range(FAMILY_MAX_M + 1):
-            gap = abs(s0_brute(p, m, table) - s0_formula(p, m, store))
+        for m in reversed(range(FAMILY_MAX_M + 1)):  # the largest weight first: one Birch solve per prime
+            gap = abs(s0_brute(p, m, table) - s0_formula(p, m))
             worst = max(worst, gap)
     out.append(_check(
         f"grid average equals trace formula, p <= {FAMILY_MAX_P}, m <= {FAMILY_MAX_M}",

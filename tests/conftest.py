@@ -2,17 +2,11 @@ import pytest
 
 from stmoments.chebycomb import f_poly
 from stmoments.classnumbers import build_hurwitz_table
-from stmoments.hecke import TraceStore
 
 
 @pytest.fixture(scope="session")
 def hurwitz_table():
     return build_hurwitz_table(4 * 200)
-
-
-@pytest.fixture(scope="session")
-def trace_store():
-    return TraceStore()
 
 
 def trial_division_primes(limit: int) -> list[int]:

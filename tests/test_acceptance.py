@@ -19,7 +19,7 @@ from stmoments import chebycomb as cc
 from stmoments import classnumbers as cn
 from stmoments.arith_curves import CurveParams, Interval, SumCondition, ap_table, count_in_interval, primes_in_window
 from stmoments.family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
-from stmoments.hecke import TraceStore, delta_qexp, traces_via_birch
+from stmoments.hecke import delta_qexp, dim_cusp_forms, hecke_trace, miller_basis, traces_via_birch
 from stmoments.moments_engine import MomentPlan, moment_via_expansion, psum_moment_direct
 from stmoments.st_approx import CoeffMode, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
 from stmoments.verify import _COPRIME_PAIRS, soft_diagnostics
@@ -100,16 +100,16 @@ def test_criterion_3_family_moment_identity():
 def test_criterion_4_trace_double_route():
     start = time.time()
     table = cn.build_hurwitz_table(800)
-    store = TraceStore(max_prime=200)
     primes = [p for p in range(5, 201) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    bases = {k: miller_basis(k, dim_cusp_forms(k) * primes[-1] + 1) for k in range(4, 27, 2)}
     agree = True
     deligne = True
     for p in primes:
         for rec in traces_via_birch(p, 12, table):
-            agree = agree and rec.trace == store.trace(rec.k, p)
+            agree = agree and rec.trace == hecke_trace(rec.k, p, bases[rec.k]).trace
             deligne = deligne and rec.deligne_ok()
     delta = delta_qexp(51)
-    tau_ok = all(store.trace(12, p) == delta[p] for p in primes if p <= 50)
+    tau_ok = all(hecke_trace(12, p, bases[12]).trace == delta[p] for p in primes if p <= 50)
     elapsed = time.time() - start
     report(4, agree and deligne and tau_ok and elapsed < 120.0,
            f"class-number route = expansion route, p <= 200, weights 4..26; "
@@ -118,11 +118,10 @@ def test_criterion_4_trace_double_route():
 
 def test_criterion_5_grid_vs_trace_formula():
     start = time.time()
-    store = TraceStore()
     worst = 0.0
     for p in [q for q in range(5, 101) if all(q % r for r in range(2, math.isqrt(q) + 1))]:
         for m in range(13):
-            worst = max(worst, abs(s0_brute(p, m) - s0_formula(p, m, store)))
+            worst = max(worst, abs(s0_brute(p, m) - s0_formula(p, m)))
     elapsed = time.time() - start
     report(5, worst <= 1e-10 and elapsed < 120.0,
            f"|grid - trace formula| <= 1e-10 for p <= 100, m <= 12 (max {worst:.2e}, {elapsed:.1f}s < 2min)")

