@@ -18,9 +18,12 @@ good reduction does not change along an orbit either.  `_twist_index`
 therefore returns a (6, p) table, the base rows and their negatives, its
 (6, p) good mask, and one flat index into both per residue pair: no trace,
 sign or Delta is formed per pair, and every consumer reads a pair's trace
-and good flag by `take`.  The index is uint32 while p < 2^16 (b d^-3 < p^2
-fits) and int64 above; its remainder mod p is taken as x - (x // p) p,
-since numpy divides by a scalar several times faster than it takes `%`.
+and good flag by `take`.  The index is reduced in uint32 while p < 2^16
+(b d^-3 < p^2 fits) and in int64 above, as x - (x // p) p, since numpy
+divides by a scalar several times faster than it takes `%`, and handed out
+as intp, which `take` reads without a converted copy.  A box sweep passes
+one `_Workspace` to every prime: the FFT rows, base table, mask and index of
+each prime are prefixes of buffers allocated once, at the first prime.
 
 `_trace_rows` gives T(a, b) for every b at once: for each residue a the
 histogram of x^3 + ax over x is circularly correlated against the Legendre
@@ -300,10 +303,31 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Flat buffers that one box sweep reuses prime after prime, so its
+    per-prime arrays do not come back from the OS zeroed each time.  ``get``
+    is a contiguous prefix of buffer (name, dtype), reshaped, holding what
+    the last prime left there.  No such array grows faster than p^2, so a
+    buffer is first allocated with (p_max / p)^2 times the room asked for
+    (pages never touched cost nothing).  Outside a sweep each call makes a
+    `_Workspace(p)` of its own.
+    """
+
+    def __init__(self, p_max: int):
+        self.p_max = p_max
+        self._flat: dict[tuple, np.ndarray] = {}
+
+    def get(self, name: str, p: int, shape: tuple, dtype) -> np.ndarray:
+        key, need = (name, np.dtype(dtype)), math.prod(shape)
+        if key not in self._flat or self._flat[key].size < need:
+            self._flat[key] = np.empty(math.ceil(need * max(1.0, (self.p_max / p) ** 2)), dtype)
+        return self._flat[key][:need].reshape(shape)
+
+
+def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """-sum_x chi(x^3 + a x + b) for the given a residues and every b.
 
-    Returns an int64 array of shape (len(a_residues), p).  At pairs with
+    Returns an int64 (len(a_residues), p) array in ``work``.  At pairs with
     p | Delta the character sum already is the nodal sign or the cusp's 0 (see
     the module docstring).  Row a is the circular correlation of the histogram
     h_a of x^3 + a x with chi, taken as a linear one: h_a reversed against
@@ -313,9 +337,13 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     asks only for the base rows, inside `_twist_index`, and tests compare
     the twist grids with all p rows.
     """
+    work = work or _Workspace(p)
+    traces = work.get("rows", p, (len(a_residues), p), np.int64)
     live = [i for i, a in enumerate(a_residues) if p % 3 != 2 or a % p]
+    if len(live) < len(traces):
+        traces[:] = 0
     if not live:
-        return np.zeros((len(a_residues), p), dtype=np.int64)
+        return traces
     chi = _legendre_table(p)
     size = _smooth_length(2 * p - 1)
     rows = len(live)
@@ -323,7 +351,8 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
     cubes = xs * xs
     cubes *= xs  # exact in int64 for p <= MAX_PRIME
     cubes %= p
-    series = np.zeros((rows + 1, size))  # reversed histograms, then [chi, chi] in the last row
+    series = work.get("series", p, (rows + 1, size), np.float64)  # reversed histograms, then [chi, chi]
+    series[:, p:] = 0.0
     for k, i in enumerate(live):
         t = int(a_residues[i]) * xs
         t += cubes
@@ -331,11 +360,11 @@ def _trace_rows(p: int, a_residues: np.ndarray) -> np.ndarray:
         series[k, p - 1::-1] = np.bincount(t, minlength=p)
     series[rows, :p] = chi
     series[rows, p:2 * p - 1] = chi[:-1]
-    spectra = np.fft.rfft(series, axis=1)
+    spectra = np.fft.rfft(series, axis=1, out=work.get("spectra", p, (rows + 1, size // 2 + 1), np.complex128))
     spectra[:rows] *= spectra[rows]
-    corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])  # reuses touched memory
-    traces = np.zeros((len(a_residues), p), dtype=np.int64)
-    traces[live] = -np.rint(corr[:, p - 1:2 * p - 1])
+    corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])[:, p - 1:2 * p - 1]
+    np.negative(np.rint(corr, out=corr), out=corr)
+    traces[live] = corr
     return traces
 
 
@@ -348,29 +377,40 @@ def _twist_base(p: int) -> tuple[int, int, int]:
     return 0, 1, n
 
 
-def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray):
+def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace | None = None):
     """Base table, good mask and twist index of the residue pairs (a_res x b_res) of one prime.
 
     ``base`` is the int64 (6, p) table of the base rows T(a0, .), a0 = 0, 1, n
     (`_trace_rows(p, _twist_base(p))`, built here), followed by their
-    negatives, and ``good`` is its mask Delta(a0, b') != 0 mod p.  For a pair
+    negatives, and ``good`` is its mask Delta(a0, b') != 0 mod p: false only
+    at b' = 0 for a0 = 0 and at b'^2 = -4 a0^3 / 27 otherwise.  For a pair
     (a, b) with d^2 = a / a0, ``index`` holds (row of a0, negated when
     chi(d) = -1) * p + b d^-3 mod p, so ``base.take(index)`` and
     ``good.take(index)`` are the traces and the good mask over a_res x b_res
     (see the module docstring).  d comes from a table of square roots and
-    d^-3 = d^(p-4).  The index is uint32 for p < 2^16 and int64 above.  The
-    work is O(p log p + len(a_res) len(b_res)).
+    d^-3 = d^(p-4).  The index is reduced in uint32 for p < 2^16 and in int64
+    above, and returned as intp, which `take` reads without a copy.  All
+    three live in ``work``.  The work is O(p log p + len(a_res) len(b_res)).
     """
+    work = work or _Workspace(p)
     chi = _legendre_table(p)
     base_res = _twist_base(p)
-    rows, n = _trace_rows(p, base_res), base_res[2]
-    bs = np.arange(p, dtype=np.int64)
-    good = (4 * np.array(base_res, dtype=np.int64)[:, None] ** 3 + 27 * bs * bs) % p != 0
-    a_res = np.asarray(a_res, dtype=np.int64)
-    b_res = np.asarray(b_res, dtype=np.int64)
+    rows, n = _trace_rows(p, base_res, work), base_res[2]
+    base = work.get("base", p, (6, p), np.int64)
+    base[:3] = rows
+    np.negative(rows, out=base[3:])
     ys = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[ys * ys % p] = ys  # y^2 are distinct for 0 <= y <= (p - 1) / 2
+    good = work.get("good", p, (6, p), bool)
+    good[:] = True
+    inv27 = pow(27, p - 2, p)
+    for i, a0 in enumerate(base_res):
+        r = -4 * a0 ** 3 * inv27 % p
+        if chi[r] != -1:
+            good[[i, i + 3], root[r]] = good[[i, i + 3], -root[r] % p] = False
+    a_res = np.asarray(a_res, dtype=np.int64)
+    b_res = np.asarray(b_res, dtype=np.int64)
     square = chi[a_res] == 1
     d = np.where(a_res == 0, 1, root[np.where(square, a_res, a_res * pow(n, p - 2, p) % p)])
     row = np.where(a_res == 0, 0, np.where(square, 1, 2)) + 3 * (chi[d] == -1)
@@ -380,13 +420,14 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray):
         if e & 1:
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
-    dtype = np.uint32 if p < 1 << 16 else np.int64
-    index = b_res.astype(dtype)[None, :] * d_inv3.astype(dtype)[:, None]
-    quotient = index // p
+    dtype, shape = np.uint32 if p < 1 << 16 else np.int64, (len(a_res), len(b_res))
+    twist = np.multiply(b_res.astype(dtype)[None, :], d_inv3.astype(dtype)[:, None],
+                        out=work.get("twist", p, shape, dtype))
+    quotient = np.floor_divide(twist, p, out=work.get("quotient", p, shape, dtype))
     quotient *= p
-    index -= quotient  # x - (x // p) p, with one p^2-sized temporary
-    index += (row * p).astype(dtype)[:, None]
-    return np.concatenate((rows, -rows)), np.concatenate((good, good)), index
+    twist -= quotient  # x - (x // p) p
+    index = np.add(twist, (row * p)[:, None], out=work.get("index", p, shape, np.intp))
+    return base, good, index
 
 
 def _singular_pairs(p: int, a: int) -> list[int]:
@@ -396,22 +437,25 @@ def _singular_pairs(p: int, a: int) -> list[int]:
     return list(_sqrt_lists(p)[rhs])
 
 
+def _delta_zeros(a_vals: np.ndarray, b_vals: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and column masks of the integer zeros of 4a^3 + 27b^2 in a_vals x
+    b_vals, which are exactly (-3k^2, +-2k^3), for k = 0, 1, ... in order."""
+    return [(a_vals == -3 * k * k, (b_vals == 2 * k ** 3) | (b_vals == -2 * k ** 3))
+            for k in range(math.isqrt(-int(np.min(a_vals, initial=0)) // 3) + 1)]
+
+
 def nonsingular_mask(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
     """Writable boolean grid of Delta(a, b) != 0 over a_vals x b_vals.
 
-    The integer solutions of 4a^3 + 27b^2 = 0 are exactly (-3k^2, +-2k^3) for
-    k >= 0, so only those pairs inside the grid are cleared; no Delta grid is
-    formed.
+    Only the pairs `_delta_zeros` names are cleared; no Delta grid is formed.
     """
     mask = np.ones((len(a_vals), len(b_vals)), dtype=bool)
-    for k in range(math.isqrt(-int(np.min(a_vals, initial=0)) // 3) + 1):
-        rows = a_vals == -3 * k * k
-        cols = (b_vals == 2 * k ** 3) | (b_vals == -2 * k ** 3)
+    for rows, cols in _delta_zeros(a_vals, b_vals):
         mask[np.ix_(rows, cols)] = False
     return mask
 
 
-def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
+def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray, work: _Workspace | None = None):
     """Residue table of one prime over the box in base form: (base, good, index).
 
     ``a_vals`` and ``b_vals`` are runs of consecutive integers, so their first
@@ -419,9 +463,10 @@ def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray):
     ``base`` and ``good`` are `_twist_index`'s (6, p) base rows and good mask,
     and ``index`` is its twist index at those residues in box order, so
     ``base.take(index)`` is the trace table of one period of the box.  The
-    work is O(p log p + residues met) whatever the box shape.
+    work is O(p log p + residues met) whatever the box shape; the sweep
+    passes its ``work``.
     """
-    return _twist_index(p, a_vals[:p] % p, b_vals[:p] % p)
+    return _twist_index(p, a_vals[:p] % p, b_vals[:p] % p, work)
 
 
 def _kept(good: np.ndarray, condition: SumCondition) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .arith_curves import primes_in_window, require_prime
 from .chebycomb import _birch_weight
-from .classnumbers import HurwitzTable, _signed_power_class_sum, _table_for, build_hurwitz_table
+from .classnumbers import HurwitzTable, _table_for, build_hurwitz_table
 from .errors import BudgetError
 
 __all__ = [
@@ -203,7 +203,8 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
     """Traces for weights 4, 6, ..., 2J+2 by the class-number route.
 
     Solves the unit-triangular system for trace + 1 by forward substitution;
-    exact integers throughout, 24 m_j read off `classnumbers`' power sum.
+    exact integers throughout.  The isqrt(4p) values 12 H(4p - r^2) are read
+    from the table once, and each 24 m_j takes one multiplication per r.
     Weights past MAX_WEIGHT are a BudgetError, as on the q-expansion route.
     """
     require_prime(p, "the class-number route")
@@ -212,10 +213,13 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
     if 2 * J + 2 > MAX_WEIGHT:
         raise BudgetError(f"weight capped at {MAX_WEIGHT}, got k = {2 * J + 2}")
     table = _table_for(p, table)
+    squares = [r * r for r in range(1, math.isqrt(4 * p) + 1)]  # 4p is no square: r^2 < 4p
+    terms = [2 * int(table.twelve_h[4 * p - square]) for square in squares]
     records = []
     solved: list[int] = []  # trace_{2l+2} + 1 for l = 1..j-1
     for j in range(1, J + 1):
-        m24 = _signed_power_class_sum(p, 2 * j, table)  # 24 m_j
+        terms = [term * square for term, square in zip(terms, squares)]  # 2 r^(2j) 12 H(4p - r^2)
+        m24 = sum(terms)  # 24 m_j, the r = 0 term being 0
         assert m24 % 24 == 0
         m_j = m24 // 24
         rhs = math.comb(2 * j, j) // (j + 1) * p ** (j + 1) - m_j

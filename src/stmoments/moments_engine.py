@@ -19,18 +19,20 @@ from one sweep per box for every plan on it.
 Every statistic (moments, the CLT sample's KS distance and histogram, the
 almost-all exceptions) depends only on the multiset of selected counts,
 which take at most pi~ + 1 values: they run on its (value, multiplicity)
-table from `np.bincount`, not on box-sized float arrays.  A `MomentPlan`
-sweeps its box once, inside the first statistic that needs it, and keeps the
-read-only grid while it lives (1-2 bytes of counts plus 1 byte of mask per
-pair), so its moments, CLT sample and almost-all count read one sweep.
-``grid=`` is for a covering grid swept elsewhere, shared by plans of
-different boxes.
+table from `np.bincount` over the box, less the few pairs off the
+selection.  A `MomentPlan` sweeps its box once, inside the first statistic
+that needs it, and keeps the read-only grid (1-2 bytes of counts plus 1 byte
+of mask per pair) and its count table while it lives, so its moments, CLT
+sample and almost-all count read one sweep and one table.  ``grid=`` is for
+a covering grid swept elsewhere, shared by plans of different boxes.
 
 `moment_via_expansion` recomputes the moments of P_M at every t of a plan's
-`t_list` on one build of `box_summands`' power tables: open the t-th power,
-group equal primes with set partitions, expand coefficient products through
-the integer D tables, and attach to every exponent tuple the box average of
-the coefficient at p_1^a_1 ... p_u^a_u over pairwise-distinct prime tuples.
+`t_list` on one build of `box_summands`' power tables (in
+`moment_via_expansion_many`, one for all plans of a box and condition): open
+the t-th power, group equal primes with set partitions, expand coefficient
+products through the integer D tables, and attach to every exponent tuple
+the box average of the coefficient at p_1^a_1 ... p_u^a_u over
+pairwise-distinct prime tuples.
 Those distinct-prime sums go by the partition route (`chebycomb.distinct_sum`):
 Bell(u) products of plain prime sums, not an O(P^u) enumeration.  Before
 any analytic estimation that rewriting is an identity, so the two routes
@@ -57,10 +59,12 @@ from .arith_curves import (
     PrimeWindow,
     SumCondition,
     _box_prime_data,
+    _delta_zeros,
     _kept,
     _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
     _window_limit,
+    _Workspace,
     box_summands,
     count_in_interval,
     curve_primes,
@@ -89,6 +93,7 @@ __all__ = [
     "psum_moment_direct",
     "psum_moment_direct_many",
     "moment_via_expansion",
+    "moment_via_expansion_many",
     "expansion_c_coefficient",
     "clt_histogram",
     "almost_all_report",
@@ -114,9 +119,10 @@ class MomentPlan:
     almost-all threshold; they never enter the counting.  The first
     statistic run without ``grid=`` sweeps the plan's box and the plan keeps
     that read-only `FamilyGrid` while it lives (1-2 bytes of counts and 1
-    byte of mask per pair), so every later statistic of the plan reads the
-    same sweep.  The kept grid is not a field: `repr`, ``==``, `hash` and
-    `dataclasses.replace` ignore it, and a replaced plan sweeps afresh.
+    byte of mask per pair), and its count table, so every later statistic of
+    the plan reads the same sweep and table.  Neither is a field: `repr`,
+    ``==``, `hash` and `dataclasses.replace` ignore them, and a replaced
+    plan sweeps afresh.
     """
 
     x: float
@@ -148,6 +154,11 @@ class MomentPlan:
     def _grid(self) -> FamilyGrid:
         """The box's sweep, on first use; a sweep that raises keeps nothing."""
         return family_error_grid(self.x, self.A, self.B, self.interval)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The count table of the plan's selection on its kept sweep, on first use."""
+        return _count_table(self._grid, self.exclude_axes)
 
 
 @dataclass(frozen=True)
@@ -262,6 +273,7 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
     counting = [isinstance(ch, Interval) for ch in channels]
     accs = [np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count) if count else np.float64)
             for count in counting]
+    work = _Workspace(window.primes[-1])
     step = max(1, _EVAL_BLOCK // (2 * math.isqrt(4 * window.primes[-1]) + 1))  # primes per block
     for first in range(0, window.count, step):
         block = window.primes[first:first + step]
@@ -270,13 +282,17 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
         evaluated = [ch.contains(flat) if count else ch[0].eval_traces(flat) for ch, count in zip(channels, counting)]
         start = 0
         for p, n in zip(block, map(len, values)):
-            base, good, index = _box_prime_data(p, a_vals, b_vals)
+            base, good, index = _box_prime_data(p, a_vals, b_vals, work)
+            period_a, period_b = index.shape
             for ch, count, ev, acc in zip(channels, counting, evaluated, accs):
                 at_base = ev[start:start + n][base]
                 rows = good & at_base if count else np.where(_kept(good, ch[1]), at_base, 0.0)
-                table = rows.astype(acc.dtype, copy=False).take(index)
-                period_a, period_b = table.shape
-                tile = np.tile(table, -(-n_b // period_b))[:, :n_b] if period_b < n_b else table
+                tile = table = rows.astype(acc.dtype, copy=False).take(
+                    index, out=work.get("table", p, index.shape, acc.dtype), mode="clip")
+                if period_b < n_b:  # the period table, repeated along b
+                    tile = work.get("tile", p, (period_a, n_b), acc.dtype)
+                    for j in range(0, n_b, period_b):
+                        tile[:, j:j + period_b] = table[:, :n_b - j]
                 for i in range(0, n_a, period_a):
                     acc[i:i + period_a] += tile[:n_a - i]
             start += n
@@ -322,30 +338,37 @@ def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients,
     return _sweep_box(primes_in_window(x), A, B, [(coeffs, condition)])[2][0]
 
 
-def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None) -> tuple[FamilyGrid, np.ndarray]:
-    """The plan's box of ``grid`` and the pairs the plan selects.  Without a
-    grid it reads the plan's own sweep, made on first use and kept by the
-    plan.  A given grid, swept elsewhere at the plan's x and interval over a
-    covering box, is never kept; only pi~(x) is checked, so another interval
-    goes unnoticed."""
+def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None):
+    """The plan's box of ``grid`` and the count table of the pairs the plan
+    selects.  Without a grid both are the plan's own, made on first use and
+    kept by the plan.  A given grid, swept elsewhere at the plan's x and
+    interval over a covering box, is never kept and its table is built
+    afresh; only pi~(x) is checked, so another interval goes unnoticed."""
     if grid is None:
-        grid = plan._grid
-    elif grid.pi_tilde != (pi_tilde := primes_in_window(plan.x).count):
+        return plan._grid, plan._table
+    if grid.pi_tilde != (pi_tilde := primes_in_window(plan.x).count):
         raise ValueError(f"grid has pi~ = {grid.pi_tilde}, but x = {plan.x} has pi~ = {pi_tilde}")
     grid = grid.box(plan.A, plan.B)
-    if not plan.exclude_axes:
-        return grid, grid.admissible
-    return grid, grid.admissible & (grid.a_vals != 0)[:, None] & (grid.b_vals != 0)[None, :]
+    return grid, _count_table(grid, plan.exclude_axes)
 
 
-def _count_table(selected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the selected counts, ascending, and their
-    multiplicities; every statistic of the sample is a function of this table.
-    `np.bincount` widens its input to intp, so it runs on PAIR_BLOCK counts at
-    a time rather than on a widened copy of the whole selection."""
-    mult = np.zeros(int(selected.max(initial=0)) + 1, dtype=np.intp)
-    for start in range(0, len(selected), PAIR_BLOCK):
-        mult += np.bincount(selected[start:start + PAIR_BLOCK], minlength=len(mult))
+def _count_table(grid: FamilyGrid, exclude_axes: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct counts of the pairs a plan selects, ascending, and their
+    multiplicities; every statistic of the sample is a function of this
+    table.  The whole box is bincounted PAIR_BLOCK pairs at a time
+    (`np.bincount` widens its input to intp), then the few pairs off the
+    selection are taken out: the zeros of Delta (`_delta_zeros`) and, under
+    ``exclude_axes``, the lines a = 0 and b = 0.  No box-sized copy is made."""
+    a_vals, b_vals, counts, _, pi_tilde = grid
+    mult = np.zeros(pi_tilde + 1, dtype=np.intp)
+    rows = max(1, PAIR_BLOCK // len(b_vals))
+    for i in range(0, len(a_vals), rows):
+        mult += np.bincount(counts[i:i + rows].ravel(), minlength=len(mult))
+    zeros = _delta_zeros(a_vals, b_vals)
+    dropped = [counts[np.ix_(r, c)].ravel() for r, c in (zeros[1:] if exclude_axes else zeros)]
+    if exclude_axes:  # (0, 0), the zero at k = 0, lies on both lines
+        dropped += [counts[a_vals == 0].ravel(), counts[np.ix_(a_vals != 0, b_vals == 0)].ravel()]
+    mult -= np.bincount(np.concatenate(dropped), minlength=len(mult))
     values = np.flatnonzero(mult)
     return values, mult[values]
 
@@ -356,10 +379,10 @@ def family_moments(plan: MomentPlan, grid: FamilyGrid | None = None) -> MomentRe
     elsewhere at the same x and interval (see `_plan_grid`)."""
     M = plan.resolved_m()
     _check_degree(M)  # before the sweep, so a degree past the cap fails fast
-    (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
+    grid, (values, mult) = _plan_grid(plan, grid)
+    pi_tilde = grid.pi_tilde
     z = exact_st_coeffs(plan.interval, M).z
     mu = st_measure(plan.interval)
-    values, mult = _count_table(counts[admissible])
     errors = values - pi_tilde * mu
     norm = 4.0 * plan.A * plan.B
     results = []
@@ -456,47 +479,64 @@ def _expansion_terms(u: np.ndarray, M: int, t: int):
 
 
 def moment_via_expansion(plan: MomentPlan) -> tuple[float, ...]:
-    """The same moments through the partition/product-rule expansion, from
-    one build of the power tables and one cache of distinct-prime averages.
+    """The same moments through the partition/product-rule expansion:
+    `moment_via_expansion_many` of one plan.
 
     Box averages of coefficients at square-free-supported prime powers stand
     in for their multiplicative approximation, which makes the rewriting an
     exact identity; agreement with `psum_moment_direct` to float accuracy is
-    the pipeline acceptance gate.  Past the PIPELINE_MAX_* caps a BudgetError
-    names the first of max(t_list), M, A, B and the prime count over its cap.
+    the pipeline acceptance gate.
     """
-    _check_box(plan)
-    M, t_max = plan.resolved_m(), max(plan.t_list)
-    for name, value, cap in (
-        ("t", t_max, PIPELINE_MAX_T),
-        ("M", M, PIPELINE_MAX_M),
-        ("A", plan.A, PIPELINE_MAX_HALF_BOX),
-        ("B", plan.B, PIPELINE_MAX_HALF_BOX),
-        ("the window's prime count", primes_in_window(plan.x).count, PIPELINE_MAX_PRIMES),
-    ):
-        if value > cap:
-            raise BudgetError(f"expansion cross-check: {name} = {value} exceeds the cap of {cap}")
-    u = exact_st_coeffs(plan.interval, M).u
-    tables = np.stack(_masked_power_tables(plan, t_max * M))  # (prime, m, pair)
-    norm = 4.0 * plan.A * plan.B
+    return moment_via_expansion_many([plan])[0]
 
-    @lru_cache(maxsize=None)
-    def block_sum(exponents: tuple[int, ...]) -> np.ndarray:
-        return tables[:, list(exponents)].prod(axis=1).sum(axis=0)
 
-    @lru_cache(maxsize=None)
-    def distinct_average(alphas: tuple[int, ...]) -> float:
-        pairs = distinct_sum(len(alphas), lambda block: block_sum(tuple(sorted(alphas[i] for i in block))))
-        return float(pairs.sum()) / norm
+def moment_via_expansion_many(plans: list[MomentPlan]) -> list[tuple[float, ...]]:
+    """`moment_via_expansion` of each plan, in order, from one build of the
+    power tables per (x, A, B, condition), rows up to the group's largest
+    max(t_list) M, and one cache of block sums and distinct-prime averages
+    per group: neither depends on the interval or M.  Each entry equals the
+    plan's own call bit for bit.  Before any table is built, a plan past a
+    PIPELINE_MAX_* cap is a BudgetError naming the first of max(t_list), M,
+    A, B and the prime count over its cap."""
+    groups: dict[tuple, dict[MomentPlan, None]] = {}
+    for plan in plans:
+        _check_box(plan)
+        for name, value, cap in (
+            ("t", max(plan.t_list), PIPELINE_MAX_T),
+            ("M", plan.resolved_m(), PIPELINE_MAX_M),
+            ("A", plan.A, PIPELINE_MAX_HALF_BOX),
+            ("B", plan.B, PIPELINE_MAX_HALF_BOX),
+            ("the window's prime count", primes_in_window(plan.x).count, PIPELINE_MAX_PRIMES),
+        ):
+            if value > cap:
+                raise BudgetError(f"expansion cross-check: {name} = {value} exceeds the cap of {cap}")
+        groups.setdefault((plan.x, plan.A, plan.B, plan.condition), {})[plan] = None
+    moments = {}
+    for (_, A, B, _), group in groups.items():
+        mmax = max(max(plan.t_list) * plan.resolved_m() for plan in group)
+        tables = np.stack(_masked_power_tables(next(iter(group)), mmax))  # (prime, m, pair)
 
-    moments = []
-    for t in plan.t_list:
-        total = 0.0
-        for alphas, coeff in _expansion_terms(u, M, t):
-            if coeff != 0.0:
-                total += coeff * distinct_average(tuple(sorted(alphas)))
-        moments.append(total)
-    return tuple(moments)
+        @lru_cache(maxsize=None)
+        def block_sum(exponents: tuple[int, ...]) -> np.ndarray:
+            return tables[:, list(exponents)].prod(axis=1).sum(axis=0)
+
+        @lru_cache(maxsize=None)
+        def distinct_average(alphas: tuple[int, ...]) -> float:
+            pairs = distinct_sum(len(alphas), lambda block: block_sum(tuple(sorted(alphas[i] for i in block))))
+            return float(pairs.sum()) / (4.0 * A * B)
+
+        for plan in group:
+            M = plan.resolved_m()
+            u = exact_st_coeffs(plan.interval, M).u
+            totals = []
+            for t in plan.t_list:
+                total = 0.0
+                for alphas, coeff in _expansion_terms(u, M, t):
+                    if coeff != 0.0:
+                        total += coeff * distinct_average(tuple(sorted(alphas)))
+                totals.append(total)
+            moments[plan] = tuple(totals)
+    return [moments[plan] for plan in plans]
 
 
 def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ...]) -> float:
@@ -595,13 +635,15 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     if not mu - mu * mu > 0:  # mu rounds to 1 when I covers [-2, 2]: a zero scale
         raise ValueError(f"the CLT sample needs 0 < mu(I) < 1, got alpha = {plan.interval.alpha}, "
                          f"beta = {plan.interval.beta}, mu = {mu}")
-    (a_vals, b_vals, counts, _, pi_tilde), sel = _plan_grid(plan, grid)
-    if not sel.any():
+    grid, (values, mult) = _plan_grid(plan, grid)
+    if not len(values):
         raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
                          f"exclude_axes = {plan.exclude_axes}")
+    a_vals, b_vals, counts, sel, pi_tilde = grid
+    if plan.exclude_axes:
+        sel = sel & (a_vals != 0)[:, None] & (b_vals != 0)[None, :]
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
     selected = counts[sel]
-    values, mult = _count_table(selected)
     table = (values - pi_tilde * mu) / scale
     bin_counts, bin_edges = np.histogram(table, bins=bins, weights=mult)
     mean = math.fsum((mult * table).tolist()) / len(selected)
@@ -655,9 +697,9 @@ def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None
     if not y > 0:
         raise ValueError(f"the almost-all level needs y > 0, got y = {y}")
     profile = profile or plan.profile
-    (_, _, counts, _, pi_tilde), admissible = _plan_grid(plan, grid)
+    grid, (values, mult) = _plan_grid(plan, grid)
+    pi_tilde = grid.pi_tilde
     mu = st_measure(plan.interval)
-    values, mult = _count_table(counts[admissible])
     errors = np.abs(values - pi_tilde * mu)
     threshold = _profile_threshold(plan.x, mu, pi_tilde, profile, plan.c)
     exceptions = int(mult[errors > y * threshold].sum())

@@ -30,7 +30,7 @@ from .moments_engine import (
     expansion_c_coefficient,
     family_error_grid,
     family_moments,
-    moment_via_expansion,
+    moment_via_expansion_many,
     psum_moment_direct_many,
 )
 from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
@@ -324,8 +324,9 @@ def suite_pipeline() -> list[CheckResult]:
              for iv in (_TEST_INTERVALS[0], _TEST_INTERVALS[2])
              for condition in (SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY)
              for M in (1, 2, 3)]
-    for plan, directs in zip(plans, psum_moment_direct_many(plans)):  # one sweep per box
-        for t, direct, expanded in zip(plan.t_list, directs, moment_via_expansion(plan)):
+    # one sweep per box on the direct side, one power-table build per box and condition on the other
+    for plan, directs, expandeds in zip(plans, psum_moment_direct_many(plans), moment_via_expansion_many(plans)):
+        for t, direct, expanded in zip(plan.t_list, directs, expandeds):
             gap = abs(direct - expanded)
             worst = max(worst, gap)
             if gap > 1e-9 * max(1.0, abs(direct)):

@@ -20,6 +20,7 @@ from stmoments.arith_curves import (
     _trace_rows,
     _twist_base,
     _twist_index,
+    _Workspace,
     ap_table,
     box_summands,
     count_in_interval,
@@ -260,7 +261,8 @@ def test_twist_traces_entry_against_curve_ap(p, a, b, singular):
 @pytest.mark.parametrize("p, dtype", [(65521, np.uint32), (65537, np.int64), (999_983, np.int64)])
 def test_twist_index_dtype_boundary(p, dtype):
     # b d^-3 < p^2 fits uint32 only for p < 2^16 (65521 is the largest such prime);
-    # at 999 983 the products of b = p - 1 with almost every d^-3 pass 2^32
+    # at 999 983 the products of b = p - 1 with almost every d^-3 pass 2^32.
+    # The index is reduced in ``dtype`` and returned as intp, for take.
     rng = np.random.default_rng(p)
     ks = rng.integers(1, p, 3).tolist()
     delta_zero = [(0, 0)] + [(-3 * k * k % p, s * 2 * k ** 3 % p) for k in ks for s in (1, -1)]
@@ -277,9 +279,11 @@ def test_twist_index_dtype_boundary(p, dtype):
     assert len(singular) >= 6
     b_good = [0, 1, p - 2, p - 1]
     b_res = b_good + [b for _, b in singular]
-    base, good, index = _twist_index(p, np.array(a_res), np.array(b_res))
+    work = _Workspace(p)
+    base, good, index = _twist_index(p, np.array(a_res), np.array(b_res), work)
     assert base.shape == good.shape == (6, p) and base.dtype == np.int64
-    assert index.dtype == dtype and index.shape == (len(a_res), len(b_res))
+    assert index.dtype == np.intp and index.shape == (len(a_res), len(b_res))
+    assert {dt for name, dt in work._flat if name in ("twist", "quotient")} == {np.dtype(dtype)}
     ap, ok = base.take(index), good.take(index)
     for i, a in enumerate(a_res):
         for j, b in enumerate(b_res):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st_
 
 from stmoments import hecke, verify
 from stmoments.arith_curves import SumCondition, curve_primes
-from stmoments.classnumbers import MAX_HURWITZ_N, build_hurwitz_table
+from stmoments.chebycomb import _birch_weight
+from stmoments.classnumbers import MAX_HURWITZ_N, _signed_power_class_sum, build_hurwitz_table
 from stmoments.errors import BudgetError
 from stmoments.family_averages import (FactoredInteger, box_average, s0_brute, s0_formula, s_grid_brute,
                                        s_multiplicative)
@@ -325,3 +326,17 @@ def test_q_expansion_caps_stop_before_allocating():
     assert peak < 100_000
     assert len(miller_basis(MAX_WEIGHT, 61)) == dim_cusp_forms(MAX_WEIGHT)  # both caps are inclusive
     assert traces_via_birch(5, (MAX_WEIGHT - 2) // 2)[-1].k == MAX_WEIGHT
+
+
+def test_birch_reads_each_class_number_row_once():
+    """The traces from one read of 12 H(4p - r^2) per r equal the solve on the
+    per-read power sums, at every prime p < 2000 and every weight up to 60."""
+    table = build_hurwitz_table(4 * 2000)
+    for p in curve_primes(1999):
+        solved = []
+        for rec in hecke.traces_via_birch(p, 29, table):
+            j = (rec.k - 2) // 2
+            rhs = math.comb(2 * j, j) // (j + 1) * p ** (j + 1) - _signed_power_class_sum(p, 2 * j, table) // 24
+            rhs -= sum(_birch_weight(j, l) * p ** (j - l) * solved[l - 1] for l in range(1, j))
+            solved.append(rhs)
+            assert rec.trace == rhs - 1, (p, rec.k)

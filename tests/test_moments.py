@@ -13,6 +13,7 @@ import pytest
 from stmoments.arith_curves import (
     CurveParams,
     Interval,
+    PrimeWindow,
     SumCondition,
     _trace_rows,
     box_summands,
@@ -31,6 +32,7 @@ from stmoments.moments_engine import (
     almost_all_report,
     clt_histogram,
     _box_prime_data,
+    _count_table,
     _fold_u_tables,
     _ks_against_normal,
     _masked_power_tables,
@@ -42,6 +44,7 @@ from stmoments.moments_engine import (
     family_moments,
     hypothesis2_probe,
     moment_via_expansion,
+    moment_via_expansion_many,
     polynomial_sum_grid,
     psum_moment_direct,
     psum_moment_direct_many,
@@ -479,6 +482,51 @@ def test_cross_check_builds_once_for_every_order(monkeypatch, condition):
         assert e == pytest.approx(d, rel=1e-9, abs=1e-9)
 
 
+def test_expansion_many_equals_each_plan(monkeypatch):
+    """One power-table build per (x, A, B, condition), at the largest t M of
+    its plans, serves every plan of the group bit for bit."""
+    from stmoments import moments_engine
+
+    plans = [MomentPlan(x=x, A=A, B=B, interval=iv, t_list=t_list, M=M, condition=condition)
+             for x, A, B in ((40.0, 4, 3), (60.0, 2, 5))
+             for iv, t_list, M in ((GEN, (1, 3), 2), (HALF, (2,), 3), (GEN, (1, 2, 3, 4), 1))
+             for condition in SumCondition]
+    plans.append(plans[0])
+    builds = []
+    real = moments_engine._masked_power_tables
+    monkeypatch.setattr(moments_engine, "_masked_power_tables",
+                        lambda plan, mmax: builds.append((plan, mmax)) or real(plan, mmax))
+    many = moment_via_expansion_many(plans)
+    assert builds == [(plans[i], 6) for i in (0, 1, 6, 7)]
+    builds.clear()
+    assert many == [moment_via_expansion(plan) for plan in plans] and len(builds) == len(plans)
+    assert moment_via_expansion_many([]) == []
+
+
+def test_expansion_many_checks_every_cap_before_any_table(monkeypatch):
+    from stmoments import moments_engine
+
+    def no_tables(*args):
+        raise AssertionError("built a power table")
+
+    monkeypatch.setattr(moments_engine, "_masked_power_tables", no_tables)
+    good = MomentPlan(x=40.0, A=4, B=3, interval=GEN, M=2)
+    with pytest.raises(BudgetError, match="expansion cross-check: M = 9 exceeds the cap of 8"):
+        moment_via_expansion_many([good, dataclasses.replace(good, M=9)])
+    with pytest.raises(ValueError, match=re.escape("needs A >= 1 and B >= 1, got A = 0, B = 3")):
+        moment_via_expansion_many([good, dataclasses.replace(good, A=0)])
+
+
+def test_pipeline_suite_reads_one_power_table_per_box_and_condition(monkeypatch):
+    from stmoments import moments_engine, verify
+
+    real, calls = moments_engine.box_summands, []
+    monkeypatch.setattr(moments_engine, "box_summands", lambda p, *args: calls.append(p) or real(p, *args))
+    assert all(res.ok for res in verify.suite_pipeline())
+    window40, window60 = primes_in_window(40.0).primes, primes_in_window(60.0).primes
+    assert calls == 2 * list(window40) + 2 * list(window60) and len(calls) == 22
+
+
 def _sha(array):
     return hashlib.sha256(array.tobytes()).hexdigest()
 
@@ -560,6 +608,90 @@ def test_cross_check_direct_side_sweeps_each_box_once(monkeypatch):
     assert calls == list(primes_in_window(40.0).primes) + list(primes_in_window(60.0).primes)
     assert many == [psum_moment_direct(plan) for plan in plans]
     assert psum_moment_direct_many([]) == []
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()[:16]
+
+
+# SHA-256 prefixes of grids swept before the sweep kept one workspace for all
+# its primes (fresh per-prime arrays, np.tile, take with bounds checks)
+RECORDED_SWEEPS = {
+    "narrow": ("ec46c46bd56b6b06", "b615cea875932b39"),
+    "wide": ("8d02efdc71eceac5", "1c276db620c5282d"),
+    "channels": ("bd7e18d59dcb2bb9", "7b9c961711b0155d", "1050d8278b465803",
+                 "98a00f529f82e703", "58de8cd540f87d25", "5c7ae7bdafcc97c7"),
+    "blocks": ("b137807d5f136408", "6d86dcb2eb37f7a5"),
+    "dtype_switch": ("bcbf29c00730b14d", "1dc49d0de2a7ce83"),
+}
+
+
+def test_sweeps_equal_recorded_digests():
+    grid = family_error_grid(3000.0, 50, 50, HALF)  # a narrow box: 101 residues of each prime
+    got = {"narrow": (_digest(grid.counts, grid.admissible),
+                      _digest(polynomial_sum_grid(3000.0, 50, 50, exact_st_coeffs(HALF, 16))))}
+    grid = family_error_grid(200.0, 400, 300, GEN)  # every residue, tiled along both axes
+    got["wide"] = (_digest(grid.counts, grid.admissible),
+                   _digest(polynomial_sum_grid(200.0, 400, 300, sandwich_coeffs(HALF, 64, CoeffMode.MAJORANT),
+                                               SumCondition.SKIP_BAD_AND_AB)))
+    got["channels"] = tuple(map(_digest, _sweep_box(primes_in_window(60.0), 40, 35, MIXED_CHANNELS)[2]))
+    window = primes_in_window(5000.0)
+    assert sum(len(trace_values(p)) for p in window.primes) > 10 * _EVAL_BLOCK
+    got["blocks"] = tuple(map(_digest, _sweep_box(window, 3, 2, MIXED_CHANNELS[:2])[2]))
+    # the index is reduced in uint32 below 2^16 and in int64 above, inside one sweep
+    window = PrimeWindow(65540.0, (65519, 65521, 65537, 65539))
+    got["dtype_switch"] = tuple(map(_digest, _sweep_box(window, 3, 4, MIXED_CHANNELS[:2])[2]))
+    assert got == RECORDED_SWEEPS
+
+
+def _recorded_workspaces(monkeypatch) -> list:
+    """Every `_Workspace` made from now on, kept alive for inspection."""
+    from stmoments import arith_curves
+
+    made, init = [], arith_curves._Workspace.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(arith_curves._Workspace, "__init__", recording)
+    return made
+
+
+def test_no_result_shares_memory_with_a_workspace(monkeypatch):
+    from stmoments.arith_curves import ap_table
+
+    made = _recorded_workspaces(monkeypatch)
+    results = [*_sweep_box(primes_in_window(60.0), 40, 35, MIXED_CHANNELS)[2],
+               *family_error_grid(300.0, 6, 9, GEN)[:4],
+               *box_summands(101, np.arange(-7, 8), np.arange(-3, 150), SumCondition.SKIP_BAD_AND_AB),
+               ap_table(53).ap, ap_table(53).kind]
+    assert len(made) > 3 and all(work._flat for work in made)
+    for work in made:
+        for buffer in work._flat.values():
+            assert not any(np.shares_memory(result, buffer) for result in results)
+
+
+def test_one_workspace_per_sweep(monkeypatch):
+    """A sweep makes one workspace, and its first request for each buffer
+    leaves room for the window's largest prime: no buffer is replaced."""
+    from stmoments import arith_curves
+
+    made, buffers, get = _recorded_workspaces(monkeypatch), {}, arith_curves._Workspace.get
+
+    def recording(self, name, p, shape, dtype):
+        out = get(self, name, p, shape, dtype)
+        buffers.setdefault((name, np.dtype(dtype)), set()).add(id(self._flat[name, np.dtype(dtype)]))
+        return out
+
+    monkeypatch.setattr(arith_curves._Workspace, "get", recording)
+    window = primes_in_window(500.0)
+    _sweep_box(window, 300, 200, MIXED_CHANNELS[:2])
+    assert len(made) == 1 and made[0].p_max == window.primes[-1]
+    assert len(buffers) >= 10 and all(len(ids) == 1 for ids in buffers.values())
 
 
 def test_multi_channel_sweep_guards(monkeypatch):
@@ -722,7 +854,7 @@ def test_box_prime_data_against_fft_rows(p, A, B):
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
     base, good, index = _box_prime_data(p, a_vals, b_vals)
-    assert base.shape == good.shape == (6, p) and index.dtype == np.uint32
+    assert base.shape == good.shape == (6, p) and index.dtype == np.intp
     assert index.shape == (min(len(a_vals), p), min(len(b_vals), p))
     box = np.ix_(np.arange(len(a_vals)) % index.shape[0], np.arange(len(b_vals)) % index.shape[1])
     ap_box, good_box = base.take(index)[box], good.take(index)[box]
@@ -1045,6 +1177,48 @@ def test_replaced_plan_sweeps_afresh(monkeypatch):
         plan.A = 3
 
 
+def _counted_tables(monkeypatch) -> list:
+    """The exclude_axes flag of every `moments_engine._count_table` call from now on."""
+    from stmoments import moments_engine
+
+    calls = []
+
+    def counting(grid, exclude_axes):
+        calls.append(exclude_axes)
+        return _count_table(grid, exclude_axes)
+
+    monkeypatch.setattr(moments_engine, "_count_table", counting)
+    return calls
+
+
+@pytest.mark.parametrize("exclude_axes", [False, True])
+def test_plan_counts_its_table_once(monkeypatch, exclude_axes):
+    plan = MomentPlan(x=200.0, A=13, B=20, interval=HALF, t_list=(1, 2), M=8, exclude_axes=exclude_axes)
+    sweeps, tables = _counted_sweeps(monkeypatch), _counted_tables(monkeypatch)
+    family_moments(plan), clt_histogram(plan), almost_all_report(plan, 1.0)
+    assert len(sweeps) == 1 and tables == [exclude_axes]
+    grid = family_error_grid(200.0, 15, 21, HALF)  # a given grid: a fresh table per statistic, none kept
+    fresh = dataclasses.replace(plan)
+    family_moments(fresh, grid), clt_histogram(fresh, grid=grid), almost_all_report(fresh, 1.0, grid=grid)
+    assert tables == [exclude_axes] * 4 and "_grid" not in vars(fresh) and "_table" not in vars(fresh)
+
+
+@pytest.mark.parametrize("x, A, B, sub", [(200.0, 20, 17, (13, 16)), (60.0, 60, 500, (48, 500)),
+                                          (14.0, 0, 3, (0, 3)), (100.0, 3, 0, (2, 0))])
+def test_count_table_equals_the_masked_selection(x, A, B, sub):
+    # the zeros of Delta in these boxes include (-3k^2, +-2k^3) for k <= 4, and sub-boxes are views
+    grid = family_error_grid(x, A, B, HALF)
+    for box in (grid, grid.box(*sub)):
+        for exclude_axes in (False, True):
+            selected = box.admissible
+            if exclude_axes:
+                selected = selected & (box.a_vals != 0)[:, None] & (box.b_vals != 0)[None, :]
+            values, mult = np.unique(box.counts[selected], return_counts=True)
+            got = _count_table(box, exclude_axes)
+            assert np.array_equal(got[0], values) and np.array_equal(got[1], mult)
+            assert got[0].dtype == got[1].dtype == np.intp
+
+
 @pytest.mark.parametrize("A, B, error, message", [
     (2000, 2000, BudgetError, f"exceeds the cap of {DEFAULT_BOX_BUDGET}"),
     (2.5, 2, ValueError, re.escape("box sweep needs integers A, B >= 0, got A = 2.5, B = 2")),
@@ -1055,4 +1229,4 @@ def test_failed_sweep_keeps_nothing(monkeypatch, A, B, error, message):
     for statistic in (family_moments, clt_histogram, lambda plan: almost_all_report(plan, 1.0)):
         with pytest.raises(error, match=message):
             statistic(plan)
-    assert len(calls) == 3
+    assert len(calls) == 3 and "_grid" not in vars(plan) and "_table" not in vars(plan)
