@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -511,6 +511,14 @@ class ApTable:
     @property
     def good(self) -> np.ndarray:
         return self.kind == _GOOD
+
+    @cached_property
+    def trace_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct traces of the good pairs, ascending, and the number of
+        good pairs with each (`np.unique`'s pair), built once per table."""
+        traces, counts = np.unique(self.ap[self.good], return_counts=True)
+        traces.flags.writeable = counts.flags.writeable = False
+        return traces, counts
 
 
 def ap_table(p: int) -> ApTable:

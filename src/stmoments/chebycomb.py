@@ -22,9 +22,9 @@ the signed coefficients attached to set partitions that separate sums over
 pairwise-distinct primes into products of plain prime sums
 (`partition_coeff`, `distinct_sum`).
 
-Every helper is exact on int / Fraction inputs.  `f_eval` and `distinct_sum`
-also run elementwise on numpy arrays, which is how the moment pipeline uses
-them.
+Every helper is exact on int / Fraction inputs.  `f_rows`, the one f_m
+recurrence (`f_eval` is its last row), and `distinct_sum` also run elementwise
+on numpy arrays, which is how the moment pipeline uses them.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 __all__ = [
     "PowerPoly",
     "f_poly",
+    "f_rows",
     "f_eval",
     "product_rule_fold",
     "u_product_expand",
@@ -88,27 +89,30 @@ def f_poly(m: int) -> PowerPoly:
     f_0 = 1, f_1 = x, f_2 = x^2 - 1, f_3 = x^3 - 2x, ...
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise ValueError(f"m must be nonnegative, got m = {m}")
     coeffs = [0] * (m + 1)
     for j in range(m // 2 + 1):
         coeffs[m - 2 * j] = (-1) ** j * math.comb(m - j, j)
     return PowerPoly(tuple(coeffs))
 
 
-def f_eval(m: int, x):
-    """Evaluate f_m at x via the three-term recurrence.
+def f_rows(x, mmax: int):
+    """f_0(x), ..., f_mmax(x) by f_m = x f_(m-1) - f_(m-2): a list for a scalar
+    x (exact on int and Fraction), one float array of shape (mmax + 1, *x.shape)
+    for a numpy array x.  On [-2, 2] |f_m| <= m + 1, so the forward recurrence
+    stays well conditioned."""
+    if mmax < 0:
+        raise ValueError(f"m must be nonnegative, got m = {mmax}")
+    rows = np.empty((mmax + 1, *x.shape)) if isinstance(x, np.ndarray) else [None] * (mmax + 1)
+    rows[0] = x * 0 + 1
+    for m in range(1, mmax + 1):
+        rows[m] = x if m == 1 else x * rows[m - 1] - rows[m - 2]
+    return rows
 
-    Works for float, int and Fraction inputs.  On [-2, 2] the values are
-    bounded by m + 1, so the forward recurrence stays well conditioned.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return x * 0 + 1
-    prev, cur = x * 0 + 1, x
-    for _ in range(m - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+
+def f_eval(m: int, x):
+    """f_m(x), the last row of `f_rows`, for float, int, Fraction or array x."""
+    return f_rows(x, m)[m]
 
 
 def product_rule_fold(table: Mapping[int, object], weights: Mapping[int, object]) -> dict[int, object]:

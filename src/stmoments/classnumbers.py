@@ -7,12 +7,15 @@ square class (a, 0, a) counts 1/2 and the hexagonal class (a, a, a) counts
 1/3.  Values are stored as the integers 12 H(N); no floating point enters
 this module.  H(N) is defined for N > 0 with N = 0 or 3 mod 4.
 
-Two exact consequences are exposed as operations: the mass identity
-sum_{r^2 <= 4p} H(4p - r^2) = 2p, and the family moment identity
+Every identity reads a prime's class numbers through one row,
+`_class_row(p)` = [12 H(4p - r^2) for r = 0..isqrt(4p)]: the mass identity
+sum_{r^2 <= 4p} H(4p - r^2) = 2p (`eichler_mass`), the family moment identity
 
-    sum over the good residue grid of a_p^g  =  (p-1)/2 sum_r r^g H(r^2 - 4p),
+    sum over the good residue grid of a_p^g  =  (p-1)/2 sum_r r^g H(r^2 - 4p)
 
-whose right side the trace solver later inverts.
+(`family_moment_classnum`), and its inversion into Hecke traces
+(`hecke.traces_via_birch`).  Weighed by (p - 1)/24, the same row is Birch's
+count of the good residue pairs with trace r.
 """
 
 from __future__ import annotations
@@ -151,32 +154,22 @@ def build_hurwitz_table(max_n: int) -> HurwitzTable:
     return HurwitzTable(max_n=max_n, twelve_h=t12)
 
 
-def _signed_power_class_sum(p: int, g: int, table: HurwitzTable) -> int:
-    """sum over |r| <= 2 sqrt(p) of r^g * 12 H(4p - r^2); 0 for odd g."""
-    if g % 2 == 1:
-        return 0
-    rmax = math.isqrt(4 * p)
-    if rmax * rmax == 4 * p:  # cannot happen for prime p >= 5
-        rmax -= 1
-    total = table.twelve(4 * p) if g == 0 else 0
-    for r in range(1, rmax + 1):
-        total += 2 * r ** g * table.twelve(4 * p - r * r)
-    return total
-
-
-def _table_for(p: int, table: HurwitzTable | None) -> HurwitzTable:
+def _class_row(p: int, table: HurwitzTable | None = None) -> list[int]:
+    """12 H(4p - r^2) for r = 0..isqrt(4p) as Python ints, from the table (built
+    at N = 4p when None): the one read of a prime's class numbers.  4p is no
+    square for prime p, so every N is > 0."""
     if table is None:
-        return build_hurwitz_table(4 * p)
-    if table.max_n < 4 * p:
-        raise ValueError("Hurwitz table does not cover 4p")
-    return table
+        table = build_hurwitz_table(4 * p)
+    elif table.max_n < 4 * p:
+        raise ValueError(f"Hurwitz table does not cover 4p: p = {p}, 4p = {4 * p}, max_n = {table.max_n}")
+    return table.twelve_h[4 * p - np.arange(math.isqrt(4 * p) + 1) ** 2].tolist()
 
 
 def eichler_mass(p: int, table: HurwitzTable | None = None) -> int:
     """Residual 12 (sum_{r^2 <= 4p} H(4p - r^2) - 2p); zero is the contract."""
     require_prime(p, "the mass identity")
-    table = _table_for(p, table)
-    return _signed_power_class_sum(p, 0, table) - 24 * p
+    row = _class_row(p, table)
+    return 2 * sum(row) - row[0] - 24 * p
 
 
 def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) -> int:
@@ -184,10 +177,9 @@ def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) ->
     sum over good residue pairs of a_p^g."""
     require_prime(p, "the class-number moment")
     if g < 0:
-        raise ValueError("g must be nonnegative")
+        raise ValueError(f"g must be nonnegative, got g = {g}")
     if g % 2 == 1:
         return 0
-    table = _table_for(p, table)
-    value = (p - 1) * _signed_power_class_sum(p, g, table)
+    value = (p - 1) * sum((2 - (r == 0)) * r ** g * h for r, h in enumerate(_class_row(p, table)))  # r and -r
     assert value % 24 == 0
     return value // 24

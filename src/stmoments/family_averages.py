@@ -101,8 +101,7 @@ def s0_brute(p: int, m: int, table: ApTable | None = None) -> float:
     """Grid average of the p^m coefficient over good pairs, from the trace table (built when None)."""
     if p > S_BRUTE_MAX_P:
         raise BudgetError(f"grid average capped at p <= {S_BRUTE_MAX_P}, got p = {p}")
-    table = ap_table(p) if table is None else table
-    traces, counts = np.unique(table.ap[table.good], return_counts=True)
+    traces, counts = (ap_table(p) if table is None else table).trace_histogram
     return math.fsum((counts * f_eval(m, traces / math.sqrt(p))).tolist()) / p ** 2
 
 
@@ -119,6 +118,8 @@ def s0_formula(p: int, m: int) -> float:
     matches the form above, with the shift and the sign, to float accuracy.)
     S0(p^0) is the good-pair density 1 - 1/p; even m >= 2 needs a prime p >= 5.
     """
+    if m < 0:
+        raise ValueError(f"S0(p^m) needs m >= 0, got m = {m}")
     if m % 2 == 1:
         return 0.0
     if m == 0:
@@ -144,8 +145,9 @@ def s12(p: int, m: int) -> tuple[float, float]:
 
 def s_prime_power(p: int, m: int) -> float:
     """S(p^m) = S0 - S1 - S2 via the trace formula and the axis sums."""
+    s0 = s0_formula(p, m)  # first, so a negative m is refused by name
     s1, s2 = s12(p, m)
-    return s0_formula(p, m) - s1 - s2
+    return s0 - s1 - s2
 
 
 def s_multiplicative(n: FactoredInteger) -> float:

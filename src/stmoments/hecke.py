@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .arith_curves import primes_in_window, require_prime
 from .chebycomb import _birch_weight
-from .classnumbers import HurwitzTable, _table_for, build_hurwitz_table
+from .classnumbers import HurwitzTable, _class_row, build_hurwitz_table
 from .errors import BudgetError
 
 __all__ = [
@@ -203,18 +203,18 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
     """Traces for weights 4, 6, ..., 2J+2 by the class-number route.
 
     Solves the unit-triangular system for trace + 1 by forward substitution;
-    exact integers throughout.  The isqrt(4p) values 12 H(4p - r^2) are read
-    from the table once, and each 24 m_j takes one multiplication per r.
+    exact integers throughout.  The class-number row 12 H(4p - r^2) is read
+    once (`_class_row`), and each 24 m_j takes one multiplication per r >= 1.
     Weights past MAX_WEIGHT are a BudgetError, as on the q-expansion route.
     """
     require_prime(p, "the class-number route")
     if J < 1:
-        raise ValueError("J must be >= 1")
+        raise ValueError(f"J must be >= 1, got J = {J}")
     if 2 * J + 2 > MAX_WEIGHT:
         raise BudgetError(f"weight capped at {MAX_WEIGHT}, got k = {2 * J + 2}")
-    table = _table_for(p, table)
-    squares = [r * r for r in range(1, math.isqrt(4 * p) + 1)]  # 4p is no square: r^2 < 4p
-    terms = [2 * int(table.twelve_h[4 * p - square]) for square in squares]
+    row = _class_row(p, table)
+    squares = [r * r for r in range(1, len(row))]
+    terms = [2 * h for h in row[1:]]
     records = []
     solved: list[int] = []  # trace_{2l+2} + 1 for l = 1..j-1
     for j in range(1, J + 1):

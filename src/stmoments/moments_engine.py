@@ -73,9 +73,9 @@ from .arith_curves import (
     primes_in_window,
     trace_values,
 )
-from .chebycomb import distinct_sum, f_eval, gaussian_moment_constant, product_rule_fold, set_partitions
+from .chebycomb import distinct_sum, f_eval, f_rows, gaussian_moment_constant, product_rule_fold, set_partitions
 from .errors import BudgetError
-from .st_approx import BSCoefficients, _check_degree, _f_rows, exact_st_coeffs, profile_M, st_measure
+from .st_approx import BSCoefficients, _check_degree, exact_st_coeffs, profile_M, st_measure
 
 __all__ = [
     "Profile",
@@ -430,7 +430,7 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     tables = []
     for p in window.primes:
         ap, keep = box_summands(p, a_vals, b_vals, plan.condition)
-        tables.append(_f_rows(trace_values(p), mmax).take(ap.ravel(), axis=1) * keep.ravel())
+        tables.append(f_rows(trace_values(p), mmax).take(ap.ravel(), axis=1) * keep.ravel())
     return tables
 
 

@@ -22,6 +22,10 @@ S^- <= indicator <= S^+ hold by construction, not by inspection of a grid.
 With the margin h = N^(-2/3) (N = floor(M/2) the kernel parameter) the
 coefficient deviation from the exact mode is O(M^(-2/3)); the achieved
 deviation is recorded in ``cert``.
+
+A coefficient set has two evaluators, `cosine_grid_blocks` on s and Clenshaw's
+`eval_traces` on u, which `verify` checks against each other; the per-curve
+prime sums read their f_m rows from `chebycomb.f_rows`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith_curves import CurveParams, Interval, SumCondition, good_traces, primes_in_window
+from .chebycomb import f_rows
 from .errors import BudgetError
 
 __all__ = [
@@ -127,26 +132,6 @@ class BSCoefficients:
         for um in self.u[self.M:0:-1].tolist():
             b1, b2 = um + x * b1 - b2, b1
         return self.const_term + x * b1 - b2
-
-    def eval_f_basis(self, thetas: np.ndarray) -> np.ndarray:
-        """Same polynomial through the telescoped coefficients:
-        const_term + sum_m u[m] f_m(2 cos t)."""
-        x = 2.0 * np.cos(np.asarray(thetas, dtype=float))
-        out = np.full_like(x, self.const_term)
-        for um, fm in zip(self.u[1:], _f_rows(x, self.M)[1:]):
-            out += um * fm
-        return out
-
-
-def _f_rows(x: np.ndarray, mmax: int) -> np.ndarray:
-    """Rows f_0(x), ..., f_mmax(x) by f_m = x f_(m-1) - f_(m-2), f_0 = 1, f_1 = x."""
-    rows = np.empty((mmax + 1, *np.shape(x)))
-    rows[0] = 1.0
-    if mmax >= 1:
-        rows[1] = x
-    for m in range(2, mmax + 1):
-        rows[m] = x * rows[m - 1] - rows[m - 2]
-    return rows
 
 
 def _telescope(s: np.ndarray, M: int) -> np.ndarray:
@@ -297,7 +282,7 @@ def parseval_check(interval: Interval, M: int) -> ParsevalResult:
 def _window_coeff_sums(curve: CurveParams, x: float, M: int, condition: SumCondition) -> np.ndarray:
     """sums[m] = sum over admissible window primes of the p^m coefficient;
     sums[0] counts those primes, since f_0 = 1."""
-    return _f_rows(good_traces(curve, primes_in_window(x).primes, condition), M).sum(axis=1)
+    return f_rows(good_traces(curve, primes_in_window(x).primes, condition), M).sum(axis=1)
 
 
 def p_polynomial_sum(

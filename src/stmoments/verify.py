@@ -105,15 +105,6 @@ def mass_identity_check(max_p: int, table: cn.HurwitzTable | None = None) -> Che
     return _check(f"mass identity residual, 5 <= p <= {max_p}", worst == 0, f"max |residual| = {worst}")
 
 
-def _good_trace_moments(p: int, max_g: int) -> list[int]:
-    """sum of a_p^g over the good residue pairs of `ap_table(p)` for g = 0..max_g,
-    exactly: Python ints over the number of pairs with each trace."""
-    grid = ap_table(p)
-    rmax = math.isqrt(4 * p)  # Hasse: |a_p| <= rmax
-    counts = np.bincount(grid.ap[grid.good] + rmax).tolist()
-    return [sum(c * (i - rmax) ** g for i, c in enumerate(counts) if c) for g in range(max_g + 1)]
-
-
 def suite_classnum() -> list[CheckResult]:
     out = []
     anchors_ok = all(cn.hurwitz(n) == Fraction(h) for n, h in _H_ANCHORS.items())
@@ -128,7 +119,9 @@ def suite_classnum() -> list[CheckResult]:
     moment_ok = True
     detail = ""
     for p in curve_primes(CLASSNUM_MAX_MOMENT_P):
-        for g, brute in enumerate(_good_trace_moments(p, 6)):
+        histogram = [v.tolist() for v in ap_table(p).trace_histogram]  # Python ints: the sums stay exact
+        for g in range(7):
+            brute = sum(c * r ** g for r, c in zip(*histogram))
             closed = cn.family_moment_classnum(p, g, table)
             if brute != closed:
                 moment_ok = False
@@ -270,7 +263,7 @@ def suite_bs() -> list[CheckResult]:
 
     coeffs = exact_st_coeffs(_TEST_INTERVALS[2], 40)
     tgrid = np.linspace(0.0, math.pi, 2001)
-    tel = max(float(np.max(np.abs(values - coeffs.eval_f_basis(tgrid[start:start + values.size]))))
+    tel = max(float(np.max(np.abs(values - coeffs.eval_traces(2.0 * np.cos(tgrid[start:start + values.size])))))
               for start, values in coeffs.cosine_grid_blocks(tgrid.size))
     out.append(_check("telescoped basis matches cosine basis", tel <= 1e-10, f"max gap {tel:.2e}"))
     return out

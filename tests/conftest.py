@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stmoments.chebycomb import f_poly
@@ -52,3 +53,26 @@ def to_f_basis(coeffs: tuple) -> dict[int, int]:
                 work[d] -= lead * c
         work.pop()
     return {k: v for k, v in out.items() if v}
+
+
+def scalar_f_recurrence(m: int, x):
+    """f_m(x) by the scalar three-term loop that `chebycomb.f_eval` ran before
+    it read `f_rows`; exact on int and Fraction, elementwise on arrays."""
+    if m == 0:
+        return x * 0 + 1
+    prev, cur = x * 0 + 1, x
+    for _ in range(m - 1):
+        prev, cur = cur, x * cur - prev
+    return cur
+
+
+def stacked_f_rows(x: np.ndarray, mmax: int) -> np.ndarray:
+    """Rows f_0(x), ..., f_mmax(x) of a float array, by the recurrence that
+    `st_approx` kept for its box and per-curve routes before `f_rows`."""
+    rows = np.empty((mmax + 1, *np.shape(x)))
+    rows[0] = 1.0
+    if mmax >= 1:
+        rows[1] = x
+    for m in range(2, mmax + 1):
+        rows[m] = x * rows[m - 1] - rows[m - 2]
+    return rows

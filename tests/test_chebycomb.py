@@ -18,6 +18,7 @@ from stmoments.chebycomb import (
     exponent_product_tables,
     f_eval,
     f_poly,
+    f_rows,
     gaussian_moment_constant,
     melzak_eval,
     partition_coeff,
@@ -25,7 +26,7 @@ from stmoments.chebycomb import (
     u_product_expand,
 )
 
-from conftest import poly_mul, to_f_basis
+from conftest import poly_mul, scalar_f_recurrence, stacked_f_rows, to_f_basis
 
 
 def direct_coeffs(m: int) -> list[int]:
@@ -55,6 +56,33 @@ def test_three_term_recurrence_exact(m):
     fm1 = f_poly(m - 1).coeffs + (0,) * (m + 2 - len(f_poly(m - 1).coeffs))
     rhs = tuple(a - b for a, b in zip(x_fm, fm1[: len(x_fm)]))
     assert lhs == PowerPoly(rhs).coeffs
+
+
+def test_f_rows_equal_the_scalar_loop_and_the_stacked_rows():
+    # the one recurrence against the two it replaced: exact on Fractions and
+    # ints, bit for bit on float arrays, f_eval its last row
+    xs = [Fraction(3, 7), Fraction(-9, 4), Fraction(2), 0, -3, 5]
+    for x in xs:
+        rows = f_rows(x, 30)
+        assert rows == [scalar_f_recurrence(m, x) for m in range(31)], x
+        assert all(type(v) is type(x * 0 + 1) for v in rows), x
+        assert f_eval(30, x) == rows[30]
+    grids = [np.linspace(-2.0, 2.0, 1001), np.random.default_rng(5).uniform(-2.5, 2.5, (7, 13)), np.zeros(0)]
+    for x in grids:
+        for mmax in (0, 1, 2, 40, 300):
+            rows = f_rows(x, mmax)
+            assert rows.shape == (mmax + 1, *x.shape) and rows.dtype == np.float64
+            assert np.array_equal(rows, stacked_f_rows(x, mmax))
+            assert np.array_equal(f_eval(mmax, x), scalar_f_recurrence(mmax, x))
+    for v in (0.3, -1.7, 2.0):
+        assert f_eval(25, v) == scalar_f_recurrence(25, v)  # hypothesis2_probe's scalar loop
+
+
+@pytest.mark.parametrize("m", [-1, -2])
+def test_f_family_refuses_a_negative_m_by_name(m):
+    for call in (lambda: f_eval(m, 0.5), lambda: f_rows(np.zeros(3), m), lambda: f_poly(m)):
+        with pytest.raises(ValueError, match=f"^m must be nonnegative, got m = {m}$"):
+            call()
 
 
 @given(st_.integers(0, 40), st_.integers(0, 40))

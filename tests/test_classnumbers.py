@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stmoments.arith_curves import ap_table
+from stmoments.arith_curves import ApTable, ap_table, curve_primes
 from stmoments.classnumbers import (
     MAX_HURWITZ_N,
+    _class_row,
     build_hurwitz_table,
     eichler_mass,
     family_moment_classnum,
@@ -17,7 +18,6 @@ from stmoments.classnumbers import (
 )
 
 from stmoments.errors import BudgetError
-from stmoments.verify import _good_trace_moments
 
 from conftest import trial_division_primes
 
@@ -111,12 +111,55 @@ def test_table_equals_the_triple_loop():
 
 
 def test_good_trace_moments_equal_the_object_sums():
-    # the brute side of verify's class-number moment check counts each trace
-    # once; the direct route raises every good pair's trace in Python ints
+    # the brute side of verify's class-number moment check sums r^g over the
+    # table's trace histogram; the direct route raises every good pair's trace
+    # in Python ints
     for p in (q for q in trial_division_primes(100) if q >= 5):
         grid = ap_table(p)
         vals = grid.ap[grid.good].astype(object)
-        assert _good_trace_moments(p, 6) == [int((vals ** g).sum()) for g in range(7)], p
+        traces, counts = (v.tolist() for v in grid.trace_histogram)
+        assert [sum(c * r ** g for r, c in zip(traces, counts)) for g in range(7)] == \
+            [int((vals ** g).sum()) for g in range(7)], p
+
+
+def test_trace_histogram_is_np_unique_built_once():
+    grid = ap_table(13)
+    traces, counts = grid.trace_histogram
+    want = np.unique(grid.ap[grid.good], return_counts=True)
+    assert np.array_equal(traces, want[0]) and np.array_equal(counts, want[1])
+    assert grid.trace_histogram[0] is traces and not traces.flags.writeable and not counts.flags.writeable
+    # a trace outside Hasse's range (|r| <= isqrt(4p) = 4 at p = 5) keeps its own value and slot
+    ap = np.zeros((5, 5), dtype=np.int64)
+    ap[1, 2], ap[3, 4], ap[0, 1] = 99, -9, 5
+    kind = np.zeros((5, 5), dtype=np.uint8)
+    kind[0, 1] = 1  # a node: not counted
+    traces, counts = ApTable(p=5, ap=ap, kind=kind).trace_histogram
+    assert traces.tolist() == [-9, 0, 99] and counts.tolist() == [1, 22, 1]
+
+
+def test_birch_count_as_whole_vectors():
+    # Birch: 24 #{good (a, b) mod p : a_p = r} = (p - 1) 12 H(4p - r^2) at
+    # every |r| <= isqrt(4p), exactly, read off the grid's histogram and the
+    # one class-number row
+    table = build_hurwitz_table(4 * 300)
+    for p in curve_primes(300):
+        rmax = math.isqrt(4 * p)
+        counts = dict(zip(*(v.tolist() for v in ap_table(p).trace_histogram)))
+        assert set(counts) <= set(range(-rmax, rmax + 1)), p
+        row = _class_row(p, table)
+        assert len(row) == rmax + 1
+        assert [24 * counts.get(r, 0) for r in range(-rmax, rmax + 1)] == \
+            [(p - 1) * row[abs(r)] for r in range(-rmax, rmax + 1)], p
+
+
+def test_class_row_equals_single_n_enumeration():
+    table = build_hurwitz_table(4 * 300)
+    for p in (5, 7, 101, 293):
+        row = _class_row(p, table)
+        assert row == [twelve_hurwitz(4 * p - r * r) for r in range(math.isqrt(4 * p) + 1)], p
+        assert all(type(h) is int for h in row) and _class_row(p) == row  # its own table when none is given
+    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 307, 4p = 1228, max_n = 1200$"):
+        _class_row(307, table)
 
 
 def test_table_bounds_and_csv(tmp_path):
@@ -149,6 +192,16 @@ def test_family_moment_examples(hurwitz_table):
     assert family_moment_classnum(5, 3, hurwitz_table) == 0
     assert family_moment_classnum(5, 2, hurwitz_table) == 96
     assert family_moment_classnum(5, 0, hurwitz_table) == 20
+
+
+def test_class_number_identities_name_their_inputs(hurwitz_table):
+    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 211, 4p = 844, max_n = 800$"):
+        eichler_mass(211, hurwitz_table)
+    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 211, 4p = 844, max_n = 800$"):
+        family_moment_classnum(211, 2, hurwitz_table)
+    for g in (-1, -2):
+        with pytest.raises(ValueError, match=f"^g must be nonnegative, got g = {g}$"):
+            family_moment_classnum(5, g, hurwitz_table)
 
 
 @pytest.mark.parametrize("p", [9, 15, 25, 49])

@@ -42,3 +42,21 @@ def test_readme_lists_every_cap():
         constant = getattr(importlib.import_module(f"stmoments.{module}"), name, None)
         assert constant is not None, f"{module}.{name} is not a module constant"
         assert value.replace(" ", "") == str(constant), f"{module}.{name}: README says {value}, the code {constant}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import left behind by a deleted code path fails here; the exceptions
+    # are the package's re-exports in __init__.py and `_trace_rows`, which
+    # moments_engine imports only for the benchmark's tracer to look up there
+    kept = {("moments_engine", "_trace_rows")}
+    for info in pkgutil.iter_modules(stmoments.__path__):
+        tree = ast.parse(Path(info.module_finder.path, f"{info.name}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name for name in imported - read if (info.name, name) not in kept}
+        assert not unused, f"{info.name} imports {sorted(unused)} and never reads them"

@@ -10,6 +10,7 @@ from stmoments.arith_curves import (
     ap_table,
     box_summands,
     curve_ap,
+    curve_primes,
     nonsingular_mask,
 )
 from stmoments.chebycomb import f_eval
@@ -24,8 +25,9 @@ from stmoments.family_averages import (
     s_multiplicative,
     s_prime_power,
 )
+from stmoments.verify import suite_family
 
-from conftest import trial_division_primes
+from conftest import scalar_f_recurrence, trial_division_primes
 
 
 def test_factored_integer():
@@ -72,6 +74,43 @@ def test_s0_values():
     assert s0_formula(5, 2) == pytest.approx(-(4 / 5) / 25, rel=1e-15)
     assert s0_formula(7, 10) == pytest.approx(-(6 / 7) * (-16744 + 1) / 7 ** 6, rel=1e-15)
     assert s0_formula(5, 0) == pytest.approx(4 / 5)
+
+
+def s0_brute_per_call(p: int, m: int, table) -> float:
+    """`s0_brute` as it was before tables kept their trace histogram: np.unique
+    on every call, f_m by the scalar loop."""
+    traces, counts = np.unique(table.ap[table.good], return_counts=True)
+    return math.fsum((counts * scalar_f_recurrence(m, traces / math.sqrt(p))).tolist()) / p ** 2
+
+
+def test_s0_brute_equals_the_per_call_histogram_bit_for_bit():
+    for p in curve_primes(100):
+        table = ap_table(p)
+        for m in range(13):
+            assert s0_brute(p, m, table) == s0_brute_per_call(p, m, table), (p, m)
+        assert s0_brute(p, 6) == s0_brute(p, 6, table)  # a table of its own when none is passed
+
+
+def test_family_suite_builds_one_histogram_per_table(monkeypatch):
+    # 23 primes 5 <= p <= 100, each with 13 orders m: one np.unique per table, not 299
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(kwargs.get("return_counts", False))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    assert all(res.ok for res in suite_family())
+    assert len(curve_primes(100)) == 23 and calls == [True] * 23
+
+
+@pytest.mark.parametrize("m", [-1, -2])
+def test_prime_power_averages_refuse_a_negative_m(m):
+    # s0_formula(5, -2) was -0.8 and s0_formula(5, -1) 0.0, while s0_brute raised
+    for call in (s0_formula, s_prime_power, s0_brute):
+        with pytest.raises(ValueError, match=f"got m = {m}$"):
+            call(5, m)
 
 
 @pytest.mark.parametrize("p", [p for p in trial_division_primes(60) if p >= 5])

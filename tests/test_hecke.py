@@ -9,7 +9,7 @@ from hypothesis import strategies as st_
 from stmoments import hecke, verify
 from stmoments.arith_curves import SumCondition, curve_primes
 from stmoments.chebycomb import _birch_weight
-from stmoments.classnumbers import MAX_HURWITZ_N, _signed_power_class_sum, build_hurwitz_table
+from stmoments.classnumbers import MAX_HURWITZ_N, build_hurwitz_table
 from stmoments.errors import BudgetError
 from stmoments.family_averages import (FactoredInteger, box_average, s0_brute, s0_formula, s_grid_brute,
                                        s_multiplicative)
@@ -171,6 +171,11 @@ def test_birch_route_examples(hurwitz_table):
     assert all(r.method == "birch" for r in recs)
     with pytest.raises(ValueError):
         traces_via_birch(3, 2, hurwitz_table)
+    for J in (0, -1):
+        with pytest.raises(ValueError, match=f"^J must be >= 1, got J = {J}$"):
+            traces_via_birch(5, J, hurwitz_table)
+    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 211, 4p = 844, max_n = 800$"):
+        traces_via_birch(211, 2, hurwitz_table)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 61, 101, 151, 199])
@@ -329,14 +334,16 @@ def test_q_expansion_caps_stop_before_allocating():
 
 
 def test_birch_reads_each_class_number_row_once():
-    """The traces from one read of 12 H(4p - r^2) per r equal the solve on the
-    per-read power sums, at every prime p < 2000 and every weight up to 60."""
+    """The traces from one read of 12 H(4p - r^2) per r equal the solve on
+    power sums that read the table afresh for every r and j, at every prime
+    p < 2000 and every weight up to 60."""
     table = build_hurwitz_table(4 * 2000)
     for p in curve_primes(1999):
         solved = []
         for rec in hecke.traces_via_birch(p, 29, table):
             j = (rec.k - 2) // 2
-            rhs = math.comb(2 * j, j) // (j + 1) * p ** (j + 1) - _signed_power_class_sum(p, 2 * j, table) // 24
+            m24 = sum(2 * r ** (2 * j) * table.twelve(4 * p - r * r) for r in range(1, math.isqrt(4 * p) + 1))
+            rhs = math.comb(2 * j, j) // (j + 1) * p ** (j + 1) - m24 // 24
             rhs -= sum(_birch_weight(j, l) * p ** (j - l) * solved[l - 1] for l in range(1, j))
             solved.append(rhs)
             assert rec.trace == rhs - 1, (p, rec.k)

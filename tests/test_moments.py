@@ -22,7 +22,7 @@ from stmoments.arith_curves import (
     primes_in_window,
     trace_values,
 )
-from stmoments.chebycomb import f_poly, set_partitions
+from stmoments.chebycomb import f_poly, f_rows, set_partitions
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
     DEFAULT_BOX_BUDGET,
@@ -49,7 +49,7 @@ from stmoments.moments_engine import (
     psum_moment_direct,
     psum_moment_direct_many,
 )
-from stmoments.st_approx import (MAX_DEGREE, CoeffMode, _f_rows, exact_st_coeffs, p_polynomial_sum, sandwich_coeffs,
+from stmoments.st_approx import (MAX_DEGREE, CoeffMode, exact_st_coeffs, p_polynomial_sum, sandwich_coeffs,
                                  sandwich_error_bound, st_measure)
 
 from conftest import poly_mul, to_f_basis
@@ -158,7 +158,7 @@ def _per_residue_power_tables(plan, mmax):
         keep = good[np.ix_(ia, ib)]
         if plan.condition is SumCondition.SKIP_BAD_AND_AB:
             keep &= (a_vals % p != 0)[:, None] & (b_vals % p != 0)[None, :]
-        tables.append(_f_rows((ap / math.sqrt(p))[np.ix_(ia, ib)].ravel(), mmax) * keep.ravel())
+        tables.append(f_rows((ap / math.sqrt(p))[np.ix_(ia, ib)].ravel(), mmax) * keep.ravel())
     return tables
 
 

@@ -200,7 +200,7 @@ def test_eval_cosine_degree_one():
     coeffs = exact_st_coeffs(Interval(0.7, 2.0), 1)
     thetas = np.linspace(0.0, math.pi, 3001)
     got = grid_values(coeffs, thetas.size)
-    assert np.allclose(got, coeffs.eval_f_basis(thetas), rtol=0.0, atol=1e-15)
+    assert np.allclose(got, coeffs.eval_traces(2.0 * np.cos(thetas)), rtol=0.0, atol=1e-15)
     tol = 64 * np.finfo(float).eps * abs(float(coeffs.s[1]))
     assert float(np.max(np.abs(got - direct_cosine_sums([coeffs], thetas)[0]))) <= tol
 
