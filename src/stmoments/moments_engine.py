@@ -26,14 +26,13 @@ of mask per pair) and its count table while it lives, so its moments, CLT
 sample and almost-all count read one sweep and one table.  ``grid=`` is for
 a covering grid swept elsewhere, shared by plans of different boxes.
 
-`moment_via_expansion` recomputes the moments of P_M at every t of a plan's
-`t_list` on one build of `box_summands`' power tables (in
-`moment_via_expansion_many`, one for all plans of a box and condition): open
-the t-th power, group equal primes with set partitions, expand coefficient
-products through the integer D tables, and attach to every exponent tuple
-the box average of the coefficient at p_1^a_1 ... p_u^a_u over
-pairwise-distinct prime tuples.
-Those distinct-prime sums go by the partition route (`chebycomb.distinct_sum`):
+`moment_via_expansion` recomputes the moments of P_M at every t of each
+plan's `t_list` on one build of `box_summands`' power tables per box and
+condition: open the t-th power, group equal primes with set partitions,
+expand coefficient products through the integer D tables, and attach to
+every exponent tuple the box average of the coefficient at
+p_1^a_1 ... p_u^a_u over pairwise-distinct prime tuples.  Those
+distinct-prime sums go by the partition route (`chebycomb.distinct_sum`):
 Bell(u) products of plain prime sums, not an O(P^u) enumeration.  Before
 any analytic estimation that rewriting is an identity, so the two routes
 must agree to float accuracy; this is the strongest single test of the
@@ -45,7 +44,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import product
@@ -91,9 +91,7 @@ __all__ = [
     "polynomial_sum_grid",
     "family_moments",
     "psum_moment_direct",
-    "psum_moment_direct_many",
     "moment_via_expansion",
-    "moment_via_expansion_many",
     "expansion_c_coefficient",
     "clt_histogram",
     "almost_all_report",
@@ -103,6 +101,16 @@ __all__ = [
 DEFAULT_BOX_BUDGET = 500_000_000  # pairs x primes
 PAIR_BLOCK = 65_536  # pairs per block of the count table and of the CLT CSV writer
 _EVAL_BLOCK = 4096  # trace values per evaluation block of a sweep; a prime near MAX_PRIME has 4001
+MAX_MOMENT_ORDER = 64  # largest t of a plan: every moment and Gaussian term stays a finite float
+MAX_BINS = 1_000_000  # bins of a CLT histogram, about 23 bytes each
+
+
+def _log_power(x: float, c: float) -> float:
+    """(log x)^c; a ValueError naming c and x unless it is a positive finite float."""
+    with suppress(OverflowError):  # float ** float past the float range raises instead of giving inf
+        if 0 < (power := math.log(x) ** c) < math.inf:
+            return power
+    raise ValueError(f"(log x)^c must be a positive finite float, got c = {c}, x = {x}")
 
 
 class Profile(Enum):
@@ -141,9 +149,12 @@ class MomentPlan:
             raise ValueError(f"moment orders and M must be integers, got t_list = {self.t_list}, M = {self.M}")
         if not self.t_list or min(self.t_list) < 1:
             raise ValueError(f"moment orders need t >= 1, got t_list = {self.t_list}")
+        if max(self.t_list) > MAX_MOMENT_ORDER:
+            raise BudgetError(f"moment order t = {max(self.t_list)} exceeds the cap of {MAX_MOMENT_ORDER}")
         if self.M is not None and self.M < 1:
             raise ValueError(f"need M >= 1, got M = {self.M}")
         _window_limit(self.x)  # NaN, x < 10 and inf fail here, before M or a sweep
+        _log_power(self.x, self.c)
 
     def resolved_m(self) -> int:
         if self.M is not None:
@@ -193,15 +204,7 @@ class MomentReport:
             "mu": self.mu,
             "pi_tilde": self.pi_tilde,
             "Z": self.z,
-            "results": [
-                {
-                    "t": r.t,
-                    "empirical": r.empirical,
-                    "main_term": r.main_term,
-                    "ratio": r.ratio,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
         }
 
     def write_json(self, path) -> None:
@@ -434,17 +437,12 @@ def _masked_power_tables(plan: MomentPlan, mmax: int):
     return tables
 
 
-def psum_moment_direct(plan: MomentPlan) -> tuple[float, ...]:
+def psum_moment_direct(plans: list[MomentPlan]) -> list[tuple[float, ...]]:
     """(1/4AB) sum over the box of (sum_m U(m) sum_p coeff(p^m))^t at each t of
-    the plan's t_list, from one polynomial-sum sweep at the plan's M and
-    condition, without const_term: bounded like every sweep, not by the caps."""
-    return psum_moment_direct_many([plan])[0]
-
-
-def psum_moment_direct_many(plans: list[MomentPlan]) -> list[tuple[float, ...]]:
-    """`psum_moment_direct` of each plan, in order, from one `_sweep_box` per
-    distinct box (x, A, B), with one polynomial-sum channel per distinct plan
-    on it; each entry equals the plan's own call bit for bit."""
+    each plan's t_list, one tuple per plan, in order.  Each plan is one
+    polynomial-sum channel at its M and condition, without const_term, in one
+    `_sweep_box` per distinct box (x, A, B): bounded like every sweep, not by
+    the caps."""
     boxes: dict[tuple, dict[MomentPlan, None]] = {}
     for plan in plans:
         _check_box(plan)
@@ -478,26 +476,20 @@ def _expansion_terms(u: np.ndarray, M: int, t: int):
             yield alphas, math.prod(ft[alpha] for ft, alpha in zip(factor_tables, alphas))
 
 
-def moment_via_expansion(plan: MomentPlan) -> tuple[float, ...]:
-    """The same moments through the partition/product-rule expansion:
-    `moment_via_expansion_many` of one plan.
+def moment_via_expansion(plans: list[MomentPlan]) -> list[tuple[float, ...]]:
+    """The same moments through the partition/product-rule expansion, one
+    tuple per plan, in order, from one build of the power tables per (x, A,
+    B, condition), rows up to the group's largest max(t_list) M, and one
+    cache of block sums and distinct-prime averages per group: neither
+    depends on the interval or M.
 
     Box averages of coefficients at square-free-supported prime powers stand
     in for their multiplicative approximation, which makes the rewriting an
     exact identity; agreement with `psum_moment_direct` to float accuracy is
-    the pipeline acceptance gate.
-    """
-    return moment_via_expansion_many([plan])[0]
-
-
-def moment_via_expansion_many(plans: list[MomentPlan]) -> list[tuple[float, ...]]:
-    """`moment_via_expansion` of each plan, in order, from one build of the
-    power tables per (x, A, B, condition), rows up to the group's largest
-    max(t_list) M, and one cache of block sums and distinct-prime averages
-    per group: neither depends on the interval or M.  Each entry equals the
-    plan's own call bit for bit.  Before any table is built, a plan past a
+    the pipeline acceptance gate.  Before any table is built, a plan past a
     PIPELINE_MAX_* cap is a BudgetError naming the first of max(t_list), M,
-    A, B and the prime count over its cap."""
+    A, B and the prime count over its cap.
+    """
     groups: dict[tuple, dict[MomentPlan, None]] = {}
     for plan in plans:
         _check_box(plan)
@@ -631,6 +623,8 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     elsewhere at the same x and interval (see `_plan_grid`).  Only the
     selected counts are gathered; the histogram, the KS distance, the mean
     and the variance run on the count table."""
+    if bins > MAX_BINS:
+        raise BudgetError(f"the CLT histogram's bins = {bins} exceeds the cap of {MAX_BINS}")
     mu = st_measure(plan.interval)
     if not mu - mu * mu > 0:  # mu rounds to 1 when I covers [-2, 2]: a zero scale
         raise ValueError(f"the CLT sample needs 0 < mu(I) < 1, got alpha = {plan.interval.alpha}, "
@@ -678,10 +672,10 @@ class AlmostAllReport:
 
 def _profile_threshold(x: float, mu: float, pi_tilde: int, profile: Profile, c: float) -> float:
     if profile is Profile.UNCONDITIONAL:
-        return x ** 0.75 / math.log(x) ** c
+        return x ** 0.75 / _log_power(x, c)
     if profile is Profile.MRH:
         return math.sqrt(x) * math.sqrt(math.log(x))
-    return math.sqrt((mu - mu * mu) * pi_tilde) + math.sqrt(x) / math.log(x) ** c
+    return math.sqrt((mu - mu * mu) * pi_tilde) + math.sqrt(x) / _log_power(x, c)
 
 
 def almost_all_report(plan: MomentPlan, y: float, profile: Profile | None = None,
@@ -734,6 +728,6 @@ def hypothesis2_probe(curve: CurveParams, m: int, y: float, x: float, c: float =
     if not 0 <= y < x:
         raise ValueError(f"need 0 <= y < x, got x = {x}, y = {y}")
     primes = [p for p in curve_primes(_sieve_limit(x)) if p > y]
+    scale = max(m, 1) * x / _log_power(x, c)  # before the sum, after x's own checks
     total = sum((f_eval(m, v) for v in good_traces(curve, primes, SumCondition.SKIP_BAD_ONLY).tolist()), 0.0)
-    scale = max(m, 1) * x / math.log(x) ** c
     return Hypothesis2Probe(value=total, scale=scale, ratio=total / scale)

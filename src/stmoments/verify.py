@@ -30,8 +30,8 @@ from .moments_engine import (
     expansion_c_coefficient,
     family_error_grid,
     family_moments,
-    moment_via_expansion_many,
-    psum_moment_direct_many,
+    moment_via_expansion,
+    psum_moment_direct,
 )
 from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
 
@@ -318,7 +318,7 @@ def suite_pipeline() -> list[CheckResult]:
              for condition in (SumCondition.SKIP_BAD_AND_AB, SumCondition.SKIP_BAD_ONLY)
              for M in (1, 2, 3)]
     # one sweep per box on the direct side, one power-table build per box and condition on the other
-    for plan, directs, expandeds in zip(plans, psum_moment_direct_many(plans), moment_via_expansion_many(plans)):
+    for plan, directs, expandeds in zip(plans, psum_moment_direct(plans), moment_via_expansion(plans)):
         for t, direct, expanded in zip(plan.t_list, directs, expandeds):
             gap = abs(direct - expanded)
             worst = max(worst, gap)

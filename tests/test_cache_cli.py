@@ -211,6 +211,23 @@ def test_cli_clt_rejects_the_whole_trace_range(capsys):
     assert "Traceback" not in err and not out
 
 
+def test_cli_refuses_a_bad_log_power_moment_order_and_bin_count(capsys):
+    box = ["--x", "100", "--A", "3", "--B", "3", "--alpha", "0", "--beta", "1.5"]
+    for argv, code, message in (
+        (["--c", "inf", "moments"] + box, 2, "(log x)^c must be a positive finite float, got c = inf, x = 100.0"),
+        (["--c", "nan", "moments"] + box, 2, "(log x)^c must be a positive finite float, got c = nan, x = 100.0"),
+        (["--c", "inf", "almost-all", "--y", "1"] + box, 2, "got c = inf, x = 100.0"),
+        (["--c", "inf", "probe", "hyp2", "--x", "100"], 2, "got c = inf, x = 100.0"),
+        (["--c", "1e308", "probe", "hyp2", "--x", "100"], 2, "got c = 1e+308, x = 100.0"),
+        (["--c=-1e308", "probe", "hyp2", "--x", "100"], 2, "got c = -1e+308, x = 100.0"),
+        (["moments", "--t", "400"] + box, 3, "moment order t = 400 exceeds the cap of 64"),
+        (["clt", "--bins", "1000001"] + box, 3, "the CLT histogram's bins = 1000001 exceeds the cap of 1000000"),
+    ):
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err and not out
+
+
 def test_cli_m_is_moments_only(capsys):
     # clt and almost-all never read the coefficient degree
     box = ["--x", "60", "--A", "3", "--B", "3", "--alpha", "0", "--beta", "1.5707963267948966", "--M", "4"]

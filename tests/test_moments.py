@@ -26,6 +26,8 @@ from stmoments.chebycomb import f_poly, f_rows, set_partitions
 from stmoments.errors import BudgetError
 from stmoments.moments_engine import (
     DEFAULT_BOX_BUDGET,
+    MAX_BINS,
+    MAX_MOMENT_ORDER,
     _EVAL_BLOCK,
     MomentPlan,
     Profile,
@@ -44,10 +46,8 @@ from stmoments.moments_engine import (
     family_moments,
     hypothesis2_probe,
     moment_via_expansion,
-    moment_via_expansion_many,
     polynomial_sum_grid,
     psum_moment_direct,
-    psum_moment_direct_many,
 )
 from stmoments.st_approx import (MAX_DEGREE, CoeffMode, exact_st_coeffs, p_polynomial_sum, sandwich_coeffs,
                                  sandwich_error_bound, st_measure)
@@ -378,23 +378,23 @@ def test_plan_rejects_a_bad_x(x, error, message):
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_expansion_identity(condition, t):
     plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(t,), M=2, condition=condition)
-    (direct,), (expanded,) = psum_moment_direct(plan), moment_via_expansion(plan)
+    [(direct,)], [(expanded,)] = psum_moment_direct([plan]), moment_via_expansion([plan])
     assert expanded == pytest.approx(direct, abs=1e-9, rel=1e-9)
 
 
 def test_expansion_t1_linearity():
     plan = MomentPlan(x=40.0, A=3, B=3, interval=HALF, t_list=(1,), M=3, condition=SumCondition.SKIP_BAD_AND_AB)
-    (direct,), (expanded,) = psum_moment_direct(plan), moment_via_expansion(plan)
+    [(direct,)], [(expanded,)] = psum_moment_direct([plan]), moment_via_expansion([plan])
     assert expanded == pytest.approx(direct, abs=1e-12)
 
 
 def test_expansion_guard():
     plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(2,), M=32)
     with pytest.raises(BudgetError, match="M = 32 exceeds the cap of 8"):
-        moment_via_expansion(plan)
+        moment_via_expansion([plan])
     plan = MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(2, 5, 1), M=2)
     with pytest.raises(BudgetError, match="t = 5 exceeds the cap of 4"):
-        moment_via_expansion(plan)
+        moment_via_expansion([plan])
     for kwargs, message in (
         (dict(M=9), "M = 9 exceeds the cap of 8"),
         (dict(A=16), "A = 16 exceeds the cap of 15"),
@@ -403,7 +403,7 @@ def test_expansion_guard():
     ):
         plan = dataclasses.replace(MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=(4,), M=2), **kwargs)
         with pytest.raises(BudgetError, match=message):
-            moment_via_expansion(plan)
+            moment_via_expansion([plan])
 
 
 @pytest.mark.parametrize("x, A, B, M, t", [
@@ -422,11 +422,12 @@ def test_psum_moment_direct_past_the_expansion_caps(x, A, B, M, t):
     for condition in SumCondition:
         plan = MomentPlan(x=x, A=A, B=B, interval=GEN, t_list=(t,), M=M, condition=condition)
         with pytest.raises(BudgetError, match="exceeds the cap of"):
-            moment_via_expansion(plan)
+            moment_via_expansion([plan])
         sums = [p_polynomial_sum(CurveParams(a, b), x, coeffs, condition)
                 for a, b in itertools.product(range(-A, A + 1), range(-B, B + 1)) if 4 * a ** 3 + 27 * b ** 2]
         want = math.fsum(s ** t for s in sums) / (4 * A * B)
-        assert psum_moment_direct(plan) == pytest.approx((want,), rel=1e-12, abs=1e-12)
+        [got] = psum_moment_direct([plan])
+        assert got == pytest.approx((want,), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("A, B", [(0, 3), (3, 0), (0, 0)])
@@ -442,13 +443,55 @@ def test_cross_check_rejects_an_empty_half_width(monkeypatch, A, B):
     plan = MomentPlan(x=40.0, A=A, B=B, interval=GEN, M=2)
     for route in (moment_via_expansion, psum_moment_direct):
         with pytest.raises(ValueError, match=re.escape(f"needs A >= 1 and B >= 1, got A = {A}, B = {B}")):
-            route(plan)
+            route([plan])
 
 
 @pytest.mark.parametrize("t_list", [(), (0,), (2, -1)])
 def test_plan_rejects_moment_orders_below_one(t_list):
     with pytest.raises(ValueError, match=rf"need t >= 1, got t_list = {re.escape(repr(t_list))}"):
         MomentPlan(x=40.0, A=4, B=4, interval=GEN, t_list=t_list)
+
+
+def test_plan_caps_the_moment_order():
+    """t = MAX_MOMENT_ORDER gives finite moments and Gaussian terms; one more
+    is a BudgetError naming t and the cap when the plan is built, so before
+    any sweep."""
+    assert MAX_MOMENT_ORDER == 64
+    plan = MomentPlan(x=100.0, A=3, B=3, interval=HALF, t_list=(2, MAX_MOMENT_ORDER))
+    assert all(math.isfinite(r.empirical) and 0 < r.main_term < math.inf for r in family_moments(plan).results)
+    for t_list in ((MAX_MOMENT_ORDER + 1,), (1, 400, 2)):
+        with pytest.raises(BudgetError, match=re.escape(f"moment order t = {max(t_list)} exceeds the cap of 64")):
+            MomentPlan(x=100.0, A=3, B=3, interval=HALF, t_list=t_list)
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan, 1e308, -1e308])
+def test_a_log_power_that_is_not_a_positive_finite_float_is_refused(monkeypatch, c):
+    """(log x)^c overflows at c = inf and 1e308, underflows to 0 at -1e308
+    and is NaN at c = nan: the plan refuses it when built, and the probe
+    before its prime sum, naming c and x."""
+    from stmoments import moments_engine
+
+    def no_sum(*args):
+        raise AssertionError("summed over the primes")
+
+    monkeypatch.setattr(moments_engine, "good_traces", no_sum)
+    message = re.escape(f"(log x)^c must be a positive finite float, got c = {c}, x = 100.0")
+    with pytest.raises(ValueError, match=message):
+        MomentPlan(x=100.0, A=3, B=3, interval=HALF, c=c)
+    with pytest.raises(ValueError, match=message):
+        hypothesis2_probe(CurveParams(1, 1), 1, 0.0, 100.0, c)
+
+
+def test_clt_caps_the_bins_before_any_sweep(monkeypatch):
+    from stmoments import moments_engine
+
+    def no_sweep(*args):
+        raise AssertionError("swept a box")
+
+    monkeypatch.setattr(moments_engine, "family_error_grid", no_sweep)
+    plan = MomentPlan(x=100.0, A=3, B=3, interval=HALF)
+    with pytest.raises(BudgetError, match=re.escape(f"bins = {MAX_BINS + 1} exceeds the cap of 1000000")):
+        clt_histogram(plan, bins=MAX_BINS + 1)
 
 
 @pytest.mark.parametrize("kwargs", [dict(t_list=(2.0,)), dict(t_list=(1, 2.5)), dict(M=2.5), dict(M=3.0)])
@@ -472,17 +515,17 @@ def test_cross_check_builds_once_for_every_order(monkeypatch, condition):
 
     plan = MomentPlan(x=60.0, A=6, B=5, interval=GEN, t_list=(1, 2, 3), M=3, condition=condition)
     prime_data, power_tables = counted("_box_prime_data"), counted("_masked_power_tables")
-    direct, expanded = psum_moment_direct(plan), moment_via_expansion(plan)
+    [direct], [expanded] = psum_moment_direct([plan]), moment_via_expansion([plan])
     assert prime_data == list(primes_in_window(plan.x).primes)
     assert power_tables == [plan]
     assert len(direct) == len(expanded) == 3
     for t, d, e in zip(plan.t_list, direct, expanded):
         single = dataclasses.replace(plan, t_list=(t,))
-        assert psum_moment_direct(single) == (d,) and moment_via_expansion(single) == (e,)
+        assert psum_moment_direct([single]) == [(d,)] and moment_via_expansion([single]) == [(e,)]
         assert e == pytest.approx(d, rel=1e-9, abs=1e-9)
 
 
-def test_expansion_many_equals_each_plan(monkeypatch):
+def test_expansion_list_equals_each_plan(monkeypatch):
     """One power-table build per (x, A, B, condition), at the largest t M of
     its plans, serves every plan of the group bit for bit."""
     from stmoments import moments_engine
@@ -496,14 +539,14 @@ def test_expansion_many_equals_each_plan(monkeypatch):
     real = moments_engine._masked_power_tables
     monkeypatch.setattr(moments_engine, "_masked_power_tables",
                         lambda plan, mmax: builds.append((plan, mmax)) or real(plan, mmax))
-    many = moment_via_expansion_many(plans)
+    together = moment_via_expansion(plans)
     assert builds == [(plans[i], 6) for i in (0, 1, 6, 7)]
     builds.clear()
-    assert many == [moment_via_expansion(plan) for plan in plans] and len(builds) == len(plans)
-    assert moment_via_expansion_many([]) == []
+    assert together == [moment_via_expansion([plan])[0] for plan in plans] and len(builds) == len(plans)
+    assert moment_via_expansion([]) == []
 
 
-def test_expansion_many_checks_every_cap_before_any_table(monkeypatch):
+def test_expansion_checks_every_cap_before_any_table(monkeypatch):
     from stmoments import moments_engine
 
     def no_tables(*args):
@@ -512,9 +555,9 @@ def test_expansion_many_checks_every_cap_before_any_table(monkeypatch):
     monkeypatch.setattr(moments_engine, "_masked_power_tables", no_tables)
     good = MomentPlan(x=40.0, A=4, B=3, interval=GEN, M=2)
     with pytest.raises(BudgetError, match="expansion cross-check: M = 9 exceeds the cap of 8"):
-        moment_via_expansion_many([good, dataclasses.replace(good, M=9)])
+        moment_via_expansion([good, dataclasses.replace(good, M=9)])
     with pytest.raises(ValueError, match=re.escape("needs A >= 1 and B >= 1, got A = 0, B = 3")):
-        moment_via_expansion_many([good, dataclasses.replace(good, A=0)])
+        moment_via_expansion([good, dataclasses.replace(good, A=0)])
 
 
 def test_pipeline_suite_reads_one_power_table_per_box_and_condition(monkeypatch):
@@ -604,10 +647,27 @@ def test_cross_check_direct_side_sweeps_each_box_once(monkeypatch):
              for x, A, B in ((40.0, 4, 3), (60.0, 2, 5), (40.0, 4, 3))
              for iv, M, condition in ((GEN, 2, SumCondition.SKIP_BAD_AND_AB), (HALF, 3, SumCondition.SKIP_BAD_ONLY))]
     calls.clear()
-    many = psum_moment_direct_many(plans)
+    together = psum_moment_direct(plans)
     assert calls == list(primes_in_window(40.0).primes) + list(primes_in_window(60.0).primes)
-    assert many == [psum_moment_direct(plan) for plan in plans]
-    assert psum_moment_direct_many([]) == []
+    assert together == [psum_moment_direct([plan])[0] for plan in plans]
+    assert psum_moment_direct([]) == []
+
+
+def test_pipeline_suite_runs_under_the_names_the_tracer_wraps(monkeypatch):
+    """`suite_pipeline` passes all 24 of its plans to each side of the
+    expansion check in one call, under the two names the benchmark's tracer
+    wraps, and no `*_many` twin of either is left."""
+    from stmoments import moments_engine, verify
+
+    calls = []
+    for name in ("psum_moment_direct", "moment_via_expansion"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda plans, name=name, real=real: calls.append((name, plans)) or real(plans))
+    lines = [res.line() for res in verify.suite_pipeline()]
+    assert len(lines) == 5 and all(line.startswith("PASS") for line in lines)
+    assert [name for name, _ in calls] == ["psum_moment_direct", "moment_via_expansion"]
+    assert calls[0][1] == calls[1][1] and len(calls[0][1]) == len(set(calls[0][1])) == 24
+    assert not [name for name in dir(moments_engine) if name.endswith("_many")]
 
 
 def _digest(*arrays) -> str:
@@ -714,7 +774,7 @@ def test_multi_channel_sweep_guards(monkeypatch):
         _sweep_box(window, 2, 2, [HALF, (too_wide, SumCondition.SKIP_BAD_ONLY)])
     plans = [MomentPlan(x=60.0, A=3, B=3, interval=GEN, M=2), MomentPlan(x=60.0, A=0, B=3, interval=GEN, M=2)]
     with pytest.raises(ValueError, match=re.escape("needs A >= 1 and B >= 1, got A = 0, B = 3")):
-        psum_moment_direct_many(plans)
+        psum_moment_direct(plans)
 
 
 def test_sum_condition_values_mean_one_thing_on_both_routes():
@@ -801,14 +861,14 @@ def test_expansion_matches_permutation_route(x, half):
             for M in (1, 2, 3):
                 plan = MomentPlan(x=x, A=half, B=half, interval=interval, t_list=(1, 2, 3), M=M, condition=condition)
                 oracle = [_expansion_by_permutations(plan, t) for t in plan.t_list]
-                assert moment_via_expansion(plan) == pytest.approx(oracle, rel=1e-12)
+                assert moment_via_expansion([plan]) == [pytest.approx(oracle, rel=1e-12)]
 
 
 @pytest.mark.parametrize("interval", [HALF, GEN])
 def test_expansion_t4_matches_direct_on_61_primes(interval):
     plan = MomentPlan(x=800.0, A=15, B=15, interval=interval, t_list=(4,), M=8)
     assert primes_in_window(plan.x).count == 61
-    assert moment_via_expansion(plan) == pytest.approx(psum_moment_direct(plan), rel=1e-12)
+    assert moment_via_expansion([plan]) == [pytest.approx(psum_moment_direct([plan])[0], rel=1e-12)]
 
 
 def test_c_coefficient_gaussian_collapse():
