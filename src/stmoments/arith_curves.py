@@ -87,7 +87,7 @@ __all__ = [
 AP_TABLE_MAX_P = 3000
 MAX_PRIME = 1_000_000  # largest prime (and sieve limit) of any O(p) or O(x) table
 MIN_CURVE_PRIME = 5  # least prime of the curve operations and the class-number identities
-CACHE_MAXSIZE = 128  # entries of each per-prime cache (`_legendre_table`, `_sqrt_lists`)
+CACHE_MAXSIZE = 128  # entries of each lru_cache of the package (per prime, or per series length)
 
 _GOOD, _NODE, _CUSP = 0, 1, 2
 

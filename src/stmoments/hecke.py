@@ -15,17 +15,18 @@ production route, takes it; agreement with the q-expansion route, kept as the
 oracle, is the central cross-check of the whole package.
 
 All trace arithmetic uses arbitrary-precision integers; p^(k-1) overflows
-any fixed width long before the caps bite.  Every q-series product behind
-`delta_qexp` and `miller_basis` is one big-integer product of the two series
-packed by Kronecker substitution (`_mul_trunc`).
+any fixed width long before the caps bite.  `delta_qexp` and `miller_basis`
+read E4, E6 and Delta from `_modular_series`, built once per length; every
+q-series product is one big-integer product packed by Kronecker substitution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith_curves import primes_in_window, require_prime
+from .arith_curves import CACHE_MAXSIZE, primes_in_window, require_prime
 from .chebycomb import _birch_weight
 from .classnumbers import HurwitzTable, _class_row, build_hurwitz_table
 from .errors import BudgetError
@@ -113,18 +114,21 @@ def eisenstein_qexp(weight: int, n_terms: int) -> list[int]:
     return [1] + [scale * s for s in sig[1:]]
 
 
-def delta_qexp(n_terms: int) -> list[int]:
-    """The discriminant cusp form, via (E4^3 - E6^2)/1728."""
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _modular_series(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """E4, E6 and the discriminant Delta = (E4^3 - E6^2)/1728 to n_terms coefficients."""
     e4 = eisenstein_qexp(4, n_terms)
     e6 = eisenstein_qexp(6, n_terms)
     e4cubed = _mul_trunc(_mul_trunc(e4, e4, n_terms), e4, n_terms)
     e6sq = _mul_trunc(e6, e6, n_terms)
-    out = []
-    for x, y in zip(e4cubed, e6sq):
-        q, r = divmod(x - y, 1728)
-        assert r == 0
-        out.append(q)
-    return out
+    delta = [x - y for x, y in zip(e4cubed, e6sq)]
+    assert all(d % 1728 == 0 for d in delta)
+    return tuple(e4), tuple(e6), tuple(d // 1728 for d in delta)
+
+
+def delta_qexp(n_terms: int) -> list[int]:
+    """The discriminant cusp form, via (E4^3 - E6^2)/1728."""
+    return list(_modular_series(n_terms)[2])
 
 
 def miller_basis(k: int, n_terms: int) -> list[tuple[int, ...]]:
@@ -142,13 +146,10 @@ def miller_basis(k: int, n_terms: int) -> list[tuple[int, ...]]:
         return []
     if n_terms < d + 1:
         raise ValueError("n_terms too small to echelonize the basis")
-    e4 = eisenstein_qexp(4, n_terms)
-    e6 = eisenstein_qexp(6, n_terms)
-    delta = delta_qexp(n_terms)
+    e4, e6, delta = _modular_series(n_terms)
     rows: list[list[int]] = []
-    delta_pow = [1] + [0] * (n_terms - 1)
     for j in range(1, d + 1):
-        delta_pow = _mul_trunc(delta_pow, delta, n_terms)
+        delta_pow = list(delta) if j == 1 else _mul_trunc(delta_pow, delta, n_terms)
         rem = k - 12 * j
         beta = 0 if rem % 4 == 0 else 1
         alpha, check = divmod(rem - 6 * beta, 4)

@@ -623,6 +623,8 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     elsewhere at the same x and interval (see `_plan_grid`).  Only the
     selected counts are gathered; the histogram, the KS distance, the mean
     and the variance run on the count table."""
+    if bins < 1:
+        raise ValueError(f"the CLT histogram needs bins >= 1, got bins = {bins}")
     if bins > MAX_BINS:
         raise BudgetError(f"the CLT histogram's bins = {bins} exceeds the cap of {MAX_BINS}")
     mu = st_measure(plan.interval)

@@ -23,9 +23,9 @@ With the margin h = N^(-2/3) (N = floor(M/2) the kernel parameter) the
 coefficient deviation from the exact mode is O(M^(-2/3)); the achieved
 deviation is recorded in ``cert``.
 
-A coefficient set has two evaluators, `cosine_grid_blocks` on s and Clenshaw's
-`eval_traces` on u, which `verify` checks against each other; the per-curve
-prime sums read their f_m rows from `chebycomb.f_rows`.
+A coefficient set has two evaluators, Clenshaw's `eval_traces` on u and
+`cosine_grid_blocks` on s (any list of sets of one degree, on one grid), which
+`verify` checks against each other; prime sums read f_m from `chebycomb.f_rows`.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "sandwich_error_bound",
     "profile_M",
     "coeffs_to_csv",
+    "cosine_grid_blocks",
     "MAX_DEGREE",
 ]
 
@@ -90,34 +91,6 @@ class BSCoefficients:
     z: float
     cert: float | None = None
 
-    def cosine_grid_blocks(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Polynomial value d0 + sum_m s[m] 2 cos(m t), where d0 = const_term
-        + s[2] (just const_term when M = 1), on the grid t_j = j pi/(n-1),
-        j < n, as blocks (start, values): values[i] is the value at t_(start+i).
-
-        Split angles: with R = isqrt(n-1) + 1 and j = qR + r, cos(m t_j) =
-        cos(m qR h) cos(m r h) - sin(m qR h) sin(m r h), h = pi/(n-1), so a
-        block of 64 q-rows is two matrix products against (M, R) tables of
-        2 s[m] cos(m r h) and 2 s[m] sin(m r h), built once.  Each multiple
-        m j is reduced mod 2(n-1) in integers first, so every angle lies in
-        [0, 2 pi) whatever M.
-        """
-        if n < 2:
-            raise ValueError(f"a grid on [0, pi] needs n >= 2 points, got n = {n}")
-        h, period, R = math.pi / (n - 1), 2 * (n - 1), math.isqrt(n - 1) + 1
-        ms = np.arange(1, self.M + 1)
-        r_angles = np.outer(ms, np.arange(R)) % period * h
-        cos_r, sin_r = np.cos(r_angles), np.sin(r_angles, out=r_angles)  # no third (M, R) array
-        cos_r *= 2.0 * self.s[1:self.M + 1, None]
-        sin_r *= 2.0 * self.s[1:self.M + 1, None]
-        d0 = self.const_term + (self.s[2] if self.M >= 2 else 0.0)
-        rows = -(-n // R)
-        for q0 in range(0, rows, 64):
-            q_angles = np.outer(np.arange(q0, min(q0 + 64, rows)) * R, ms) % period * h
-            block = np.cos(q_angles) @ cos_r - np.sin(q_angles) @ sin_r
-            block += d0
-            yield q0 * R, block.reshape(-1)[:n - q0 * R]
-
     def eval_traces(self, x: np.ndarray) -> np.ndarray:
         """const_term + sum_m u[m] f_m(x) at normalized traces x, the term
         that a prime adds to the polynomial sums.
@@ -132,6 +105,41 @@ class BSCoefficients:
         for um in self.u[self.M:0:-1].tolist():
             b1, b2 = um + x * b1 - b2, b1
         return self.const_term + x * b1 - b2
+
+
+def cosine_grid_blocks(coeff_sets: list[BSCoefficients], n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Polynomial values d0 + sum_m s[m] 2 cos(m t), d0 = const_term + s[2]
+    (just const_term when M = 1), of coefficient sets of one degree M on the
+    grid t_j = j pi/(n-1), j < n, as blocks (start, values): values[k, i] is
+    set k's value at t_(start+i), the same bits whatever the other sets.
+
+    Split angles: with R = isqrt(n-1) + 1 and j = qR + r, cos(m t_j) =
+    cos(m qR h) cos(m r h) - sin(m qR h) sin(m r h), h = pi/(n-1), so a block
+    of 64 q-rows is, per set, two products of its q-tables times 2 s[m]
+    against (M, R) tables of cos(m r h) and sin(m r h), all built once.  Each
+    m j is reduced mod 2(n-1) in integers, so every angle lies in [0, 2 pi).
+    """
+    if n < 2:
+        raise ValueError(f"a grid on [0, pi] needs n >= 2 points, got n = {n}")
+    degrees = sorted({c.M for c in coeff_sets})
+    if len(degrees) != 1:
+        raise ValueError(f"need coefficient sets of one degree M, got {len(coeff_sets)} sets of degrees {degrees}")
+    M = degrees[0]
+    h, period, R = math.pi / (n - 1), 2 * (n - 1), math.isqrt(n - 1) + 1
+    ms = np.arange(1, M + 1)
+    r_angles = np.outer(ms, np.arange(R)) % period * h
+    cos_r, sin_r = np.cos(r_angles), np.sin(r_angles, out=r_angles)  # no third (M, R) array
+    per_set = [(2.0 * c.s[1:M + 1], c.const_term + (c.s[2] if M >= 2 else 0.0)) for c in coeff_sets]
+    rows = -(-n // R)
+    for q0 in range(0, rows, 64):
+        q_angles = np.outer(np.arange(q0, min(q0 + 64, rows)) * R, ms) % period * h
+        cos_q, sin_q = np.cos(q_angles), np.sin(q_angles, out=q_angles)
+        block = np.empty((len(coeff_sets), len(q_angles), R))
+        for values, (s, d0) in zip(block, per_set):  # each set's products written in place
+            np.matmul(cos_q * s, cos_r, out=values)
+            values -= (sin_q * s) @ sin_r
+            values += d0
+        yield q0 * R, block.reshape(len(coeff_sets), -1)[:, :n - q0 * R]
 
 
 def _telescope(s: np.ndarray, M: int) -> np.ndarray:

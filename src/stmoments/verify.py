@@ -12,14 +12,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import chebycomb as cc
 from . import classnumbers as cn
 from . import hecke
-from .arith_curves import (MIN_CURVE_PRIME, CurveParams, Interval, SumCondition, ap_table, count_in_interval,
-                           curve_primes, nonsingular_mask, primes_in_window)
+from .arith_curves import (CACHE_MAXSIZE, MIN_CURVE_PRIME, CurveParams, Interval, SumCondition, ap_table,
+                           count_in_interval, curve_primes, nonsingular_mask, primes_in_window)
 from .family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
 from .moments_engine import (
     MomentPlan,
@@ -33,7 +34,8 @@ from .moments_engine import (
     moment_via_expansion,
     psum_moment_direct,
 )
-from .st_approx import CoeffMode, exact_st_coeffs, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
+from .st_approx import (CoeffMode, cosine_grid_blocks, exact_st_coeffs, parseval_check, sandwich_coeffs,
+                        sandwich_error_bound, st_measure)
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "report", "mass_identity_check", "route_agreement_checks",
            "soft_diagnostics"]
@@ -60,13 +62,19 @@ def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _trace_grid(p: int):
+    """`ap_table(p)` once per prime for every suite, called as this module's global."""
+    return ap_table(p)
+
+
 # -- arith ------------------------------------------------------------------
 
 
 def suite_arith() -> list[CheckResult]:
     out = []
     for p in (5, 7, 13, 37, 59):
-        table = ap_table(p)
+        table = _trace_grid(p)
         good = table.good
         bad_pairs = int((~good).sum())
         out.append(_check(f"bad-pair count p={p}", bad_pairs == p, f"{bad_pairs} vs {p}"))
@@ -119,7 +127,7 @@ def suite_classnum() -> list[CheckResult]:
     moment_ok = True
     detail = ""
     for p in curve_primes(CLASSNUM_MAX_MOMENT_P):
-        histogram = [v.tolist() for v in ap_table(p).trace_histogram]  # Python ints: the sums stay exact
+        histogram = [v.tolist() for v in _trace_grid(p).trace_histogram]  # Python ints: the sums stay exact
         for g in range(7):
             brute = sum(c * r ** g for r, c in zip(*histogram))
             closed = cn.family_moment_classnum(p, g, table)
@@ -183,7 +191,7 @@ def suite_family() -> list[CheckResult]:
     out = []
     worst = 0.0
     for p in reversed(curve_primes(FAMILY_MAX_P)):  # the largest prime first: one Hurwitz table
-        table = ap_table(p)
+        table = _trace_grid(p)
         for m in reversed(range(FAMILY_MAX_M + 1)):  # the largest weight first: one Birch solve per prime
             gap = abs(s0_brute(p, m, table) - s0_formula(p, m))
             worst = max(worst, gap)
@@ -191,11 +199,9 @@ def suite_family() -> list[CheckResult]:
         f"grid average equals trace formula, p <= {FAMILY_MAX_P}, m <= {FAMILY_MAX_M}",
         worst <= 1e-10, f"max gap {worst:.2e}"))
 
-    worst_mult = 0.0
-    for n1, n2 in _COPRIME_PAIRS:
-        lhs = s_grid_brute(FactoredInteger.from_int(n1 * n2))
-        rhs = s_grid_brute(FactoredInteger.from_int(n1)) * s_grid_brute(FactoredInteger.from_int(n2))
-        worst_mult = max(worst_mult, abs(lhs - rhs))
+    averages = {n: s_grid_brute(FactoredInteger.from_int(n))  # one grid average per distinct n
+                for n in {m for n1, n2 in _COPRIME_PAIRS for m in (n1, n2, n1 * n2)}}
+    worst_mult = max(abs(averages[n1 * n2] - averages[n1] * averages[n2]) for n1, n2 in _COPRIME_PAIRS)
     out.append(_check("multiplicativity on 20 coprime pairs", worst_mult <= 1e-9, f"max gap {worst_mult:.2e}"))
 
     bounded = all(abs(s_grid_brute(FactoredInteger.from_int(n))) <= FactoredInteger.from_int(n).divisor_count + 1e-12
@@ -251,20 +257,22 @@ def suite_bs() -> list[CheckResult]:
         out.append(_check(f"Parseval gap decreasing I{i+1}", gaps[0] > gaps[1] > gaps[2]))
 
     thetas = np.linspace(0.0, math.pi, BS_GRID_POINTS)
-    for i, iv in enumerate(_TEST_INTERVALS):
-        for side, sign, name in ((CoeffMode.MAJORANT, 1.0, "majorant"), (CoeffMode.MINORANT, -1.0, "minorant")):
-            slack = math.inf  # min of sign (S - chi): S^+ - chi, or chi - S^-, a block of the grid at a time
-            for start, values in sandwich_coeffs(iv, BS_M, side).cosine_grid_blocks(thetas.size):
-                t = thetas[start:start + values.size]
-                slack = min(slack, float((sign * (values - ((t >= iv.alpha) & (t <= iv.beta)))).min()))
-            out.append(_check(f"{name} pointwise I{i+1}", slack >= -1e-12, f"min slack {slack:.2e}"))
+    sides = [(i, iv, side) for i, iv in enumerate(_TEST_INTERVALS) for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
+    slacks = [math.inf] * len(sides)  # min of S^+ - chi, or chi - S^-, a block of the grid at a time
+    for start, values in cosine_grid_blocks([sandwich_coeffs(iv, BS_M, side) for _, iv, side in sides], thetas.size):
+        t = thetas[start:start + values.shape[1]]
+        for k, ((_, iv, side), row) in enumerate(zip(sides, values)):
+            gap = row - ((t >= iv.alpha) & (t <= iv.beta))  # S - chi
+            slacks[k] = min(slacks[k], float((gap if side is CoeffMode.MAJORANT else -gap).min()))
+    for (i, _, side), slack in zip(sides, slacks):
+        out.append(_check(f"{side.name.lower()} pointwise I{i+1}", slack >= -1e-12, f"min slack {slack:.2e}"))
 
     out.append(_bracket_check(_TEST_INTERVALS[0]))
 
     coeffs = exact_st_coeffs(_TEST_INTERVALS[2], 40)
     tgrid = np.linspace(0.0, math.pi, 2001)
-    tel = max(float(np.max(np.abs(values - coeffs.eval_traces(2.0 * np.cos(tgrid[start:start + values.size])))))
-              for start, values in coeffs.cosine_grid_blocks(tgrid.size))
+    tel = max(float(np.max(np.abs(values[0] - coeffs.eval_traces(2.0 * np.cos(tgrid[start:start + values.shape[1]])))))
+              for start, values in cosine_grid_blocks([coeffs], tgrid.size))
     out.append(_check("telescoped basis matches cosine basis", tel <= 1e-10, f"max gap {tel:.2e}"))
     return out
 

@@ -21,7 +21,8 @@ from stmoments.arith_curves import CurveParams, Interval, SumCondition, ap_table
 from stmoments.family_averages import FactoredInteger, s0_brute, s0_formula, s_grid_brute
 from stmoments.hecke import delta_qexp, dim_cusp_forms, hecke_trace, miller_basis, traces_via_birch
 from stmoments.moments_engine import MomentPlan, moment_via_expansion, psum_moment_direct
-from stmoments.st_approx import CoeffMode, parseval_check, sandwich_coeffs, sandwich_error_bound, st_measure
+from stmoments.st_approx import (CoeffMode, cosine_grid_blocks, parseval_check, sandwich_coeffs, sandwich_error_bound,
+                                 st_measure)
 from stmoments.verify import _COPRIME_PAIRS, soft_diagnostics
 
 INTERVALS = [
@@ -156,10 +157,11 @@ def test_criterion_8_sandwich():
     start = time.time()
     thetas = np.linspace(0.0, math.pi, 100_000)
     pointwise_ok = True
-    for iv in INTERVALS:
+    coeff_sets = [sandwich_coeffs(iv, 256, side) for iv in INTERVALS
+                  for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
+    values = np.concatenate([v for _, v in cosine_grid_blocks(coeff_sets, 100_000)], axis=1)  # one call, all sides
+    for iv, plus, minus in zip(INTERVALS, values[0::2], values[1::2]):
         chi = ((thetas >= iv.alpha) & (thetas <= iv.beta)).astype(float)
-        plus = np.concatenate([v for _, v in sandwich_coeffs(iv, 256, CoeffMode.MAJORANT).cosine_grid_blocks(100_000)])
-        minus = np.concatenate([v for _, v in sandwich_coeffs(iv, 256, CoeffMode.MINORANT).cosine_grid_blocks(100_000)])
         pointwise_ok = pointwise_ok and float((plus - chi).min()) >= -1e-12
         pointwise_ok = pointwise_ok and float((chi - minus).min()) >= -1e-12
 

@@ -222,6 +222,8 @@ def test_cli_refuses_a_bad_log_power_moment_order_and_bin_count(capsys):
         (["--c=-1e308", "probe", "hyp2", "--x", "100"], 2, "got c = -1e+308, x = 100.0"),
         (["moments", "--t", "400"] + box, 3, "moment order t = 400 exceeds the cap of 64"),
         (["clt", "--bins", "1000001"] + box, 3, "the CLT histogram's bins = 1000001 exceeds the cap of 1000000"),
+        (["clt", "--bins", "0"] + box, 2, "the CLT histogram needs bins >= 1, got bins = 0"),
+        (["clt", "--bins", "-5"] + box, 2, "the CLT histogram needs bins >= 1, got bins = -5"),
     ):
         assert run(argv) == code
         out, err = capsys.readouterr()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stmoments import family_averages, verify
 from stmoments.arith_curves import (
     CurveParams,
     SumCondition,
@@ -100,9 +101,40 @@ def test_family_suite_builds_one_histogram_per_table(monkeypatch):
         calls.append(kwargs.get("return_counts", False))
         return unique(*args, **kwargs)
 
+    verify._trace_grid.cache_clear()  # tables kept from earlier tests already hold their histograms
     monkeypatch.setattr(np, "unique", counting_unique)
     assert all(res.ok for res in suite_family())
     assert len(curve_primes(100)) == 23 and calls == [True] * 23
+
+
+def test_suites_build_one_trace_grid_per_prime(monkeypatch):
+    # arith reads p = 5, 7, 13, 37, 59, classnum and family every prime
+    # 5 <= p <= 100: 23 tables in all, not 51, each with one histogram
+    built = []
+
+    def counting_ap_table(p):
+        built.append(p)
+        return ap_table(p)
+
+    for module in (verify, family_averages):
+        monkeypatch.setattr(module, "ap_table", counting_ap_table)
+    verify._trace_grid.cache_clear()
+    assert verify.run_suites(list(verify.SUITES), printer=lambda line: None)
+    assert sorted(built) == list(curve_primes(100))  # each of the 23 primes once
+
+
+def test_multiplicativity_check_averages_each_n_once(monkeypatch):
+    # the 20 coprime pairs name 31 distinct n (175 twice): one grid average
+    # each, not 60; the bounded check then takes its own 5
+    seen = []
+
+    def counting_average(n):
+        seen.append(n.n)
+        return s_grid_brute(n)
+
+    monkeypatch.setattr(verify, "s_grid_brute", counting_average)
+    assert all(res.ok for res in suite_family())
+    assert len(seen) == 36 and len(set(seen[:31])) == 31 and seen[31:] == [5, 25, 35, 49, 77]
 
 
 @pytest.mark.parametrize("m", [-1, -2])

@@ -237,6 +237,18 @@ def test_route_agreement_builds_one_basis_per_weight(monkeypatch):
     assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)]
 
 
+def test_route_agreement_builds_the_modular_series_once_per_length():
+    # E4, E6 and Delta at n = 200 (the five weights of dimension 1) and 399
+    # (weights 24 and 26), not once for each of the 7 bases
+    hecke._modular_series.cache_clear()
+    assert all(res.ok for res in route_agreement_checks(200, 26))
+    info = hecke._modular_series.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    fresh = delta_qexp(200)
+    fresh[1] = 0  # the caller's own list: the cached series is untouched
+    assert delta_qexp(200)[1] == 1 and hecke._modular_series.cache_info().misses == 2
+
+
 def test_tau_and_family_checks_build_one_basis_each(monkeypatch):
     # the weight-12 checks of suite_trace (p <= 50) and suite_family (p <= 100)
     # read Birch traces, so only the route agreement builds Miller bases

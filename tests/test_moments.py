@@ -494,6 +494,19 @@ def test_clt_caps_the_bins_before_any_sweep(monkeypatch):
         clt_histogram(plan, bins=MAX_BINS + 1)
 
 
+def test_clt_refuses_a_bin_count_below_one_before_any_prime(monkeypatch):
+    from stmoments import moments_engine
+
+    def no_sweep(*args):
+        raise AssertionError("swept a prime")
+
+    monkeypatch.setattr(moments_engine, "_box_prime_data", no_sweep)
+    plan = MomentPlan(x=100.0, A=3, B=3, interval=HALF)
+    for bins in (0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"the CLT histogram needs bins >= 1, got bins = {bins}")):
+            clt_histogram(plan, bins=bins)
+
+
 @pytest.mark.parametrize("kwargs", [dict(t_list=(2.0,)), dict(t_list=(1, 2.5)), dict(M=2.5), dict(M=3.0)])
 def test_plan_rejects_non_integer_orders_and_degree(kwargs):
     plan = dict(t_list=(1, 2), M=None) | kwargs

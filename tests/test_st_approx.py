@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from stmoments.st_approx import (
     CoeffMode,
     _sin_multiples,
     coeffs_to_csv,
+    cosine_grid_blocks,
     exact_st_coeffs,
     p_polynomial_sum,
     parseval_check,
@@ -136,15 +138,16 @@ def test_sin_multiples_matches_numpy(theta):
     assert np.all(diff <= 4 * ks * theta * eps + 4 * eps)
 
 
-def grid_values(coeffs, n: int) -> np.ndarray:
-    """The blocks of ``coeffs.cosine_grid_blocks(n)`` joined, after checking
-    that they cover the indices 0..n-1 in order, each exactly once, in blocks
-    of one size but a shorter last one."""
-    blocks = list(coeffs.cosine_grid_blocks(n))
-    sizes = [values.size for _, values in blocks]
+def grid_values(coeff_sets, n: int) -> np.ndarray:
+    """The blocks of ``cosine_grid_blocks(coeff_sets, n)`` joined into one
+    row per set, after checking that they cover the indices 0..n-1 in order,
+    each exactly once, in blocks of one size but a shorter last one."""
+    blocks = list(cosine_grid_blocks(coeff_sets, n))
+    sizes = [values.shape[1] for _, values in blocks]
+    assert all(values.shape == (len(coeff_sets), size) for (_, values), size in zip(blocks, sizes))
     assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
     assert sum(sizes) == n and all(size == sizes[0] for size in sizes[:-1]) and sizes[-1] <= sizes[0]
-    return np.concatenate([values for _, values in blocks])
+    return np.concatenate([values for _, values in blocks], axis=1)
 
 
 @pytest.mark.parametrize("iv", INTERVALS[:3])
@@ -152,10 +155,10 @@ def grid_values(coeffs, n: int) -> np.ndarray:
 def test_sandwich_pointwise(iv, M):
     thetas = np.linspace(0.0, math.pi, 20001)
     chi = ((thetas >= iv.alpha) & (thetas <= iv.beta)).astype(float)
-    plus = sandwich_coeffs(iv, M, CoeffMode.MAJORANT)
-    minus = sandwich_coeffs(iv, M, CoeffMode.MINORANT)
-    assert float((grid_values(plus, thetas.size) - chi).min()) >= -1e-12
-    assert float((chi - grid_values(minus, thetas.size)).min()) >= -1e-12
+    plus, minus = grid_values([sandwich_coeffs(iv, M, side) for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)],
+                              thetas.size)
+    assert float((plus - chi).min()) >= -1e-12
+    assert float((chi - minus).min()) >= -1e-12
 
 
 def direct_cosine_sums(coeff_sets, thetas) -> np.ndarray:
@@ -174,32 +177,58 @@ def direct_cosine_sums(coeff_sets, thetas) -> np.ndarray:
     return out
 
 
+def coefficient_sets(M: int) -> list:
+    """The exact set of each of the 5 intervals and, from M = 16 on, both
+    sandwiches of each: 15 sets of degree M."""
+    coeff_sets = [exact_st_coeffs(iv, M) for iv in INTERVALS]
+    if M >= 16:
+        coeff_sets += [sandwich_coeffs(iv, M, side) for iv in INTERVALS
+                       for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
+    return coeff_sets
+
+
 @pytest.mark.parametrize("M", [1, 2, 3, 40, 256, 4096])
 def test_eval_cosine_matches_direct_sum(M):
     # the grid evaluator against the oracle on every grid of the package's
     # checks and the ends n = 2, 3; n = 100 000 only up to M = 256, where the
     # oracle's 25.6M cosines already take a third of a second
-    coeff_sets = [exact_st_coeffs(iv, M) for iv in INTERVALS]
-    if M >= 16:
-        coeff_sets += [sandwich_coeffs(iv, M, side) for iv in INTERVALS
-                       for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
+    coeff_sets = coefficient_sets(M)
     eps = np.finfo(float).eps
     for n in (2, 3, 2001, 20_001, 100_000) if M <= 256 else (2, 3, 2001, 20_001):
         oracle = direct_cosine_sums(coeff_sets, np.linspace(0.0, math.pi, n))
-        for coeffs, want in zip(coeff_sets, oracle):
+        for coeffs, got, want in zip(coeff_sets, grid_values(coeff_sets, n), oracle):
             tol = 64 * M * eps * float(np.abs(coeffs.s[1:]).sum())
-            assert float(np.max(np.abs(grid_values(coeffs, n) - want))) <= tol, (coeffs.mode, n)
-    blocks = [values.size for _, values in coeff_sets[0].cosine_grid_blocks(20_001)]
+            assert float(np.max(np.abs(got - want))) <= tol, (coeffs.mode, n)
+    blocks = [values.shape[1] for _, values in cosine_grid_blocks(coeff_sets, 20_001)]
     assert len(blocks) == 3 and blocks[-1] < blocks[0]  # R = 142: q-rows 64 + 64 + 13, the last block partial
     for n in (1, 0):
         with pytest.raises(ValueError, match=f"needs n >= 2 points, got n = {n}"):
-            next(coeff_sets[0].cosine_grid_blocks(n))
+            next(cosine_grid_blocks(coeff_sets, n))
+
+
+@pytest.mark.parametrize("M", [40, 256, 4096])
+def test_cosine_grid_blocks_many_sets_equal_one_set_calls(M):
+    # each set's values do not depend on the other sets of the call, bit for bit
+    coeff_sets = coefficient_sets(M)
+    assert len(coeff_sets) == 15
+    for n in (2, 3, 2001, 20_001):
+        together = grid_values(coeff_sets, n)  # also checks that the blocks cover 0..n-1 once each
+        for coeffs, row in zip(coeff_sets, together):
+            assert np.array_equal(grid_values([coeffs], n)[0], row), (coeffs.mode, n)
+
+
+def test_cosine_grid_blocks_refuses_no_sets_and_mixed_degrees():
+    with pytest.raises(ValueError, match=re.escape("got 0 sets of degrees []")):
+        next(cosine_grid_blocks([], 2001))
+    mixed = [exact_st_coeffs(INTERVALS[0], 40), exact_st_coeffs(INTERVALS[1], 41), exact_st_coeffs(INTERVALS[2], 40)]
+    with pytest.raises(ValueError, match=re.escape("got 3 sets of degrees [40, 41]")):
+        next(cosine_grid_blocks(mixed, 2001))
 
 
 def test_eval_cosine_degree_one():
     coeffs = exact_st_coeffs(Interval(0.7, 2.0), 1)
     thetas = np.linspace(0.0, math.pi, 3001)
-    got = grid_values(coeffs, thetas.size)
+    got = grid_values([coeffs], thetas.size)[0]
     assert np.allclose(got, coeffs.eval_traces(2.0 * np.cos(thetas)), rtol=0.0, atol=1e-15)
     tol = 64 * np.finfo(float).eps * abs(float(coeffs.s[1]))
     assert float(np.max(np.abs(got - direct_cosine_sums([coeffs], thetas)[0]))) <= tol
