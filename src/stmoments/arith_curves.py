@@ -22,14 +22,18 @@ and good flag by `take`.  The index is reduced in uint32 while p < 2^16
 (b d^-3 < p^2 fits) and in int64 above, as x - (x // p) p, since numpy
 divides by a scalar several times faster than it takes `%`, and handed out
 as intp, which `take` reads without a converted copy.  A box sweep passes
-one `_Workspace` to every prime: the FFT rows, base table, mask and index of
-each prime are prefixes of buffers allocated once, at the first prime.
+one `_Workspace` to every prime: each prime's base table, mask and index
+are views of byte buffers allocated at the first prime, keyed by name, and
+its temporaries (FFT series and spectra, twist reduction and quotient, the
+sweep's b-tile), never live together, share one "scratch" buffer.
 
 `_trace_rows` gives T(a, b) for every b at once: for each residue a the
 histogram of x^3 + ax over x is circularly correlated against the Legendre
 table.  A prime length p would send numpy's FFT to Bluestein's algorithm, so
 the correlation is taken as a linear one, by real FFTs of the least 5-smooth
-length L >= 2p - 1 (`_smooth_length`).  Rounding back to integers is safe
+length L >= (3p - 1) / 2 (`_smooth_length`): it is read only at
+b = 0 .. (p - 1) / 2, and the other half of each row is its reflection,
+T(a, -b) = chi(-1) T(a, b).  Rounding back to integers is safe
 because every value is an integer bounded by p.  It serves the base rows, and
 over all residues it is an independent oracle for the twist construction, as
 are `curve_ap` and `_singular_pairs`/`_classify_singular`.
@@ -303,55 +307,77 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+_ALIGN = 64  # bytes between workspace region starts: numpy's allocation is 16-aligned, as complex128 needs
+
+
 class _Workspace:
-    """Flat buffers that one box sweep reuses prime after prime, so its
-    per-prime arrays do not come back from the OS zeroed each time.  ``get``
-    is a contiguous prefix of buffer (name, dtype), reshaped, holding what
-    the last prime left there.  No such array grows faster than p^2, so a
-    buffer is first allocated with (p_max / p)^2 times the room asked for
-    (pages never touched cost nothing).  Outside a sweep each call makes a
-    `_Workspace(p)` of its own.
+    """Byte buffers that one box sweep reuses prime after prime, so its
+    per-prime arrays do not come back from the OS zeroed each time.  A
+    buffer is keyed by name only: ``regions`` lays views of any dtypes end to
+    end in it, each starting a multiple of _ALIGN bytes in and holding what
+    the last prime left there, so arrays that are never live together share
+    one name and one block.  "scratch" holds in turn the FFT series and
+    spectra, the twist reduction and quotient, and the sweep's b-tile;
+    "base", "good", "index" and "table" keep their own.  No such array grows
+    faster than p^2, so a buffer is first allocated with (p_max / p)^2 times
+    the bytes asked for (pages never touched cost nothing).  Outside a sweep
+    each call makes a `_Workspace(p)` of its own.
     """
 
     def __init__(self, p_max: int):
         self.p_max = p_max
-        self._flat: dict[tuple, np.ndarray] = {}
+        self._flat: dict[str, np.ndarray] = {}
+
+    def regions(self, name: str, p: int, *layout: tuple) -> list[np.ndarray]:
+        """One view per (shape, dtype) of ``layout``, laid end to end in buffer ``name``."""
+        starts, end = [], 0
+        for shape, dtype in layout:
+            starts.append(-(-end // _ALIGN) * _ALIGN)
+            end = starts[-1] + math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self._flat.get(name)
+        if buf is None or buf.size < end:
+            buf = self._flat[name] = np.empty(math.ceil(end * max(1.0, (self.p_max / p) ** 2)), np.uint8)
+        return [np.ndarray(shape, dtype, buf, start) for start, (shape, dtype) in zip(starts, layout)]
 
     def get(self, name: str, p: int, shape: tuple, dtype) -> np.ndarray:
-        key, need = (name, np.dtype(dtype)), math.prod(shape)
-        if key not in self._flat or self._flat[key].size < need:
-            self._flat[key] = np.empty(math.ceil(need * max(1.0, (self.p_max / p) ** 2)), dtype)
-        return self._flat[key][:need].reshape(shape)
+        """The one region (shape, dtype) of buffer ``name``."""
+        return self.regions(name, p, (shape, dtype))[0]
 
 
-def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
+def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """-sum_x chi(x^3 + a x + b) for the given a residues and every b.
 
-    Returns an int64 (len(a_residues), p) array in ``work``.  At pairs with
-    p | Delta the character sum already is the nodal sign or the cusp's 0 (see
-    the module docstring).  Row a is the circular correlation of the histogram
-    h_a of x^3 + a x with chi, taken as a linear one: h_a reversed against
-    [chi, chi] by one batched real FFT of 5-smooth length L >= 2p - 1, read at
-    entries p - 1 .. 2p - 2.  For p = 2 mod 3 cubing permutes F_p, so row
+    Returns an int64 (len(a_residues), p) array, ``out`` when given.  At
+    pairs with p | Delta the character sum already is the nodal sign or the
+    cusp's 0 (see the module docstring).  Row a is the circular correlation
+    of the histogram h_a of x^3 + a x with chi, taken as a linear one, and
+    only at b = 0 .. h - 1, h = (p + 1) / 2: h_a reversed against [chi,
+    chi[:h - 1]] by one batched real FFT of 5-smooth length L >= (3p - 1) / 2,
+    read at entries p - 1 .. p + h - 2.  Sending x to -x gives T(a, -b) =
+    chi(-1) T(a, b), so the rows at b = h .. p - 1 are the first half
+    reflected, times chi(p - 1).  For p = 2 mod 3 cubing permutes F_p, so row
     a = 0 is -sum_y chi(y + b) = 0 and skips the transforms.  The package
     asks only for the base rows, inside `_twist_index`, and tests compare
     the twist grids with all p rows.
     """
     work = work or _Workspace(p)
-    traces = work.get("rows", p, (len(a_residues), p), np.int64)
+    traces = np.empty((len(a_residues), p), np.int64) if out is None else out
     live = [i for i, a in enumerate(a_residues) if p % 3 != 2 or a % p]
     if len(live) < len(traces):
         traces[:] = 0
     if not live:
         return traces
     chi = _legendre_table(p)
-    size = _smooth_length(2 * p - 1)
+    half = (p + 1) // 2
+    size = _smooth_length(p + half - 1)
     rows = len(live)
     xs = np.arange(p, dtype=np.int64)
     cubes = xs * xs
     cubes *= xs  # exact in int64 for p <= MAX_PRIME
     cubes %= p
-    series = work.get("series", p, (rows + 1, size), np.float64)  # reversed histograms, then [chi, chi]
+    series, spectra = work.regions("scratch", p, ((rows + 1, size), np.float64),  # reversed histograms, then chi
+                                   ((rows + 1, size // 2 + 1), np.complex128))
     series[:, p:] = 0.0
     for k, i in enumerate(live):
         t = int(a_residues[i]) * xs
@@ -359,12 +385,13 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None) 
         t %= p
         series[k, p - 1::-1] = np.bincount(t, minlength=p)
     series[rows, :p] = chi
-    series[rows, p:2 * p - 1] = chi[:-1]
-    spectra = np.fft.rfft(series, axis=1, out=work.get("spectra", p, (rows + 1, size // 2 + 1), np.complex128))
+    series[rows, p:p + half - 1] = chi[:half - 1]
+    np.fft.rfft(series, axis=1, out=spectra)
     spectra[:rows] *= spectra[rows]
-    corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])[:, p - 1:2 * p - 1]
+    corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])[:, p - 1:p + half - 1]
     np.negative(np.rint(corr, out=corr), out=corr)
-    traces[live] = corr
+    traces[live, :half] = corr
+    np.multiply(traces[:, half - 1:0:-1], chi[-1], out=traces[:, half:])
     return traces
 
 
@@ -395,10 +422,9 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace 
     work = work or _Workspace(p)
     chi = _legendre_table(p)
     base_res = _twist_base(p)
-    rows, n = _trace_rows(p, base_res, work), base_res[2]
+    n = base_res[2]
     base = work.get("base", p, (6, p), np.int64)
-    base[:3] = rows
-    np.negative(rows, out=base[3:])
+    np.negative(_trace_rows(p, base_res, work, out=base[:3]), out=base[3:])
     ys = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[ys * ys % p] = ys  # y^2 are distinct for 0 <= y <= (p - 1) / 2
@@ -421,9 +447,9 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace 
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
     dtype, shape = np.uint32 if p < 1 << 16 else np.int64, (len(a_res), len(b_res))
-    twist = np.multiply(b_res.astype(dtype)[None, :], d_inv3.astype(dtype)[:, None],
-                        out=work.get("twist", p, shape, dtype))
-    quotient = np.floor_divide(twist, p, out=work.get("quotient", p, shape, dtype))
+    twist, quotient = work.regions("scratch", p, (shape, dtype), (shape, dtype))
+    np.multiply(b_res.astype(dtype)[None, :], d_inv3.astype(dtype)[:, None], out=twist)
+    np.floor_divide(twist, p, out=quotient)
     quotient *= p
     twist -= quotient  # x - (x // p) p
     index = np.add(twist, (row * p)[:, None], out=work.get("index", p, shape, np.intp))

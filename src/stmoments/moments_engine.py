@@ -127,10 +127,11 @@ class MomentPlan:
     almost-all threshold; they never enter the counting.  The first
     statistic run without ``grid=`` sweeps the plan's box and the plan keeps
     that read-only `FamilyGrid` while it lives (1-2 bytes of counts and 1
-    byte of mask per pair), and its count table, so every later statistic of
-    the plan reads the same sweep and table.  Neither is a field: `repr`,
-    ``==``, `hash` and `dataclasses.replace` ignore them, and a replaced
-    plan sweeps afresh.
+    byte of mask per pair), and its count table (at most pi~ + 1 rows), so every
+    later statistic of the plan reads the same sweep and table.  Neither is
+    a field: `repr`, ``==``, `hash` and `dataclasses.replace` ignore them,
+    and a replaced plan sweeps afresh.  A `CltSample` of the plan holds views
+    of that grid and adds nothing per pair until its counts are read.
     """
 
     x: float
@@ -293,7 +294,7 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
                 tile = table = rows.astype(acc.dtype, copy=False).take(
                     index, out=work.get("table", p, index.shape, acc.dtype), mode="clip")
                 if period_b < n_b:  # the period table, repeated along b
-                    tile = work.get("tile", p, (period_a, n_b), acc.dtype)
+                    tile = work.get("scratch", p, (period_a, n_b), acc.dtype)
                     for j in range(0, n_b, period_b):
                         tile[:, j:j + period_b] = table[:, :n_b - j]
                 for i in range(0, n_a, period_a):
@@ -546,14 +547,20 @@ def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ..
 
 @dataclass
 class CltSample:
-    """The standardized error sample over the selected pairs of a box.  Its one
-    per-pair array is ``counts`` (box order, the grid's narrow dtype); ``a``,
-    ``b``, ``errors`` and ``standardized`` are rebuilt on each access."""
+    """The standardized error sample over the selected pairs of a box.  It
+    holds no per-pair array of its own: ``grid_counts`` and ``admissible`` are
+    read-only views of the plan's grid, and ``size`` comes from its count
+    table.  ``selection`` (the admissible pairs, less the axes under
+    ``exclude_axes``) and ``counts`` (the selected counts in box order, in the
+    grid's narrow dtype) are gathered on first read and kept; ``a``, ``b``,
+    ``errors`` and ``standardized`` are rebuilt on each access."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
-    selection: np.ndarray
-    counts: np.ndarray
+    admissible: np.ndarray
+    exclude_axes: bool
+    grid_counts: np.ndarray
+    size: int
     pi_tilde: int
     mu: float
     scale: float
@@ -563,9 +570,15 @@ class CltSample:
     mean: float
     variance: float
 
-    @property
-    def size(self) -> int:
-        return len(self.counts)
+    @cached_property
+    def selection(self) -> np.ndarray:
+        if not self.exclude_axes:
+            return self.admissible
+        return self.admissible & (self.a_vals != 0)[:, None] & (self.b_vals != 0)[None, :]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return self.grid_counts[self.selection]
 
     @property
     def a(self) -> np.ndarray:
@@ -587,13 +600,11 @@ class CltSample:
         """One line per selected pair in box order, written a block of box rows
         (about PAIR_BLOCK pairs) at a time, so no column is built for the whole box."""
         rows = max(1, PAIR_BLOCK // len(self.b_vals))
-        offsets = np.concatenate(([0], np.cumsum(self.selection.sum(1))))
         with open(path, "w") as fh:
             fh.write("a,b,n_i,error,standardized\n")
             for i in range(0, len(self.a_vals), rows):
-                j = min(i + rows, len(self.a_vals))
-                block = replace(self, a_vals=self.a_vals[i:j], selection=self.selection[i:j],
-                                counts=self.counts[offsets[i]:offsets[j]])
+                block = replace(self, a_vals=self.a_vals[i:i + rows], admissible=self.admissible[i:i + rows],
+                                grid_counts=self.grid_counts[i:i + rows])
                 columns = (block.a, block.b, block.counts, block.errors, block.standardized)
                 for a, b, c, e, s in zip(*(col.tolist() for col in columns)):
                     fh.write(f"{a},{b},{c},{e!r},{s!r}\n")
@@ -620,9 +631,9 @@ def _ks_against_normal(values: np.ndarray, mult: np.ndarray) -> float:
 def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = None) -> CltSample:
     """Standardized error sample over the box, with histogram and KS distance,
     read from the plan's kept sweep, or from ``grid``, a covering grid swept
-    elsewhere at the same x and interval (see `_plan_grid`).  Only the
-    selected counts are gathered; the histogram, the KS distance, the mean
-    and the variance run on the count table."""
+    elsewhere at the same x and interval (see `_plan_grid`).  The histogram,
+    the KS distance, the mean and the variance run on the count table; the
+    selected counts are gathered only when the sample's ``counts`` is read."""
     if bins < 1:
         raise ValueError(f"the CLT histogram needs bins >= 1, got bins = {bins}")
     if bins > MAX_BINS:
@@ -635,19 +646,19 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     if not len(values):
         raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
                          f"exclude_axes = {plan.exclude_axes}")
-    a_vals, b_vals, counts, sel, pi_tilde = grid
-    if plan.exclude_axes:
-        sel = sel & (a_vals != 0)[:, None] & (b_vals != 0)[None, :]
+    a_vals, b_vals, counts, admissible, pi_tilde = grid
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
-    selected = counts[sel]
+    size = int(mult.sum())
     table = (values - pi_tilde * mu) / scale
     bin_counts, bin_edges = np.histogram(table, bins=bins, weights=mult)
-    mean = math.fsum((mult * table).tolist()) / len(selected)
+    mean = math.fsum((mult * table).tolist()) / size
     return CltSample(
         a_vals=a_vals,
         b_vals=b_vals,
-        selection=sel,
-        counts=selected,
+        admissible=admissible,
+        exclude_axes=plan.exclude_axes,
+        grid_counts=counts,
+        size=size,
         pi_tilde=pi_tilde,
         mu=mu,
         scale=scale,
@@ -655,7 +666,7 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
         bin_counts=bin_counts,
         ks=_ks_against_normal(table, mult),
         mean=mean,
-        variance=math.fsum((mult * (table - mean) ** 2).tolist()) / len(selected),
+        variance=math.fsum((mult * (table - mean) ** 2).tolist()) / size,
     )
 
 

@@ -138,18 +138,40 @@ def _trace_rows_prime_length(p, a_residues):
     return -np.rint(corr).astype(np.int64)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 49999, 99991])
+class _RecordingWorkspace(_Workspace):
+    """A `_Workspace` that keeps the (name, layout) of every request."""
+
+    def __init__(self, p_max):
+        super().__init__(p_max)
+        self.layouts = []
+
+    def regions(self, name, p, *layout):
+        self.layouts.append((name, layout))
+        return super().regions(name, p, *layout)
+
+
+# both classes of p mod 4 (the reflection's sign chi(-1)) and of p mod 3 (the
+# zero row a = 0 at p = 2 mod 3), then the uint32 / int64 boundary of the index
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 103, 1009, 1019, 49999, 65519, 65537, 99991])
 def test_trace_rows_base_rows_equal_prime_length_fft(p):
     base = _twist_base(p)
-    rows = _trace_rows(p, base)
+    work = _RecordingWorkspace(p)
+    rows = _trace_rows(p, base, work)
     assert rows.dtype == np.int64 and rows.shape == (3, p)
     assert np.array_equal(rows, _trace_rows_prime_length(p, base))
+    # the correlation covers b <= (p - 1) / 2 only: length L >= (3p - 1) / 2, not 2p - 1
+    (name, ((series_shape, _), _)), = work.layouts
+    assert name == "scratch" and series_shape[1] == _smooth_length((3 * p - 1) // 2) < _smooth_length(2 * p - 1)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 101, 1009])
 def test_trace_rows_full_grid_equal_prime_length_fft(p):
+    # 7, 11, 13, 17 are 1, 2, 1, 2 mod 3 and 3, 3, 1, 1 mod 4
     residues = np.arange(p)
-    assert np.array_equal(_trace_rows(p, residues), _trace_rows_prime_length(p, residues))
+    rows = _trace_rows(p, residues)
+    assert np.array_equal(rows, _trace_rows_prime_length(p, residues))
+    chi_minus_one = 1 if p % 4 == 1 else -1
+    assert np.array_equal(rows[:, -1:0:-1], chi_minus_one * rows[:, 1:])  # T(a, -b) = chi(-1) T(a, b)
 
 
 @pytest.mark.parametrize("p", [5, 11, 101, 10007])
@@ -279,11 +301,14 @@ def test_twist_index_dtype_boundary(p, dtype):
     assert len(singular) >= 6
     b_good = [0, 1, p - 2, p - 1]
     b_res = b_good + [b for _, b in singular]
-    work = _Workspace(p)
+    work = _RecordingWorkspace(p)
     base, good, index = _twist_index(p, np.array(a_res), np.array(b_res), work)
     assert base.shape == good.shape == (6, p) and base.dtype == np.int64
     assert index.dtype == np.intp and index.shape == (len(a_res), len(b_res))
-    assert {dt for name, dt in work._flat if name in ("twist", "quotient")} == {np.dtype(dtype)}
+    assert set(work._flat) == {"scratch", "base", "good", "index"}
+    shape = (len(a_res), len(b_res))  # the twist reduction and its quotient, in the scratch block
+    assert [layout for name, layout in work.layouts if name == "scratch" and layout[0][0] == shape] == \
+        [((shape, dtype), (shape, dtype))]
     ap, ok = base.take(index), good.take(index)
     for i, a in enumerate(a_res):
         for j, b in enumerate(b_res):

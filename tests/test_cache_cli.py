@@ -344,6 +344,13 @@ def test_cli_verify_single_suite(suite, capsys):
     assert len(checks) == _benchmark_suite_checks()[suite]
 
 
+def test_telescoped_check_prints_the_power_of_ten_above_its_gap():
+    # the gap is a rounding residue near 4e-15: its digits would change with
+    # any equivalent reordering of the cosine-grid arithmetic
+    line, = [res.line() for res in SUITES["bs"]() if res.name == "telescoped basis matches cosine basis"]
+    assert re.fullmatch(r"PASS  telescoped basis matches cosine basis  \[max gap < 1e-1[0-9]\]", line), line
+
+
 def test_cli_eichler(capsys, monkeypatch):
     # the command prints the line of verify's own check, and fails with it
     assert run(["eichler-check", "--max-p", "60"]) == 0

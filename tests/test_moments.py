@@ -748,23 +748,54 @@ def test_no_result_shares_memory_with_a_workspace(monkeypatch):
             assert not any(np.shares_memory(result, buffer) for result in results)
 
 
-def test_one_workspace_per_sweep(monkeypatch):
-    """A sweep makes one workspace, and its first request for each buffer
-    leaves room for the window's largest prime: no buffer is replaced."""
+def _recorded_regions(monkeypatch) -> list:
+    """(name, p, buffer id, views) of every `_Workspace.regions` call from now on;
+    the views stay alive, so no buffer id is reused."""
     from stmoments import arith_curves
 
-    made, buffers, get = _recorded_workspaces(monkeypatch), {}, arith_curves._Workspace.get
+    calls, regions = [], arith_curves._Workspace.regions
 
-    def recording(self, name, p, shape, dtype):
-        out = get(self, name, p, shape, dtype)
-        buffers.setdefault((name, np.dtype(dtype)), set()).add(id(self._flat[name, np.dtype(dtype)]))
-        return out
+    def recording(self, name, p, *layout):
+        views = regions(self, name, p, *layout)
+        calls.append((name, p, id(self._flat[name]), views))
+        return views
 
-    monkeypatch.setattr(arith_curves._Workspace, "get", recording)
+    monkeypatch.setattr(arith_curves._Workspace, "regions", recording)
+    return calls
+
+
+def test_one_workspace_per_sweep(monkeypatch):
+    """A sweep makes one workspace with one byte buffer per name, and every
+    buffer it ends with was allocated at the first prime, with room for the
+    window's largest: no later prime replaces one."""
+    made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
     window = primes_in_window(500.0)
     _sweep_box(window, 300, 200, MIXED_CHANNELS[:2])
     assert len(made) == 1 and made[0].p_max == window.primes[-1]
-    assert len(buffers) >= 10 and all(len(ids) == 1 for ids in buffers.values())
+    assert set(made[0]._flat) == {"scratch", "base", "good", "index", "table"}
+    assert all(buffer.dtype == np.uint8 for buffer in made[0]._flat.values())
+    for name, buffer in made[0]._flat.items():
+        assert {id_ for n, p, id_, _ in calls if n == name and p > window.primes[0]} == {id(buffer)}
+
+
+def test_sweep_temporaries_share_one_block(monkeypatch):
+    """The twist reduction and quotient and the b-tile are never live together,
+    so they are views of one scratch block, and the workspace is smaller by at
+    least their size than a layout with one buffer per (name, dtype), which
+    took 9 980 017 bytes in this sweep, 1 992 008 of them for the twist
+    reduction and quotient."""
+    made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
+    window = primes_in_window(500.0)
+    _sweep_box(window, 300, 200, MIXED_CHANNELS[:2])
+    p = max(q for q in window.primes if q < 401)  # the largest prime whose period table is tiled along b
+    scratch = [views for name, q, _, views in calls if name == "scratch" and q == p]
+    (_, quotient), = [views for views in scratch if len(views) == 2 and views[0].shape == (p, p)]
+    tiles = [tile for (tile,) in (views for views in scratch if len(views) == 1)]
+    assert [tile.shape for tile in tiles] == [(p, 401), (p, 401)]
+    assert any(np.shares_memory(tile, quotient) for tile in tiles)
+    for views in scratch:
+        assert all(view.ctypes.data % 16 == 0 for view in views)  # aligned for complex128
+    assert sum(buffer.nbytes for buffer in made[0]._flat.values()) <= 9_980_017 - 1_992_008
 
 
 def test_multi_channel_sweep_guards(monkeypatch):
@@ -1052,19 +1083,27 @@ def test_clt_csv(tmp_path):
 
 @pytest.mark.parametrize("exclude_axes", [False, True])
 def test_clt_sample_memory_stays_narrow(exclude_axes):
-    # 401 x 401 box; stored per-pair float or int64 columns would take >= 40 bytes per pair
-    grid = family_error_grid(200.0, 200, 200, HALF)
+    # 401 x 401 box whose grid and count table the plan already keeps: the
+    # sample holds views of the grid and gathers its counts on first read
     plan = MomentPlan(x=200.0, A=200, B=200, interval=HALF, exclude_axes=exclude_axes)
+    family_moments(plan)
+    grid = plan._grid
     tracemalloc.start()
     try:
-        sample = clt_histogram(plan, grid=grid)
+        sample = clt_histogram(plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * sample.size, (peak, sample.size)
-    per_pair = [f.name for f in dataclasses.fields(sample)
-                if isinstance(v := getattr(sample, f.name), np.ndarray) and v.shape == (sample.size,)]
-    assert per_pair == ["counts"] and sample.counts.dtype == grid.counts.dtype == np.uint8
+    assert peak < sample.size, (peak, sample.size)  # less than 1 byte per selected pair
+    # the axes hold 801 pairs, 800 of them admissible: Delta(0, 0) = 0
+    assert sample.size == int(np.count_nonzero(grid.admissible)) - (800 if exclude_axes else 0)
+    assert "counts" not in vars(sample)
+    for f in dataclasses.fields(sample):
+        if isinstance(v := getattr(sample, f.name), np.ndarray) and v.size >= sample.size:
+            assert np.shares_memory(v, grid.counts) or np.shares_memory(v, grid.admissible), f.name
+    counts = sample.counts
+    assert counts.dtype == grid.counts.dtype == np.uint8 and counts.shape == (sample.size,)
+    assert np.array_equal(counts, grid.counts[sample.selection]) and sample.counts is counts
 
 
 def _csv_row_by_row(plan) -> str:
