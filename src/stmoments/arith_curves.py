@@ -18,14 +18,14 @@ good reduction does not change along an orbit either.  `_twist_index`
 therefore returns a (6, p) table, the base rows and their negatives, its
 (6, p) good mask, and one flat index into both per residue pair: no trace,
 sign or Delta is formed per pair, and every consumer reads a pair's trace
-and good flag by `take`.  The index is reduced in uint32 while p < 2^16
-(b d^-3 < p^2 fits) and in int64 above, as x - (x // p) p, since numpy
-divides by a scalar several times faster than it takes `%`, and handed out
-as intp, which `take` reads without a converted copy.  A box sweep passes
-one `_Workspace` to every prime: each prime's base table, mask and index
-are views of byte buffers allocated at the first prime, keyed by name, and
-its temporaries (FFT series and spectra, twist reduction and quotient, the
-sweep's b-tile), never live together, share one "scratch" buffer.
+and good flag by `take`.  `_index_rows` forms it for any run of rows from
+per-row factors (`_twist_factors`), reduced in uint32 while p < 2^16 and in
+int64 above as x - (x // p) p (numpy divides by a scalar several times
+faster than it takes `%`), as intp, which `take` reads without a copy.  A
+box sweep forms it a block of rows at a time and passes one `_Workspace` to
+every prime: its arrays are views of byte buffers allocated at the first
+prime, keyed by name, and the temporaries never live together (FFT series
+and spectra, twist reduction and quotient, b-tiles) share "scratch".
 
 `_trace_rows` gives T(a, b) for every b at once: for each residue a the
 histogram of x^3 + ax over x is circularly correlated against the Legendre
@@ -91,7 +91,7 @@ __all__ = [
 AP_TABLE_MAX_P = 3000
 MAX_PRIME = 1_000_000  # largest prime (and sieve limit) of any O(p) or O(x) table
 MIN_CURVE_PRIME = 5  # least prime of the curve operations and the class-number identities
-CACHE_MAXSIZE = 128  # entries of each lru_cache of the package (per prime, or per series length)
+CACHE_MAXSIZE = 128  # entries of each lru_cache of the package (one per prime)
 
 _GOOD, _NODE, _CUSP = 0, 1, 2
 
@@ -317,11 +317,11 @@ class _Workspace:
     end in it, each starting a multiple of _ALIGN bytes in and holding what
     the last prime left there, so arrays that are never live together share
     one name and one block.  "scratch" holds in turn the FFT series and
-    spectra, the twist reduction and quotient, and the sweep's b-tile;
-    "base", "good", "index" and "table" keep their own.  No such array grows
-    faster than p^2, so a buffer is first allocated with (p_max / p)^2 times
-    the bytes asked for (pages never touched cost nothing).  Outside a sweep
-    each call makes a `_Workspace(p)` of its own.
+    spectra, a block's twist reduction and quotient, and the sweep's
+    b-tiles; "base", "good", "index" and "table" keep their own.  Per-prime
+    arrays grow like p and a sweep's blocks hold about PAIR_BLOCK pairs at
+    any p, so a buffer is first allocated with p_max / p times the bytes
+    asked for.  Outside a sweep each call makes a `_Workspace(p)` of its own.
     """
 
     def __init__(self, p_max: int):
@@ -336,7 +336,7 @@ class _Workspace:
             end = starts[-1] + math.prod(shape) * np.dtype(dtype).itemsize
         buf = self._flat.get(name)
         if buf is None or buf.size < end:
-            buf = self._flat[name] = np.empty(math.ceil(end * max(1.0, (self.p_max / p) ** 2)), np.uint8)
+            buf = self._flat[name] = np.empty(math.ceil(end * max(1.0, self.p_max / p)), np.uint8)
         return [np.ndarray(shape, dtype, buf, start) for start, (shape, dtype) in zip(starts, layout)]
 
     def get(self, name: str, p: int, shape: tuple, dtype) -> np.ndarray:
@@ -376,8 +376,9 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
     cubes = xs * xs
     cubes *= xs  # exact in int64 for p <= MAX_PRIME
     cubes %= p
-    series, spectra = work.regions("scratch", p, ((rows + 1, size), np.float64),  # reversed histograms, then chi
-                                   ((rows + 1, size // 2 + 1), np.complex128))
+    series, spectra = work.regions("scratch", p, ((len(traces) + 1, size), np.float64),  # reversed histograms, then chi
+                                   ((len(traces) + 1, size // 2 + 1), np.complex128))
+    series, spectra = series[:rows + 1], spectra[:rows + 1]  # room for skipped rows: a sweep's request keeps its size
     series[:, p:] = 0.0
     for k, i in enumerate(live):
         t = int(a_residues[i]) * xs
@@ -404,20 +405,16 @@ def _twist_base(p: int) -> tuple[int, int, int]:
     return 0, 1, n
 
 
-def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace | None = None):
-    """Base table, good mask and twist index of the residue pairs (a_res x b_res) of one prime.
+def _twist_factors(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace | None = None):
+    """Base table, good mask and twist factors (offsets, d_inv3, b_res) of a_res x b_res at p.
 
     ``base`` is the int64 (6, p) table of the base rows T(a0, .), a0 = 0, 1, n
-    (`_trace_rows(p, _twist_base(p))`, built here), followed by their
-    negatives, and ``good`` is its mask Delta(a0, b') != 0 mod p: false only
-    at b' = 0 for a0 = 0 and at b'^2 = -4 a0^3 / 27 otherwise.  For a pair
-    (a, b) with d^2 = a / a0, ``index`` holds (row of a0, negated when
-    chi(d) = -1) * p + b d^-3 mod p, so ``base.take(index)`` and
-    ``good.take(index)`` are the traces and the good mask over a_res x b_res
-    (see the module docstring).  d comes from a table of square roots and
-    d^-3 = d^(p-4).  The index is reduced in uint32 for p < 2^16 and in int64
-    above, and returned as intp, which `take` reads without a copy.  All
-    three live in ``work``.  The work is O(p log p + len(a_res) len(b_res)).
+    (`_trace_rows(p, _twist_base(p))`), then their negatives; ``good`` is its
+    mask Delta(a0, b') != 0 mod p, false only at b' = 0 for a0 = 0 and at
+    b'^2 = -4 a0^3 / 27 otherwise.  Row a, with d^2 = a / a0 (d from a table
+    of square roots), has offset (row of a0, negated when chi(d) = -1) * p and
+    d^-3 = d^(p-4) mod p; ``d_inv3`` and ``b_res`` come in the reduction's
+    dtype, uint32 for p < 2^16 (b d^-3 < p^2 fits) and int64 above.
     """
     work = work or _Workspace(p)
     chi = _legendre_table(p)
@@ -436,7 +433,6 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace 
         if chi[r] != -1:
             good[[i, i + 3], root[r]] = good[[i, i + 3], -root[r] % p] = False
     a_res = np.asarray(a_res, dtype=np.int64)
-    b_res = np.asarray(b_res, dtype=np.int64)
     square = chi[a_res] == 1
     d = np.where(a_res == 0, 1, root[np.where(square, a_res, a_res * pow(n, p - 2, p) % p)])
     row = np.where(a_res == 0, 0, np.where(square, 1, 2)) + 3 * (chi[d] == -1)
@@ -446,14 +442,32 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace 
         if e & 1:
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
-    dtype, shape = np.uint32 if p < 1 << 16 else np.int64, (len(a_res), len(b_res))
-    twist, quotient = work.regions("scratch", p, (shape, dtype), (shape, dtype))
-    np.multiply(b_res.astype(dtype)[None, :], d_inv3.astype(dtype)[:, None], out=twist)
+    dtype = np.uint32 if p < 1 << 16 else np.int64
+    return base, good, (row * p, d_inv3.astype(dtype), np.asarray(b_res, dtype=np.int64).astype(dtype))
+
+
+def _index_rows(p: int, offsets: np.ndarray, d_inv3: np.ndarray, b_res: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Twist index rows offsets[i] + b_res d_inv3[i] mod p (`_twist_factors`) as intp
+    in ``work``'s "index", reduced in b_res's dtype as x - (x // p) p in "scratch"."""
+    shape = (len(offsets), len(b_res))
+    twist, quotient = work.regions("scratch", p, (shape, b_res.dtype), (shape, b_res.dtype))
+    np.multiply(b_res[None, :], d_inv3[:, None], out=twist)
     np.floor_divide(twist, p, out=quotient)
     quotient *= p
-    twist -= quotient  # x - (x // p) p
-    index = np.add(twist, (row * p)[:, None], out=work.get("index", p, shape, np.intp))
-    return base, good, index
+    twist -= quotient
+    return np.add(twist, offsets[:, None], out=work.get("index", p, shape, np.intp))
+
+
+def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace | None = None):
+    """Base table, good mask and twist index of the residue pairs (a_res x b_res) of one prime.
+
+    `_index_rows` over all `_twist_factors` rows: ``base.take(index)`` and
+    ``good.take(index)`` are the traces and good mask over a_res x b_res, all
+    three in ``work``.  The work is O(p log p + len(a_res) len(b_res)).
+    """
+    work = work or _Workspace(p)
+    base, good, factors = _twist_factors(p, a_res, b_res, work)
+    return base, good, _index_rows(p, *factors, work)
 
 
 def _singular_pairs(p: int, a: int) -> list[int]:
@@ -482,17 +496,12 @@ def nonsingular_mask(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
 
 
 def _box_prime_data(p: int, a_vals: np.ndarray, b_vals: np.ndarray, work: _Workspace | None = None):
-    """Residue table of one prime over the box in base form: (base, good, index).
-
-    ``a_vals`` and ``b_vals`` are runs of consecutive integers, so their first
-    min(n, p) residues are distinct and the rest repeat them with period p.
-    ``base`` and ``good`` are `_twist_index`'s (6, p) base rows and good mask,
-    and ``index`` is its twist index at those residues in box order, so
-    ``base.take(index)`` is the trace table of one period of the box.  The
-    work is O(p log p + residues met) whatever the box shape; the sweep
-    passes its ``work``.
-    """
-    return _twist_index(p, a_vals[:p] % p, b_vals[:p] % p, work)
+    """One prime over a box in base form: `_twist_factors` at the first
+    min(n, p) residues of ``a_vals`` and ``b_vals``, runs of consecutive
+    integers whose residues repeat with period p, so `_index_rows` over factor
+    rows r0..r1 gives those rows of the twist index of one period of the box.
+    The work is O(p log p + residues met); the sweep passes its ``work``."""
+    return _twist_factors(p, a_vals[:p] % p, b_vals[:p] % p, work)
 
 
 def _kept(good: np.ndarray, condition: SumCondition) -> np.ndarray:

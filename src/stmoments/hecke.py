@@ -16,17 +16,17 @@ oracle, is the central cross-check of the whole package.
 
 All trace arithmetic uses arbitrary-precision integers; p^(k-1) overflows
 any fixed width long before the caps bite.  `delta_qexp` and `miller_basis`
-read E4, E6 and Delta from `_modular_series`, built once per length; every
-q-series product is one big-integer product packed by Kronecker substitution.
+read E4, E6 and Delta from `_modular_series`, prefixes of the longest series
+built so far; every q-series product is one big-integer product packed by
+Kronecker substitution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arith_curves import CACHE_MAXSIZE, primes_in_window, require_prime
+from .arith_curves import primes_in_window, require_prime
 from .chebycomb import _birch_weight
 from .classnumbers import HurwitzTable, _class_row, build_hurwitz_table
 from .errors import BudgetError
@@ -114,16 +114,21 @@ def eisenstein_qexp(weight: int, n_terms: int) -> list[int]:
     return [1] + [scale * s for s in sig[1:]]
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
+_longest_series: tuple[tuple[int, ...], ...] = ((), (), ())  # E4, E6 and Delta, the longest built so far
+
+
 def _modular_series(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """E4, E6 and the discriminant Delta = (E4^3 - E6^2)/1728 to n_terms coefficients."""
-    e4 = eisenstein_qexp(4, n_terms)
-    e6 = eisenstein_qexp(6, n_terms)
-    e4cubed = _mul_trunc(_mul_trunc(e4, e4, n_terms), e4, n_terms)
-    e6sq = _mul_trunc(e6, e6, n_terms)
-    delta = [x - y for x, y in zip(e4cubed, e6sq)]
-    assert all(d % 1728 == 0 for d in delta)
-    return tuple(e4), tuple(e6), tuple(d // 1728 for d in delta)
+    """E4, E6 and Delta to n_terms coefficients: prefixes of the longest built so far."""
+    global _longest_series
+    if len(_longest_series[0]) < n_terms:
+        e4 = eisenstein_qexp(4, n_terms)
+        e6 = eisenstein_qexp(6, n_terms)
+        e4cubed = _mul_trunc(_mul_trunc(e4, e4, n_terms), e4, n_terms)
+        e6sq = _mul_trunc(e6, e6, n_terms)
+        delta = [x - y for x, y in zip(e4cubed, e6sq)]
+        assert all(d % 1728 == 0 for d in delta)
+        _longest_series = tuple(e4), tuple(e6), tuple(d // 1728 for d in delta)
+    return tuple(series[:n_terms] for series in _longest_series)
 
 
 def delta_qexp(n_terms: int) -> list[int]:

@@ -6,11 +6,11 @@ count the window primes of good reduction whose normalized trace lands in I,
 subtract pi~(x) mu(I), and average powers of the result over the box.  All
 counting is exact integer work; floats appear only in the final
 normalization.  Each prime's hit rule runs on its six twist base rows only
-(`arith_curves`); one gather through the twist index reads it at the
-residues the box meets, and the box, a periodic tiling of that table, is
-added into a narrow integer accumulator.  The same loop (`_sweep_box`) sums
-a Beurling-Selberg polynomial over the primes at every pair
-(`polynomial_sum_grid`), and one sweep feeds any number of such channels
+(`arith_curves`); a gather through the twist index reads it at the residues
+the box meets, PAIR_BLOCK pairs at a time, and the box, a periodic tiling of
+that table, is added into a narrow integer accumulator.  The same loop
+(`_sweep_box`) sums a Beurling-Selberg polynomial over the primes at every
+pair (`polynomial_sum_grid`), and one sweep feeds any number of such channels
 from one base table per prime, each channel evaluated once per block of
 primes: the certified bracket of the count error holds or fails over a
 whole box from one sweep, and the cross-check's polynomial sums P_M come
@@ -21,10 +21,11 @@ almost-all exceptions) depends only on the multiset of selected counts,
 which take at most pi~ + 1 values: they run on its (value, multiplicity)
 table from `np.bincount` over the box, less the few pairs off the
 selection.  A `MomentPlan` sweeps its box once, inside the first statistic
-that needs it, and keeps the read-only grid (1-2 bytes of counts plus 1 byte
-of mask per pair) and its count table while it lives, so its moments, CLT
-sample and almost-all count read one sweep and one table.  ``grid=`` is for
-a covering grid swept elsewhere, shared by plans of different boxes.
+that needs it, and keeps the read-only grid (1-2 bytes of counts per pair,
+the mask built only when read) and its count table while it lives, so its
+moments, CLT sample and almost-all count read one sweep and one table.
+``grid=`` is for a covering grid swept elsewhere, shared by plans of
+different boxes.
 
 `moment_via_expansion` recomputes the moments of P_M at every t of each
 plan's `t_list` on one build of `box_summands`' power tables per box and
@@ -49,7 +50,6 @@ from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .arith_curves import (
     SumCondition,
     _box_prime_data,
     _delta_zeros,
+    _index_rows,
     _kept,
     _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
@@ -126,12 +127,11 @@ class MomentPlan:
     The analytic knobs (c and the profile) set the default M and the
     almost-all threshold; they never enter the counting.  The first
     statistic run without ``grid=`` sweeps the plan's box and the plan keeps
-    that read-only `FamilyGrid` while it lives (1-2 bytes of counts and 1
-    byte of mask per pair), and its count table (at most pi~ + 1 rows), so every
-    later statistic of the plan reads the same sweep and table.  Neither is
-    a field: `repr`, ``==``, `hash` and `dataclasses.replace` ignore them,
-    and a replaced plan sweeps afresh.  A `CltSample` of the plan holds views
-    of that grid and adds nothing per pair until its counts are read.
+    that read-only `FamilyGrid` (1-2 bytes of counts per pair, its mask built
+    only when read) and its count table (at most pi~ + 1 rows) while it lives,
+    so every later statistic reads the same sweep and table.  Neither is a
+    field: `repr`, ``==``, `hash` and `dataclasses.replace` ignore them, and a
+    replaced plan sweeps afresh.  A `CltSample` adds nothing per pair until read.
     """
 
     x: float
@@ -220,16 +220,30 @@ def error_term(curve: CurveParams, x: float, interval: Interval) -> float:
     return count_in_interval(curve, x, interval) - window.count * st_measure(interval)
 
 
-class FamilyGrid(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class FamilyGrid:
     """The result of one box sweep (see `family_error_grid`); its arrays are
     read-only.  ``counts`` is unsigned and narrow (uint8 up to pi~ = 255,
-    uint16 above), so cast it before signed or wide integer arithmetic."""
+    uint16 above), so cast it before signed or wide integer arithmetic.  The
+    mask Delta != 0 (`nonsingular_mask`) is built on first read and kept.
+    Indexing and iteration give (a_vals, b_vals, counts, admissible, pi_tilde)."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
     counts: np.ndarray
-    admissible: np.ndarray
     pi_tilde: int
+
+    @cached_property
+    def admissible(self) -> np.ndarray:
+        mask = nonsingular_mask(self.a_vals, self.b_vals)
+        mask.setflags(write=False)
+        return mask
+
+    def __getitem__(self, i: int):
+        return getattr(self, ("a_vals", "b_vals", "counts", "admissible", "pi_tilde")[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(5))
 
     def box(self, A: int, B: int) -> "FamilyGrid":
         """The centred sub-box |a| <= A, |b| <= B as views; ValueError unless the grid covers it."""
@@ -237,8 +251,7 @@ class FamilyGrid(NamedTuple):
         if not (0 <= A <= ga and 0 <= B <= gb):
             raise ValueError(f"box |a| <= {A}, |b| <= {B} is not inside the grid's box |a| <= {ga}, |b| <= {gb}")
         rows, cols = slice(ga - A, ga + A + 1), slice(gb - B, gb + B + 1)
-        a_vals, b_vals, counts, admissible, pi_tilde = self
-        return FamilyGrid(a_vals[rows], b_vals[cols], counts[rows, cols], admissible[rows, cols], pi_tilde)
+        return FamilyGrid(self.a_vals[rows], self.b_vals[cols], self.counts[rows, cols], self.pi_tilde)
 
 
 def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.ndarray, np.ndarray, list]:
@@ -251,12 +264,13 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
     Each channel is evaluated once per block of primes, on their concatenated
     `trace_values` (at most _EVAL_BLOCK values).  Per prime, in ascending
     order, `_box_prime_data` builds the (6, p) base table once (the integer
-    traces of the twist base rows and their negatives, and their good mask);
-    each channel reads its values there by integer trace, masks them, and
-    gathers them once through the twist index into the table of one period
-    of the box, which is tiled along b and added one block of rows at a time.
-    The fixed prime order makes float accumulators bit-reproducible, each
-    equal to its one-channel sweep.  Before any prime is swept, a degree past
+    traces of the twist base rows and their negatives, and their good mask)
+    and the box's twist factors; each channel masks its values there.  Then,
+    max(1, PAIR_BLOCK // period_b) period rows at a time, each channel gathers
+    through the rows' twist index (`_index_rows`), tiles the result along b
+    and adds it into those rows of every period of the box.  The fixed prime
+    order makes float accumulators bit-reproducible, each equal to its
+    one-channel sweep.  Before any prime is swept, a degree past
     MAX_DEGREE is a BudgetError, a condition that is not a SumCondition a
     ValueError, A or B that is not an integer >= 0 a ValueError naming both,
     and past DEFAULT_BOX_BUDGET pairs x primes a BudgetError.
@@ -286,19 +300,25 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
         evaluated = [ch.contains(flat) if count else ch[0].eval_traces(flat) for ch, count in zip(channels, counting)]
         start = 0
         for p, n in zip(block, map(len, values)):
-            base, good, index = _box_prime_data(p, a_vals, b_vals, work)
-            period_a, period_b = index.shape
-            for ch, count, ev, acc in zip(channels, counting, evaluated, accs):
-                at_base = ev[start:start + n][base]
-                rows = good & at_base if count else np.where(_kept(good, ch[1]), at_base, 0.0)
-                tile = table = rows.astype(acc.dtype, copy=False).take(
-                    index, out=work.get("table", p, index.shape, acc.dtype), mode="clip")
-                if period_b < n_b:  # the period table, repeated along b
-                    tile = work.get("scratch", p, (period_a, n_b), acc.dtype)
-                    for j in range(0, n_b, period_b):
-                        tile[:, j:j + period_b] = table[:, :n_b - j]
-                for i in range(0, n_a, period_a):
-                    acc[i:i + period_a] += tile[:n_a - i]
+            period_a, period_b = min(n_a, p), min(n_b, p)
+            rows = min(period_a, max(1, PAIR_BLOCK // period_b))  # period rows per block
+            # the tiles are asked for before the base rows' transforms, which share their block
+            tables = work.regions("table", p, *(((rows, period_b), acc.dtype) for acc in accs))
+            tiles = tables if period_b == n_b else work.regions("scratch", p, *(((rows, n_b), a.dtype) for a in accs))
+            base, good, (offsets, d_inv3, b_res) = _box_prime_data(p, a_vals, b_vals, work)
+            at_base = [ev[start:start + n][base] for ev in evaluated]
+            masked = [(good & at if count else np.where(_kept(good, ch[1]), at, 0.0)).astype(acc.dtype, copy=False)
+                      for ch, count, at, acc in zip(channels, counting, at_base, accs)]
+            for r0 in range(0, period_a, rows):
+                index = _index_rows(p, offsets[r0:r0 + rows], d_inv3[r0:r0 + rows], b_res, work)
+                r = len(index)
+                for src, acc, table, tile in zip(masked, accs, tables, tiles):
+                    src.take(index, out=table[:r], mode="clip")
+                    if tile is not table:  # the period rows, repeated along b
+                        for j in range(0, n_b, period_b):
+                            tile[:r, j:j + period_b] = table[:r, :n_b - j]
+                    for i in range(r0, n_a, period_a):
+                        acc[i:i + r] += tile[:min(r, n_a - i)]
             start += n
     for arr in (a_vals, b_vals, *accs):
         arr.setflags(write=False)
@@ -309,19 +329,17 @@ def family_error_grid(x: float, A: int, B: int, interval: Interval) -> FamilyGri
     """Exact interval counts over the box |a| <= A, |b| <= B: the one-channel
     `_sweep_box` of ``interval``.
 
-    Returns (a_vals, b_vals, counts, admissible, pi_tilde): ``counts`` is the
-    read-only N_I grid in the accumulator's narrow unsigned dtype, uint8 up
-    to pi~ = 255 and uint16 above (MAX_PRIME keeps pi~ below 2^16), returned
-    as is, not widened, so cast it before signed arithmetic; ``admissible``
-    masks Delta != 0 (`nonsingular_mask`).  All work is exact integer work,
-    so the result is bit-reproducible.  A and B must be integers >= 0;
-    anything else is a ValueError naming both before any prime is swept.
+    Returns a `FamilyGrid`: ``counts`` is the read-only N_I grid in the
+    accumulator's narrow unsigned dtype, uint8 up to pi~ = 255 and uint16
+    above (MAX_PRIME keeps pi~ below 2^16), returned as is, not widened, so
+    cast it before signed arithmetic; its ``admissible`` mask of Delta != 0
+    is built only when read.  All work is exact integer work, so the result
+    is bit-reproducible.  A and B must be integers >= 0; anything else is a
+    ValueError naming both before any prime is swept.
     """
     window = primes_in_window(x)
     a_vals, b_vals, (counts,) = _sweep_box(window, A, B, [interval])
-    admissible = nonsingular_mask(a_vals, b_vals)
-    admissible.setflags(write=False)
-    return FamilyGrid(a_vals, b_vals, counts, admissible, window.count)
+    return FamilyGrid(a_vals, b_vals, counts, window.count)
 
 
 def polynomial_sum_grid(x: float, A: int, B: int, coeffs: BSCoefficients,
@@ -363,8 +381,8 @@ def _count_table(grid: FamilyGrid, exclude_axes: bool) -> tuple[np.ndarray, np.n
     (`np.bincount` widens its input to intp), then the few pairs off the
     selection are taken out: the zeros of Delta (`_delta_zeros`) and, under
     ``exclude_axes``, the lines a = 0 and b = 0.  No box-sized copy is made."""
-    a_vals, b_vals, counts, _, pi_tilde = grid
-    mult = np.zeros(pi_tilde + 1, dtype=np.intp)
+    a_vals, b_vals, counts = grid.a_vals, grid.b_vals, grid.counts
+    mult = np.zeros(grid.pi_tilde + 1, dtype=np.intp)
     rows = max(1, PAIR_BLOCK // len(b_vals))
     for i in range(0, len(a_vals), rows):
         mult += np.bincount(counts[i:i + rows].ravel(), minlength=len(mult))
@@ -548,16 +566,15 @@ def expansion_c_coefficient(u: np.ndarray, M: int, t: int, alphas: tuple[int, ..
 @dataclass
 class CltSample:
     """The standardized error sample over the selected pairs of a box.  It
-    holds no per-pair array of its own: ``grid_counts`` and ``admissible`` are
-    read-only views of the plan's grid, and ``size`` comes from its count
-    table.  ``selection`` (the admissible pairs, less the axes under
-    ``exclude_axes``) and ``counts`` (the selected counts in box order, in the
-    grid's narrow dtype) are gathered on first read and kept; ``a``, ``b``,
-    ``errors`` and ``standardized`` are rebuilt on each access."""
+    holds no per-pair array of its own: ``grid_counts`` is a read-only view of
+    the plan's grid, and ``size`` comes from its count table.  ``selection``
+    (`nonsingular_mask` of the box, less the axes under ``exclude_axes``) and
+    ``counts`` (the selected counts in box order, in the grid's narrow dtype)
+    are built on first read and kept; ``a``, ``b``, ``errors`` and
+    ``standardized`` are rebuilt on each access."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
-    admissible: np.ndarray
     exclude_axes: bool
     grid_counts: np.ndarray
     size: int
@@ -572,9 +589,10 @@ class CltSample:
 
     @cached_property
     def selection(self) -> np.ndarray:
-        if not self.exclude_axes:
-            return self.admissible
-        return self.admissible & (self.a_vals != 0)[:, None] & (self.b_vals != 0)[None, :]
+        mask = nonsingular_mask(self.a_vals, self.b_vals)
+        if self.exclude_axes:
+            mask[self.a_vals == 0] = mask[:, self.b_vals == 0] = False
+        return mask
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -603,8 +621,7 @@ class CltSample:
         with open(path, "w") as fh:
             fh.write("a,b,n_i,error,standardized\n")
             for i in range(0, len(self.a_vals), rows):
-                block = replace(self, a_vals=self.a_vals[i:i + rows], admissible=self.admissible[i:i + rows],
-                                grid_counts=self.grid_counts[i:i + rows])
+                block = replace(self, a_vals=self.a_vals[i:i + rows], grid_counts=self.grid_counts[i:i + rows])
                 columns = (block.a, block.b, block.counts, block.errors, block.standardized)
                 for a, b, c, e, s in zip(*(col.tolist() for col in columns)):
                     fh.write(f"{a},{b},{c},{e!r},{s!r}\n")
@@ -646,18 +663,17 @@ def clt_histogram(plan: MomentPlan, bins: int = 40, grid: FamilyGrid | None = No
     if not len(values):
         raise ValueError(f"no pair selected for the CLT sample: x = {plan.x}, A = {plan.A}, B = {plan.B}, "
                          f"exclude_axes = {plan.exclude_axes}")
-    a_vals, b_vals, counts, admissible, pi_tilde = grid
+    pi_tilde = grid.pi_tilde
     scale = math.sqrt(pi_tilde * (mu - mu * mu))
     size = int(mult.sum())
     table = (values - pi_tilde * mu) / scale
     bin_counts, bin_edges = np.histogram(table, bins=bins, weights=mult)
     mean = math.fsum((mult * table).tolist()) / size
     return CltSample(
-        a_vals=a_vals,
-        b_vals=b_vals,
-        admissible=admissible,
+        a_vals=grid.a_vals,
+        b_vals=grid.b_vals,
         exclude_axes=plan.exclude_axes,
-        grid_counts=counts,
+        grid_counts=grid.counts,
         size=size,
         pi_tilde=pi_tilde,
         mu=mu,

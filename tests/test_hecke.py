@@ -237,16 +237,41 @@ def test_route_agreement_builds_one_basis_per_weight(monkeypatch):
     assert built == [(k, dim_cusp_forms(k) * 199 + 1) for k in (12, 16, 18, 20, 22, 24, 26)]
 
 
-def test_route_agreement_builds_the_modular_series_once_per_length():
+def _counted_series_builds(monkeypatch) -> list:
+    """The lengths of every build of E4, E6 and Delta from now on, starting
+    with none built."""
+    real, built = hecke.eisenstein_qexp, []
+    monkeypatch.setattr(hecke, "_longest_series", ((), (), ()))
+    monkeypatch.setattr(hecke, "eisenstein_qexp",
+                        lambda k, n: (k == 4 and built.append(n)) or real(k, n))
+    return built
+
+
+def test_route_agreement_builds_the_modular_series_once_per_length(monkeypatch):
     # E4, E6 and Delta at n = 200 (the five weights of dimension 1) and 399
     # (weights 24 and 26), not once for each of the 7 bases
-    hecke._modular_series.cache_clear()
+    built = _counted_series_builds(monkeypatch)
     assert all(res.ok for res in route_agreement_checks(200, 26))
-    info = hecke._modular_series.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    assert built == [200, 399]
     fresh = delta_qexp(200)
-    fresh[1] = 0  # the caller's own list: the cached series is untouched
-    assert delta_qexp(200)[1] == 1 and hecke._modular_series.cache_info().misses == 2
+    fresh[1] = 0  # the caller's own list: the kept series is untouched
+    assert delta_qexp(200)[1] == 1 and built == [200, 399]
+
+
+def test_all_suites_build_the_modular_series_twice(monkeypatch):
+    # classnum's route agreement builds n = 200 and 399; every shorter length
+    # after it, such as the tau check's delta_qexp(51), is an exact-length
+    # prefix of the 399-term series
+    built = _counted_series_builds(monkeypatch)
+    assert all(res.ok for suite in verify.SUITES.values() for res in suite())
+    assert built == [200, 399]
+    for n in (1, 51, 399):
+        e4, e6, delta = hecke._modular_series(n)
+        assert (list(e4), list(e6)) == (eisenstein_qexp(4, n), eisenstein_qexp(6, n))
+        assert delta_qexp(n) == list(delta) == eta_power_24(n)
+    fresh = delta_qexp(51)
+    fresh[1] = 0
+    assert delta_qexp(51)[1] == 1 and built == [200, 399]
 
 
 def test_tau_and_family_checks_build_one_basis_each(monkeypatch):

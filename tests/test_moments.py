@@ -15,10 +15,13 @@ from stmoments.arith_curves import (
     Interval,
     PrimeWindow,
     SumCondition,
+    _index_rows,
     _trace_rows,
+    _Workspace,
     box_summands,
     count_in_interval,
     good_traces,
+    nonsingular_mask,
     primes_in_window,
     trace_values,
 )
@@ -28,6 +31,7 @@ from stmoments.moments_engine import (
     DEFAULT_BOX_BUDGET,
     MAX_BINS,
     MAX_MOMENT_ORDER,
+    PAIR_BLOCK,
     _EVAL_BLOCK,
     MomentPlan,
     Profile,
@@ -739,7 +743,7 @@ def test_no_result_shares_memory_with_a_workspace(monkeypatch):
 
     made = _recorded_workspaces(monkeypatch)
     results = [*_sweep_box(primes_in_window(60.0), 40, 35, MIXED_CHANNELS)[2],
-               *family_error_grid(300.0, 6, 9, GEN)[:4],
+               *tuple(family_error_grid(300.0, 6, 9, GEN))[:4],
                *box_summands(101, np.arange(-7, 8), np.arange(-3, 150), SumCondition.SKIP_BAD_AND_AB),
                ap_table(53).ap, ap_table(53).kind]
     assert len(made) > 3 and all(work._flat for work in made)
@@ -779,23 +783,76 @@ def test_one_workspace_per_sweep(monkeypatch):
 
 
 def test_sweep_temporaries_share_one_block(monkeypatch):
-    """The twist reduction and quotient and the b-tile are never live together,
-    so they are views of one scratch block, and the workspace is smaller by at
-    least their size than a layout with one buffer per (name, dtype), which
-    took 9 980 017 bytes in this sweep, 1 992 008 of them for the twist
-    reduction and quotient."""
+    """A block holds PAIR_BLOCK // period_b period rows.  Each block's twist
+    reduction and quotient and the b-tiles are never live together, so they
+    are views of one scratch block, and the workspace is smaller by at least
+    their size than a layout with one buffer per (name, dtype), which took
+    9 980 017 bytes in this sweep, 1 992 008 of them for the twist reduction
+    and quotient."""
     made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
     window = primes_in_window(500.0)
     _sweep_box(window, 300, 200, MIXED_CHANNELS[:2])
     p = max(q for q in window.primes if q < 401)  # the largest prime whose period table is tiled along b
+    rows = PAIR_BLOCK // p
     scratch = [views for name, q, _, views in calls if name == "scratch" and q == p]
-    (_, quotient), = [views for views in scratch if len(views) == 2 and views[0].shape == (p, p)]
-    tiles = [tile for (tile,) in (views for views in scratch if len(views) == 1)]
-    assert [tile.shape for tile in tiles] == [(p, 401), (p, 401)]
-    assert any(np.shares_memory(tile, quotient) for tile in tiles)
+    twists = [views for views in scratch if views[0].shape[1] == p]
+    assert [[view.shape for view in views] for views in twists] == [[(r, p)] * 2 for r in (rows, rows, p - 2 * rows)]
+    tiles, = [views for views in scratch if views[0].shape[1] == 401]  # all channels' tiles in one request
+    assert [(tile.shape, tile.dtype) for tile in tiles] == [((rows, 401), np.uint8), ((rows, 401), np.float64)]
+    assert any(np.shares_memory(tile, quotient) for tile in tiles for _, quotient in twists)
     for views in scratch:
         assert all(view.ctypes.data % 16 == 0 for view in views)  # aligned for complex128
     assert sum(buffer.nbytes for buffer in made[0]._flat.values()) <= 9_980_017 - 1_992_008
+
+
+def test_mixed_sweep_allocates_each_buffer_once(monkeypatch):
+    """A sweep with a uint8 count channel and a float64 channel asks for all
+    of a prime's channel tables, and all of its tiles, in one request each,
+    and for the tiles before the base rows' transforms, which share their
+    block: every buffer is allocated once, at the first prime, and never
+    replaced."""
+    made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
+    _sweep_box(primes_in_window(500.0), 300, 200, [HALF, (exact_st_coeffs(GEN, 16), SumCondition.SKIP_BAD_ONLY)])
+    assert len(made) == 1 and set(made[0]._flat) == {"scratch", "base", "good", "index", "table"}
+    for name, buffer in made[0]._flat.items():
+        assert {id_ for n, _, id_, _ in calls if n == name} == {id(buffer)}, name
+
+
+@pytest.mark.parametrize("pair_block", [1, 1000, 10 ** 9])
+def test_sweep_block_size_leaves_every_accumulator_bit_identical(monkeypatch, pair_block):
+    # a box wider than its primes in a and in b, so each period table is
+    # tiled both ways; one period row a block, several blocks with a short
+    # last one, and the whole period in one block
+    from stmoments import moments_engine
+
+    window = primes_in_window(60.0)
+    _, _, want = _sweep_box(window, 40, 35, MIXED_CHANNELS)
+    monkeypatch.setattr(moments_engine, "PAIR_BLOCK", pair_block)
+    _, _, got = _sweep_box(window, 40, 35, MIXED_CHANNELS)
+    for acc, ref in zip(got, want):
+        assert acc.dtype == ref.dtype and np.array_equal(acc, ref)
+
+
+def test_sweep_workspace_holds_blocks_not_periods(monkeypatch):
+    """The x = 1000, 1201 x 1201 sweep's workspace stays under 2.5 MiB: a
+    block of at most PAIR_BLOCK pairs and the O(p) base tables.  A layout
+    with the whole period table of each prime took 17 005 104 bytes here."""
+    made = _recorded_workspaces(monkeypatch)
+    _sweep_box(primes_in_window(1000.0), 600, 600, [HALF])
+    assert len(made) == 1 and sum(buffer.nbytes for buffer in made[0]._flat.values()) < 2.5 * 2 ** 20
+
+
+def test_plan_statistics_never_build_the_mask():
+    plan = MomentPlan(x=200.0, A=30, B=25, interval=HALF, M=8, exclude_axes=True)
+    family_moments(plan), clt_histogram(plan).counts, almost_all_report(plan, 1.0)
+    grid = plan._grid
+    assert "admissible" not in vars(grid)
+    mask = grid.admissible
+    assert np.array_equal(mask, nonsingular_mask(grid.a_vals, grid.b_vals)) and not mask.flags.writeable
+    assert grid.admissible is mask and "admissible" in vars(grid)
+    a_vals, b_vals, counts, admissible, pi_tilde = grid
+    assert (a_vals, b_vals, counts, admissible, pi_tilde) == tuple(grid) == tuple(grid[i] for i in range(5))
+    assert counts is grid.counts and admissible is mask and pi_tilde == primes_in_window(200.0).count
 
 
 def test_multi_channel_sweep_guards(monkeypatch):
@@ -957,13 +1014,18 @@ def test_box_prime_data_against_fft_rows(p, A, B):
     # boxes wider than p in a, in b, and in both, all with A != B
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
-    base, good, index = _box_prime_data(p, a_vals, b_vals)
-    assert base.shape == good.shape == (6, p) and index.dtype == np.intp
-    assert index.shape == (min(len(a_vals), p), min(len(b_vals), p))
+    work = _Workspace(p)
+    base, good, (offsets, d_inv3, b_res) = _box_prime_data(p, a_vals, b_vals, work)
+    assert base.shape == good.shape == (6, p) and len(offsets) == len(d_inv3) == min(len(a_vals), p)
+    assert np.array_equal(b_res, b_vals[:p] % p)
+    rows = _index_rows(p, offsets[1:3], d_inv3[1:3], b_res, work).copy()  # a block of period rows
+    index = _index_rows(p, offsets, d_inv3, b_res, work)
+    assert index.dtype == np.intp and index.shape == (min(len(a_vals), p), min(len(b_vals), p))
+    assert np.array_equal(rows, index[1:3])
     box = np.ix_(np.arange(len(a_vals)) % index.shape[0], np.arange(len(b_vals)) % index.shape[1])
     ap_box, good_box = base.take(index)[box], good.take(index)[box]
-    rows = _trace_rows(p, np.arange(p))
-    assert np.array_equal(ap_box, rows[np.ix_(a_vals % p, b_vals % p)])
+    traces = _trace_rows(p, np.arange(p))
+    assert np.array_equal(ap_box, traces[np.ix_(a_vals % p, b_vals % p)])
     delta = 4 * a_vals[:, None] ** 3 + 27 * b_vals[None, :] ** 2
     assert np.array_equal(good_box, delta % p != 0)
 
@@ -1100,7 +1162,7 @@ def test_clt_sample_memory_stays_narrow(exclude_axes):
     assert "counts" not in vars(sample)
     for f in dataclasses.fields(sample):
         if isinstance(v := getattr(sample, f.name), np.ndarray) and v.size >= sample.size:
-            assert np.shares_memory(v, grid.counts) or np.shares_memory(v, grid.admissible), f.name
+            assert np.shares_memory(v, grid.counts), f.name
     counts = sample.counts
     assert counts.dtype == grid.counts.dtype == np.uint8 and counts.shape == (sample.size,)
     assert np.array_equal(counts, grid.counts[sample.selection]) and sample.counts is counts
