@@ -39,6 +39,7 @@ from .classnumbers import (
     eichler_mass,
     family_moment_classnum,
     hurwitz,
+    hurwitz_table,
     reduced_forms,
 )
 from .errors import BudgetError

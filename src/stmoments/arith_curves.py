@@ -19,13 +19,10 @@ therefore returns a (6, p) table, the base rows and their negatives, its
 (6, p) good mask, and one flat index into both per residue pair: no trace,
 sign or Delta is formed per pair, and every consumer reads a pair's trace
 and good flag by `take`.  `_index_rows` forms it for any run of rows from
-per-row factors (`_twist_factors`), reduced in uint32 while p < 2^16 and in
-int64 above as x - (x // p) p (numpy divides by a scalar several times
-faster than it takes `%`), as intp, which `take` reads without a copy.  A
-box sweep forms it a block of rows at a time and passes one `_Workspace` to
-every prime: its arrays are views of byte buffers allocated at the first
-prime, keyed by name, and the temporaries never live together (FFT series
-and spectra, twist reduction and quotient, b-tiles) share "scratch".
+per-row factors (`_twist_factors`), reduced as x - (x // p) p (numpy divides
+by a scalar several times faster than it takes `%`), as intp, which `take`
+reads without a copy.  A box sweep forms it a block of rows at a time, in
+one `_Workspace` for all its primes.
 
 `_trace_rows` gives T(a, b) for every b at once: for each residue a the
 histogram of x^3 + ax over x is circularly correlated against the Legendre
@@ -315,13 +312,13 @@ class _Workspace:
     per-prime arrays do not come back from the OS zeroed each time.  A
     buffer is keyed by name only: ``regions`` lays views of any dtypes end to
     end in it, each starting a multiple of _ALIGN bytes in and holding what
-    the last prime left there, so arrays that are never live together share
-    one name and one block.  "scratch" holds in turn the FFT series and
-    spectra, a block's twist reduction and quotient, and the sweep's
-    b-tiles; "base", "good", "index" and "table" keep their own.  Per-prime
-    arrays grow like p and a sweep's blocks hold about PAIR_BLOCK pairs at
-    any p, so a buffer is first allocated with p_max / p times the bytes
-    asked for.  Outside a sweep each call makes a `_Workspace(p)` of its own.
+    the last prime left there, so arrays that never live together share
+    one block.  "scratch" holds in turn the FFT series and spectra, a block's
+    twist reduction and quotient, and the b-tiles, and a sweep ``reserve``s
+    it for the largest; "base", "good", "index" and "table" keep their own.
+    Per-prime arrays grow like p and a sweep's blocks hold about PAIR_BLOCK
+    pairs at any p, so a buffer is first allocated with p_max / p times the
+    bytes asked for.  Outside a sweep each call makes its own `_Workspace(p)`.
     """
 
     def __init__(self, p_max: int):
@@ -330,18 +327,22 @@ class _Workspace:
 
     def regions(self, name: str, p: int, *layout: tuple) -> list[np.ndarray]:
         """One view per (shape, dtype) of ``layout``, laid end to end in buffer ``name``."""
-        starts, end = [], 0
+        buf, start, views = self.reserve(name, p, layout), 0, []
         for shape, dtype in layout:
-            starts.append(-(-end // _ALIGN) * _ALIGN)
-            end = starts[-1] + math.prod(shape) * np.dtype(dtype).itemsize
-        buf = self._flat.get(name)
-        if buf is None or buf.size < end:
-            buf = self._flat[name] = np.empty(math.ceil(end * max(1.0, self.p_max / p)), np.uint8)
-        return [np.ndarray(shape, dtype, buf, start) for start, (shape, dtype) in zip(starts, layout)]
+            views.append(np.ndarray(shape, dtype, buf, start))
+            start += -(-views[-1].nbytes // _ALIGN) * _ALIGN
+        return views
 
-    def get(self, name: str, p: int, shape: tuple, dtype) -> np.ndarray:
-        """The one region (shape, dtype) of buffer ``name``."""
-        return self.regions(name, p, (shape, dtype))[0]
+    def reserve(self, name: str, p: int, *layouts: tuple) -> np.ndarray:
+        """Buffer ``name``, replaced only when it cannot hold each of ``layouts``."""
+        ends = [0] * len(layouts)
+        for i, layout in enumerate(layouts):
+            for shape, dtype in layout:
+                ends[i] = -(-ends[i] // _ALIGN) * _ALIGN + math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self._flat.get(name)
+        if buf is None or buf.size < max(ends):
+            buf = self._flat[name] = np.empty(math.ceil(max(ends) * max(1.0, self.p_max / p)), np.uint8)
+        return buf
 
 
 def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
@@ -370,15 +371,12 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
         return traces
     chi = _legendre_table(p)
     half = (p + 1) // 2
-    size = _smooth_length(p + half - 1)
     rows = len(live)
     xs = np.arange(p, dtype=np.int64)
     cubes = xs * xs
     cubes *= xs  # exact in int64 for p <= MAX_PRIME
     cubes %= p
-    series, spectra = work.regions("scratch", p, ((len(traces) + 1, size), np.float64),  # reversed histograms, then chi
-                                   ((len(traces) + 1, size // 2 + 1), np.complex128))
-    series, spectra = series[:rows + 1], spectra[:rows + 1]  # room for skipped rows: a sweep's request keeps its size
+    series, spectra = work.regions("scratch", p, *_fft_layout(p, rows))
     series[:, p:] = 0.0
     for k, i in enumerate(live):
         t = int(a_residues[i]) * xs
@@ -389,11 +387,22 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
     series[rows, p:p + half - 1] = chi[:half - 1]
     np.fft.rfft(series, axis=1, out=spectra)
     spectra[:rows] *= spectra[rows]
-    corr = np.fft.irfft(spectra[:rows], n=size, axis=1, out=series[:rows])[:, p - 1:p + half - 1]
+    corr = np.fft.irfft(spectra[:rows], n=series.shape[1], axis=1, out=series[:rows])[:, p - 1:p + half - 1]
     np.negative(np.rint(corr, out=corr), out=corr)
     traces[live, :half] = corr
     np.multiply(traces[:, half - 1:0:-1], chi[-1], out=traces[:, half:])
     return traces
+
+
+def _fft_layout(p: int, n_rows: int) -> tuple:
+    """`_trace_rows`' "scratch" layout for n_rows residues: reversed histograms and chi, then their spectra."""
+    size = _smooth_length(p + (p + 1) // 2 - 1)
+    return ((n_rows + 1, size), np.float64), ((n_rows + 1, size // 2 + 1), np.complex128)
+
+
+def _reduction_dtype(p: int) -> type:
+    """The twist reduction's dtype: uint32 for p < 2^16, where b d^-3 < p^2 fits, and int64 above."""
+    return np.uint32 if p < 1 << 16 else np.int64
 
 
 def _twist_base(p: int) -> tuple[int, int, int]:
@@ -413,19 +422,18 @@ def _twist_factors(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspac
     mask Delta(a0, b') != 0 mod p, false only at b' = 0 for a0 = 0 and at
     b'^2 = -4 a0^3 / 27 otherwise.  Row a, with d^2 = a / a0 (d from a table
     of square roots), has offset (row of a0, negated when chi(d) = -1) * p and
-    d^-3 = d^(p-4) mod p; ``d_inv3`` and ``b_res`` come in the reduction's
-    dtype, uint32 for p < 2^16 (b d^-3 < p^2 fits) and int64 above.
+    d^-3 = d^(p-4) mod p; ``d_inv3`` and ``b_res`` come in `_reduction_dtype`.
     """
     work = work or _Workspace(p)
     chi = _legendre_table(p)
     base_res = _twist_base(p)
     n = base_res[2]
-    base = work.get("base", p, (6, p), np.int64)
+    (base,) = work.regions("base", p, ((6, p), np.int64))
     np.negative(_trace_rows(p, base_res, work, out=base[:3]), out=base[3:])
     ys = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[ys * ys % p] = ys  # y^2 are distinct for 0 <= y <= (p - 1) / 2
-    good = work.get("good", p, (6, p), bool)
+    (good,) = work.regions("good", p, ((6, p), bool))
     good[:] = True
     inv27 = pow(27, p - 2, p)
     for i, a0 in enumerate(base_res):
@@ -442,7 +450,7 @@ def _twist_factors(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspac
         if e & 1:
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
-    dtype = np.uint32 if p < 1 << 16 else np.int64
+    dtype = _reduction_dtype(p)
     return base, good, (row * p, d_inv3.astype(dtype), np.asarray(b_res, dtype=np.int64).astype(dtype))
 
 
@@ -455,7 +463,7 @@ def _index_rows(p: int, offsets: np.ndarray, d_inv3: np.ndarray, b_res: np.ndarr
     np.floor_divide(twist, p, out=quotient)
     quotient *= p
     twist -= quotient
-    return np.add(twist, offsets[:, None], out=work.get("index", p, shape, np.intp))
+    return np.add(twist, offsets[:, None], out=work.regions("index", p, (shape, np.intp))[0])
 
 
 def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace | None = None):

@@ -7,9 +7,10 @@ square class (a, 0, a) counts 1/2 and the hexagonal class (a, a, a) counts
 1/3.  Values are stored as the integers 12 H(N); no floating point enters
 this module.  H(N) is defined for N > 0 with N = 0 or 3 mod 4.
 
-Every identity reads a prime's class numbers through one row,
-`_class_row(p)` = [12 H(4p - r^2) for r = 0..isqrt(4p)]: the mass identity
-sum_{r^2 <= 4p} H(4p - r^2) = 2p (`eichler_mass`), the family moment identity
+A process holds one table, `hurwitz_table`, and each identity reads a
+prime's class numbers as one row of it, `_class_row(p)` = [12 H(4p - r^2)
+for r = 0..isqrt(4p)]: the mass identity sum_{r^2 <= 4p} H(4p - r^2) = 2p
+(`eichler_mass`), the family moment identity
 
     sum over the good residue grid of a_p^g  =  (p-1)/2 sum_r r^g H(r^2 - 4p)
 
@@ -36,6 +37,7 @@ __all__ = [
     "hurwitz",
     "twelve_hurwitz",
     "build_hurwitz_table",
+    "hurwitz_table",
     "eichler_mass",
     "family_moment_classnum",
     "MAX_HURWITZ_N",
@@ -154,25 +156,32 @@ def build_hurwitz_table(max_n: int) -> HurwitzTable:
     return HurwitzTable(max_n=max_n, twelve_h=t12)
 
 
-def _class_row(p: int, table: HurwitzTable | None = None) -> list[int]:
-    """12 H(4p - r^2) for r = 0..isqrt(4p) as Python ints, from the table (built
-    at N = 4p when None): the one read of a prime's class numbers.  4p is no
-    square for prime p, so every N is > 0."""
-    if table is None:
-        table = build_hurwitz_table(4 * p)
-    elif table.max_n < 4 * p:
-        raise ValueError(f"Hurwitz table does not cover 4p: p = {p}, 4p = {4 * p}, max_n = {table.max_n}")
-    return table.twelve_h[4 * p - np.arange(math.isqrt(4 * p) + 1) ** 2].tolist()
+_largest_table: HurwitzTable | None = None
 
 
-def eichler_mass(p: int, table: HurwitzTable | None = None) -> int:
+def hurwitz_table(n: int) -> HurwitzTable:
+    """The process's one table, covering N <= n: the largest built so far, built again
+    at N = n only when n passes it.  n gets the builder's checks whatever table is held."""
+    global _largest_table
+    if _largest_table is None or not 3 <= n <= _largest_table.max_n:
+        _largest_table = build_hurwitz_table(n)
+    return _largest_table
+
+
+def _class_row(p: int) -> list[int]:
+    """12 H(4p - r^2) for r = 0..isqrt(4p) as Python ints, from `hurwitz_table(4p)`;
+    4p is no square for prime p, so every N is > 0."""
+    return hurwitz_table(4 * p).twelve_h[4 * p - np.arange(math.isqrt(4 * p) + 1) ** 2].tolist()
+
+
+def eichler_mass(p: int) -> int:
     """Residual 12 (sum_{r^2 <= 4p} H(4p - r^2) - 2p); zero is the contract."""
     require_prime(p, "the mass identity")
-    row = _class_row(p, table)
+    row = _class_row(p)
     return 2 * sum(row) - row[0] - 24 * p
 
 
-def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) -> int:
+def family_moment_classnum(p: int, g: int) -> int:
     """(p-1)/2 sum_r r^g H(r^2 - 4p), exactly; equals the grid moment
     sum over good residue pairs of a_p^g."""
     require_prime(p, "the class-number moment")
@@ -180,6 +189,6 @@ def family_moment_classnum(p: int, g: int, table: HurwitzTable | None = None) ->
         raise ValueError(f"g must be nonnegative, got g = {g}")
     if g % 2 == 1:
         return 0
-    value = (p - 1) * sum((2 - (r == 0)) * r ** g * h for r, h in enumerate(_class_row(p, table)))  # r and -r
+    value = (p - 1) * sum((2 - (r == 0)) * r ** g * h for r, h in enumerate(_class_row(p)))  # r and -r
     assert value % 24 == 0
     return value // 24

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .arith_curves import CurveParams, Interval, ap_table, curve_ap, primes_in_window
-from .classnumbers import build_hurwitz_table
+from .classnumbers import HurwitzTable, hurwitz_table
 from .errors import BudgetError
 from .hecke import hecke_trace, trace_average_probe, traces_via_birch
 from .family_averages import s0_brute, s0_formula
@@ -54,7 +54,7 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_hurwitz(args) -> int:
-    table = build_hurwitz_table(args.max_n)
+    table = HurwitzTable(args.max_n, hurwitz_table(args.max_n).twelve_h[:args.max_n + 1])  # rows N <= max_n
     if args.out:
         table.to_csv(args.out)
         print(f"wrote {args.out}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .arith_curves import primes_in_window, require_prime
 from .chebycomb import _birch_weight
-from .classnumbers import HurwitzTable, _class_row, build_hurwitz_table
+from .classnumbers import _class_row, hurwitz_table
 from .errors import BudgetError
 
 __all__ = [
@@ -205,7 +205,7 @@ def hecke_trace(k: int, p: int, basis: list[tuple[int, ...]] | None = None) -> T
     return TraceRecord(k=k, p=p, trace=total, method="miller")
 
 
-def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[TraceRecord]:
+def traces_via_birch(p: int, J: int) -> list[TraceRecord]:
     """Traces for weights 4, 6, ..., 2J+2 by the class-number route.
 
     Solves the unit-triangular system for trace + 1 by forward substitution;
@@ -218,7 +218,7 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
         raise ValueError(f"J must be >= 1, got J = {J}")
     if 2 * J + 2 > MAX_WEIGHT:
         raise BudgetError(f"weight capped at {MAX_WEIGHT}, got k = {2 * J + 2}")
-    row = _class_row(p, table)
+    row = _class_row(p)
     squares = [r * r for r in range(1, len(row))]
     terms = [2 * h for h in row[1:]]
     records = []
@@ -238,11 +238,10 @@ def traces_via_birch(p: int, J: int, table: HurwitzTable | None = None) -> list[
 
 class TraceStore:
     """Cached exact traces by the class-number route: every weight of each solve
-    is kept, on one Hurwitz table that is rebuilt only when 4p passes it."""
+    is kept, on the process's one Hurwitz table (`classnumbers.hurwitz_table`)."""
 
     def __init__(self):
         self._traces: dict[tuple[int, int], int] = {}
-        self._table: HurwitzTable | None = None
 
     def trace(self, k: int, p: int) -> int:
         if k > MAX_WEIGHT:
@@ -252,9 +251,8 @@ class TraceStore:
             return dim_cusp_forms(k)  # 0, or the ValueError of a negative weight
         key = (k, p)
         if key not in self._traces:
-            if self._table is None or self._table.max_n < 4 * p:
-                self._table = build_hurwitz_table(4 * p)
-            for rec in traces_via_birch(p, (k - 2) // 2, self._table):
+            hurwitz_table(4 * p)  # the table first: 4p past its cap fails before any solve
+            for rec in traces_via_birch(p, (k - 2) // 2):
                 self._traces[(rec.k, p)] = rec.trace
         return self._traces[key]
 

@@ -60,8 +60,10 @@ from .arith_curves import (
     SumCondition,
     _box_prime_data,
     _delta_zeros,
+    _fft_layout,
     _index_rows,
     _kept,
+    _reduction_dtype,
     _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
     _window_limit,
@@ -302,9 +304,11 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
         for p, n in zip(block, map(len, values)):
             period_a, period_b = min(n_a, p), min(n_b, p)
             rows = min(period_a, max(1, PAIR_BLOCK // period_b))  # period rows per block
-            # the tiles are asked for before the base rows' transforms, which share their block
             tables = work.regions("table", p, *(((rows, period_b), acc.dtype) for acc in accs))
-            tiles = tables if period_b == n_b else work.regions("scratch", p, *(((rows, n_b), a.dtype) for a in accs))
+            tiling = [((rows, n_b), acc.dtype) for acc in accs] if period_b < n_b else []
+            if p == window.primes[0]:  # "scratch" first holds the largest of the transforms, the reduction and tiles
+                work.reserve("scratch", p, _fft_layout(p, 3), 2 * [((rows, period_b), _reduction_dtype(p))], tiling)
+            tiles = work.regions("scratch", p, *tiling) if tiling else tables
             base, good, (offsets, d_inv3, b_res) = _box_prime_data(p, a_vals, b_vals, work)
             at_base = [ev[start:start + n][base] for ev in evaluated]
             masked = [(good & at if count else np.where(_kept(good, ch[1]), at, 0.0)).astype(acc.dtype, copy=False)

@@ -104,12 +104,11 @@ def _primes_to(max_p: int) -> tuple[int, ...]:
     return primes
 
 
-def mass_identity_check(max_p: int, table: cn.HurwitzTable | None = None) -> CheckResult:
+def mass_identity_check(max_p: int) -> CheckResult:
     """The mass identity at every prime 5 <= p <= max_p, as one check."""
     primes = _primes_to(max_p)
-    if table is None:
-        table = cn.build_hurwitz_table(4 * max_p)
-    worst = max(abs(cn.eichler_mass(p, table)) for p in primes)
+    cn.hurwitz_table(4 * max_p)  # the largest N first: one build, not one per prime
+    worst = max(abs(cn.eichler_mass(p)) for p in primes)
     return _check(f"mass identity residual, 5 <= p <= {max_p}", worst == 0, f"max |residual| = {worst}")
 
 
@@ -118,11 +117,11 @@ def suite_classnum() -> list[CheckResult]:
     anchors_ok = all(cn.hurwitz(n) == Fraction(h) for n, h in _H_ANCHORS.items())
     out.append(_check("class number anchors", anchors_ok))
 
-    table = cn.build_hurwitz_table(4 * CLASSNUM_MAX_MASS_P)
+    table = cn.hurwitz_table(4 * CLASSNUM_MAX_MASS_P)
     consistent = all(table.twelve(n) == cn.twelve_hurwitz(n)
                      for n in range(3, 500) if n % 4 in (0, 3))
     out.append(_check("table vs single-N enumeration (N < 500)", consistent))
-    out.append(mass_identity_check(CLASSNUM_MAX_MASS_P, table))
+    out.append(mass_identity_check(CLASSNUM_MAX_MASS_P))
 
     moment_ok = True
     detail = ""
@@ -130,7 +129,7 @@ def suite_classnum() -> list[CheckResult]:
         histogram = [v.tolist() for v in _trace_grid(p).trace_histogram]  # Python ints: the sums stay exact
         for g in range(7):
             brute = sum(c * r ** g for r, c in zip(*histogram))
-            closed = cn.family_moment_classnum(p, g, table)
+            closed = cn.family_moment_classnum(p, g)
             if brute != closed:
                 moment_ok = False
                 detail = f"p={p} g={g}: {brute} != {closed}"
@@ -146,8 +145,8 @@ def route_agreement_checks(max_p: int, max_weight: int) -> list[CheckResult]:
     """Birch vs Miller traces at every prime 5 <= p <= max_p and every weight
     4 <= k <= max_weight, and the Deligne bound on each Birch record."""
     primes = _primes_to(max_p)
-    table = cn.build_hurwitz_table(4 * max_p)
-    records = [hecke.traces_via_birch(p, (max_weight - 2) // 2, table) for p in primes]
+    cn.hurwitz_table(4 * max_p)  # the largest N first: one build, not one per prime
+    records = [hecke.traces_via_birch(p, (max_weight - 2) // 2) for p in primes]
     bases = {rec.k: hecke.miller_basis(rec.k, hecke.dim_cusp_forms(rec.k) * primes[-1] + 1)
              for rec in records[-1] if hecke.dim_cusp_forms(rec.k)}
     agree = True
@@ -172,7 +171,7 @@ def suite_trace() -> list[CheckResult]:
     out.append(_check("zero trace on zero-dimensional spaces", dims_ok))
 
     delta = hecke.delta_qexp(TRACE_TAU_MAX_P + 1)
-    primes = reversed(curve_primes(TRACE_TAU_MAX_P))  # the largest prime first: one Hurwitz table
+    primes = reversed(curve_primes(TRACE_TAU_MAX_P))  # the largest prime first: at most one Hurwitz table build
     tau_ok = all(store.trace(12, p) == delta[p] for p in primes)
     out.append(_check(f"weight-12 trace equals the discriminant coefficient, p <= {TRACE_TAU_MAX_P}", tau_ok))
     return out
@@ -190,7 +189,7 @@ _COPRIME_PAIRS = [
 def suite_family() -> list[CheckResult]:
     out = []
     worst = 0.0
-    for p in reversed(curve_primes(FAMILY_MAX_P)):  # the largest prime first: one Hurwitz table
+    for p in reversed(curve_primes(FAMILY_MAX_P)):  # the largest prime first: at most one Hurwitz table build
         table = _trace_grid(p)
         for m in reversed(range(FAMILY_MAX_M + 1)):  # the largest weight first: one Birch solve per prime
             gap = abs(s0_brute(p, m, table) - s0_formula(p, m))

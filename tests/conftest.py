@@ -1,13 +1,21 @@
 import numpy as np
-import pytest
 
+from stmoments import classnumbers
 from stmoments.chebycomb import f_poly
-from stmoments.classnumbers import build_hurwitz_table
 
 
-@pytest.fixture(scope="session")
-def hurwitz_table():
-    return build_hurwitz_table(4 * 200)
+def counted_hurwitz_builds(monkeypatch) -> list[int]:
+    """The max_n of every `classnumbers.build_hurwitz_table` call from now on,
+    starting with no table held, so the count does not depend on test order."""
+    built, build = [], classnumbers.build_hurwitz_table
+
+    def counting(max_n):
+        built.append(max_n)
+        return build(max_n)
+
+    monkeypatch.setattr(classnumbers, "_largest_table", None)
+    monkeypatch.setattr(classnumbers, "build_hurwitz_table", counting)
+    return built
 
 
 def trial_division_primes(limit: int) -> list[int]:

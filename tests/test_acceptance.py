@@ -73,9 +73,9 @@ def test_criterion_2_class_numbers():
     anchors = {3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 11: 1,
                12: Fraction(4, 3), 15: 2, 16: Fraction(3, 2), 19: 1, 20: 2}
     anchors_ok = all(cn.hurwitz(n) == Fraction(h) for n, h in anchors.items())
-    table = cn.build_hurwitz_table(8000)
+    cn.hurwitz_table(8000)  # the largest N first: the one table is built at most once
     primes = [p for p in range(5, 2001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    mass_ok = all(cn.eichler_mass(p, table) == 0 for p in primes)
+    mass_ok = all(cn.eichler_mass(p) == 0 for p in primes)
     elapsed = time.time() - start
     report(2, anchors_ok and mass_ok and elapsed < 60.0,
            f"10 anchor values, mass identity exact for 5 <= p <= 2000 ({elapsed:.1f}s < 60s)")
@@ -83,14 +83,14 @@ def test_criterion_2_class_numbers():
 
 def test_criterion_3_family_moment_identity():
     start = time.time()
-    table = cn.build_hurwitz_table(400)
+    cn.hurwitz_table(400)  # the largest N first: the one table is built at most once
     ok = True
     for p in [q for q in range(5, 101) if all(q % r for r in range(2, math.isqrt(q) + 1))]:
         grid = ap_table(p)
         vals = grid.ap[grid.good].astype(object)
         for g in range(7):
             brute = int((vals ** g).sum())
-            ok = ok and brute == cn.family_moment_classnum(p, g, table)
+            ok = ok and brute == cn.family_moment_classnum(p, g)
             if g % 2 == 1:
                 ok = ok and brute == 0
     elapsed = time.time() - start
@@ -100,13 +100,13 @@ def test_criterion_3_family_moment_identity():
 
 def test_criterion_4_trace_double_route():
     start = time.time()
-    table = cn.build_hurwitz_table(800)
+    cn.hurwitz_table(800)  # the largest N first: the one table is built at most once
     primes = [p for p in range(5, 201) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     bases = {k: miller_basis(k, dim_cusp_forms(k) * primes[-1] + 1) for k in range(4, 27, 2)}
     agree = True
     deligne = True
     for p in primes:
-        for rec in traces_via_birch(p, 12, table):
+        for rec in traces_via_birch(p, 12):
             agree = agree and rec.trace == hecke_trace(rec.k, p, bases[rec.k]).trace
             deligne = deligne and rec.deligne_ok()
     delta = delta_qexp(51)

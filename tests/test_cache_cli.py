@@ -293,6 +293,18 @@ def test_cli_hurwitz_csv(tmp_path, capsys):
     assert table[3] == 4 and table[4] == 6 and table[20] == 24
 
 
+def test_cli_hurwitz_reads_rows_up_to_max_n_of_the_one_table(tmp_path, capsys):
+    classnumbers.hurwitz_table(8000)
+    out, reference = tmp_path / "h.csv", tmp_path / "reference.csv"
+    assert run(["hurwitz", "--max-n", "50", "--out", str(out)]) == 0
+    classnumbers.build_hurwitz_table(50).to_csv(reference)
+    assert len(out.read_text().splitlines()) == 51 and out.read_bytes() == reference.read_bytes()
+    capsys.readouterr()
+    assert run(["hurwitz", "--max-n", "50"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "3 4" and printed[-1] == "48 40" and len(printed) == 24  # N = 0, 3 mod 4, 3 <= N <= 50
+
+
 def test_cli_bs_and_parseval(tmp_path, capsys):
     out = tmp_path / "bs.csv"
     rc = run(["bs", "--alpha", "0.7", "--beta", "2.0", "--M", "32", "--mode", "major", "--out", str(out)])

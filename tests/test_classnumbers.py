@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stmoments import verify
 from stmoments.arith_curves import ApTable, ap_table, curve_primes
 from stmoments.classnumbers import (
     MAX_HURWITZ_N,
@@ -13,13 +14,14 @@ from stmoments.classnumbers import (
     eichler_mass,
     family_moment_classnum,
     hurwitz,
+    hurwitz_table,
     reduced_forms,
     twelve_hurwitz,
 )
 
 from stmoments.errors import BudgetError
 
-from conftest import trial_division_primes
+from conftest import counted_hurwitz_builds, trial_division_primes
 
 
 def brute_reduced_forms(n: int) -> set[tuple[int, int, int]]:
@@ -141,25 +143,22 @@ def test_birch_count_as_whole_vectors():
     # Birch: 24 #{good (a, b) mod p : a_p = r} = (p - 1) 12 H(4p - r^2) at
     # every |r| <= isqrt(4p), exactly, read off the grid's histogram and the
     # one class-number row
-    table = build_hurwitz_table(4 * 300)
+    hurwitz_table(4 * 300)  # the largest N first: the one table is built at most once
     for p in curve_primes(300):
         rmax = math.isqrt(4 * p)
         counts = dict(zip(*(v.tolist() for v in ap_table(p).trace_histogram)))
         assert set(counts) <= set(range(-rmax, rmax + 1)), p
-        row = _class_row(p, table)
+        row = _class_row(p)
         assert len(row) == rmax + 1
         assert [24 * counts.get(r, 0) for r in range(-rmax, rmax + 1)] == \
             [(p - 1) * row[abs(r)] for r in range(-rmax, rmax + 1)], p
 
 
 def test_class_row_equals_single_n_enumeration():
-    table = build_hurwitz_table(4 * 300)
-    for p in (5, 7, 101, 293):
-        row = _class_row(p, table)
+    for p in (293, 101, 7, 5):
+        row = _class_row(p)
         assert row == [twelve_hurwitz(4 * p - r * r) for r in range(math.isqrt(4 * p) + 1)], p
-        assert all(type(h) is int for h in row) and _class_row(p) == row  # its own table when none is given
-    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 307, 4p = 1228, max_n = 1200$"):
-        _class_row(307, table)
+        assert all(type(h) is int for h in row)
 
 
 def test_table_bounds_and_csv(tmp_path):
@@ -175,56 +174,57 @@ def test_table_bounds_and_csv(tmp_path):
     assert lines[4] == f"4,{table.twelve(4)}"
 
 
-def test_eichler_mass_examples(hurwitz_table):
+def test_eichler_mass_examples():
     # p = 5: H(20) + 2H(19) + 2H(16) + 2H(11) + 2H(4) = 2p
     total = (hurwitz(20) + 2 * hurwitz(19) + 2 * hurwitz(16)
              + 2 * hurwitz(11) + 2 * hurwitz(4))
     assert total == 10
-    assert eichler_mass(5, hurwitz_table) == 0
-    assert eichler_mass(7, hurwitz_table) == 0
+    assert eichler_mass(5) == 0
+    assert eichler_mass(7) == 0
     for p in trial_division_primes(200):
         if p >= 5:
-            assert eichler_mass(p, hurwitz_table) == 0
+            assert eichler_mass(p) == 0
 
 
-def test_family_moment_examples(hurwitz_table):
-    assert family_moment_classnum(5, 1, hurwitz_table) == 0
-    assert family_moment_classnum(5, 3, hurwitz_table) == 0
-    assert family_moment_classnum(5, 2, hurwitz_table) == 96
-    assert family_moment_classnum(5, 0, hurwitz_table) == 20
+def test_family_moment_examples():
+    assert family_moment_classnum(5, 1) == 0
+    assert family_moment_classnum(5, 3) == 0
+    assert family_moment_classnum(5, 2) == 96
+    assert family_moment_classnum(5, 0) == 20
 
 
-def test_class_number_identities_name_their_inputs(hurwitz_table):
-    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 211, 4p = 844, max_n = 800$"):
-        eichler_mass(211, hurwitz_table)
-    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 211, 4p = 844, max_n = 800$"):
-        family_moment_classnum(211, 2, hurwitz_table)
+def test_class_number_identities_name_their_inputs():
+    cap = f"^Hurwitz table N = 400012 exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}$"
+    with pytest.raises(BudgetError, match=cap):
+        eichler_mass(100_003)
+    with pytest.raises(BudgetError, match=cap):
+        family_moment_classnum(100_003, 2)
     for g in (-1, -2):
         with pytest.raises(ValueError, match=f"^g must be nonnegative, got g = {g}$"):
-            family_moment_classnum(5, g, hurwitz_table)
+            family_moment_classnum(5, g)
 
 
 @pytest.mark.parametrize("p", [9, 15, 25, 49])
-def test_class_number_identities_reject_a_composite_p(p, hurwitz_table):
+def test_class_number_identities_reject_a_composite_p(p):
     # a composite p used to give eichler_mass(15) = 120 and family_moment_classnum(15, 2) = 3808
     with pytest.raises(ValueError, match=f"the mass identity needs a prime p >= 5, got p = {p}$"):
-        eichler_mass(p, hurwitz_table)
+        eichler_mass(p)
     for g in (0, 1, 2):
         with pytest.raises(ValueError, match=f"the class-number moment needs a prime p >= 5, got p = {p}$"):
-            family_moment_classnum(p, g, hurwitz_table)
+            family_moment_classnum(p, g)
     for n in (-5, 0, 3, 4):
         with pytest.raises(ValueError, match=f"the mass identity needs a prime p >= 5, got p = {n}$"):
-            eichler_mass(n, hurwitz_table)
+            eichler_mass(n)
         with pytest.raises(ValueError, match=f"the class-number moment needs a prime p >= 5, got p = {n}$"):
-            family_moment_classnum(n, 2, hurwitz_table)
+            family_moment_classnum(n, 2)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 41, 97])
-def test_family_moment_matches_grid(p, hurwitz_table):
+def test_family_moment_matches_grid(p):
     table = ap_table(p)
     vals = table.ap[table.good].astype(object)
     for g in range(7):
-        assert int((vals ** g).sum()) == family_moment_classnum(p, g, hurwitz_table)
+        assert int((vals ** g).sum()) == family_moment_classnum(p, g)
 
 
 def test_hurwitz_table_cap_stops_before_allocating():
@@ -239,3 +239,24 @@ def test_hurwitz_table_cap_stops_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # the table alone would be 8 (N + 1) bytes
+
+
+def test_hurwitz_table_grows_only_past_the_largest(monkeypatch):
+    built = counted_hurwitz_builds(monkeypatch)
+    small = hurwitz_table(100)
+    assert hurwitz_table(40) is small and hurwitz_table(100) is small
+    large = hurwitz_table(400)
+    assert built == [100, 400] and hurwitz_table(100) is large
+    assert np.array_equal(large.twelve_h[:101], small.twelve_h)  # a prefix-stable function of N
+    with pytest.raises(ValueError, match="^max_n must be at least 3, got max_n = 2$"):
+        hurwitz_table(2)  # the builder's checks, with a table held
+    assert built == [100, 400, 2]
+
+
+def test_all_suites_build_one_hurwitz_table(monkeypatch):
+    # classnum asks for N = 8000 first; its mass check, route agreement and
+    # default TraceStore (the trace and family suites) read prefixes of it
+    built, lines = counted_hurwitz_builds(monkeypatch), []
+    assert verify.run_suites(list(verify.SUITES), printer=lines.append)
+    assert built == [8000]
+    assert sum(line.startswith("PASS  ") for line in lines) == 57

@@ -44,6 +44,18 @@ def test_readme_lists_every_cap():
         assert value.replace(" ", "") == str(constant), f"{module}.{name}: README says {value}, the code {constant}"
 
 
+def test_only_classnumbers_builds_a_hurwitz_table():
+    # every other module reads class numbers through `classnumbers.hurwitz_table`,
+    # the one table of the process; a private table built elsewhere fails here
+    for info in pkgutil.iter_modules(stmoments.__path__):
+        if info.name == "classnumbers":
+            continue
+        tree = ast.parse(Path(info.module_finder.path, f"{info.name}.py").read_text())
+        callees = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "build_hurwitz_table" not in callees, info.name
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # an import left behind by a deleted code path fails here; the exceptions
     # are the package's re-exports in __init__.py and `_trace_rows`, which

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from stmoments import hecke, verify
+from stmoments import classnumbers, hecke, verify
 from stmoments.arith_curves import SumCondition, curve_primes
 from stmoments.chebycomb import _birch_weight
 from stmoments.classnumbers import MAX_HURWITZ_N, build_hurwitz_table
@@ -28,7 +28,7 @@ from stmoments.hecke import (
 )
 from stmoments.verify import route_agreement_checks, suite_family, suite_trace
 
-from conftest import trial_division_primes
+from conftest import counted_hurwitz_builds, trial_division_primes
 
 RAMANUJAN_TAU = {2: -24, 3: 252, 5: 4830, 7: -16744, 11: 534612, 13: -577738}
 
@@ -163,24 +163,25 @@ def test_known_higher_weight_traces():
     assert rec.deligne_ok()
 
 
-def test_birch_route_examples(hurwitz_table):
-    recs = traces_via_birch(5, 5, hurwitz_table)
+def test_birch_route_examples():
+    recs = traces_via_birch(5, 5)
     by_weight = {r.k: r.trace for r in recs}
     assert by_weight[4] == 0 and by_weight[6] == 0 and by_weight[8] == 0 and by_weight[10] == 0
     assert by_weight[12] == 4830
     assert all(r.method == "birch" for r in recs)
     with pytest.raises(ValueError):
-        traces_via_birch(3, 2, hurwitz_table)
+        traces_via_birch(3, 2)
     for J in (0, -1):
         with pytest.raises(ValueError, match=f"^J must be >= 1, got J = {J}$"):
-            traces_via_birch(5, J, hurwitz_table)
-    with pytest.raises(ValueError, match="^Hurwitz table does not cover 4p: p = 211, 4p = 844, max_n = 800$"):
-        traces_via_birch(211, 2, hurwitz_table)
+            traces_via_birch(5, J)
+    cap = f"^Hurwitz table N = 400012 exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}$"
+    with pytest.raises(BudgetError, match=cap):
+        traces_via_birch(100_003, 2)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 37, 61, 101, 151, 199])
-def test_route_agreement(p, hurwitz_table):
-    for rec in traces_via_birch(p, 12, hurwitz_table):
+def test_route_agreement(p):
+    for rec in traces_via_birch(p, 12):
         assert rec.trace == hecke_trace(rec.k, p).trace  # the q-expansion route, its own basis
         assert rec.deligne_ok()
 
@@ -196,20 +197,15 @@ def test_store_caps(monkeypatch):
     ):
         with pytest.raises(error, match=f"^{message}$"):
             store.trace(k, p)
-    assert store._table is None and not store._traces
+    assert not store._traces
     assert store.trace(13, 7) == store.trace(14, 7) == store.trace(2, 7) == 0  # zero-dimensional spaces
 
-    tables, solves = [], []
+    tables, solves = counted_hurwitz_builds(monkeypatch), []
 
-    def counting_table(max_n):
-        tables.append(max_n)
-        return build_hurwitz_table(max_n)
-
-    def counting_birch(p, J, table=None):
+    def counting_birch(p, J):
         solves.append((p, J))
-        return traces_via_birch(p, J, table)
+        return traces_via_birch(p, J)
 
-    monkeypatch.setattr(hecke, "build_hurwitz_table", counting_table)
     monkeypatch.setattr(hecke, "traces_via_birch", counting_birch)
     primes = trial_division_primes(200)[2:]
     traces = {(k, p): store.trace(k, p) for p in reversed(primes) for k in (26, 24, 12)}
@@ -374,10 +370,11 @@ def test_birch_reads_each_class_number_row_once():
     """The traces from one read of 12 H(4p - r^2) per r equal the solve on
     power sums that read the table afresh for every r and j, at every prime
     p < 2000 and every weight up to 60."""
-    table = build_hurwitz_table(4 * 2000)
+    table = build_hurwitz_table(4 * 2000)  # the oracle's own, apart from the one table the route reads
+    classnumbers.hurwitz_table(4 * 1999)  # the largest N first: the one table is built at most once
     for p in curve_primes(1999):
         solved = []
-        for rec in hecke.traces_via_birch(p, 29, table):
+        for rec in hecke.traces_via_birch(p, 29):
             j = (rec.k - 2) // 2
             m24 = sum(2 * r ** (2 * j) * table.twelve(4 * p - r * r) for r in range(1, math.isqrt(4 * p) + 1))
             rhs = math.comb(2 * j, j) // (j + 1) * p ** (j + 1) - m24 // 24

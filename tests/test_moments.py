@@ -818,6 +818,24 @@ def test_mixed_sweep_allocates_each_buffer_once(monkeypatch):
         assert {id_ for n, _, id_, _ in calls if n == name} == {id(buffer)}, name
 
 
+def test_first_scratch_request_covers_every_later_one(monkeypatch):
+    """At x = 1000, half box 600, a block's twist reduction and quotient
+    (about 523 KB at p = 503) outgrow its b-tiles (about 156 KB), yet
+    "scratch" is allocated once, for the larger; every named buffer of that
+    sweep and of the workload-shaped ones is allocated once."""
+    made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
+    for x, half in ((1000.0, 600), (2000.0, 900), (3000.0, 50), (2000.0, 60), (500.0, 1000)):
+        made.clear()
+        calls.clear()
+        _sweep_box(primes_in_window(x), half, half, [HALF])
+        (work,) = made
+        assert set(work._flat) == {"scratch", "base", "good", "index", "table"}, (x, half)
+        for name, buffer in work._flat.items():
+            assert {id_ for n, _, id_, _ in calls if n == name} == {id(buffer)}, (x, half, name)
+        if (x, half) == (1000.0, 600):
+            assert work._flat["scratch"].nbytes <= 1_040_000
+
+
 @pytest.mark.parametrize("pair_block", [1, 1000, 10 ** 9])
 def test_sweep_block_size_leaves_every_accumulator_bit_identical(monkeypatch, pair_block):
     # a box wider than its primes in a and in b, so each period table is
