@@ -52,6 +52,7 @@ before they allocate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -290,18 +291,25 @@ def curve_ap(p: int, curve: CurveParams) -> TraceValue:
     return TraceValue(Reduction.GOOD, ap)
 
 
-def _smooth_length(n: int) -> int:
-    """The least 5-smooth integer L >= n (1 for n <= 1): a length numpy's FFT
-    runs without Bluestein's algorithm."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
+def _five_smooth_upto(limit: int) -> tuple[int, ...]:
+    """Every 2^i 3^j 5^k <= limit, ascending."""
+    out, p5 = [], 1
+    while p5 <= limit:
         p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+        while p35 <= limit:
+            out += (p35 << e for e in range((limit // p35).bit_length()))
             p35 *= 3
         p5 *= 5
-    return best
+    return tuple(sorted(out))
+
+
+_SMOOTH_LENGTHS = _five_smooth_upto(2 * MAX_PRIME)  # built once: 578 lengths, about 0.1 ms
+
+
+def _smooth_length(n: int) -> int:
+    """The least 5-smooth integer L >= n (1 for n <= 1), n <= 2 MAX_PRIME: a
+    length numpy's FFT runs without Bluestein's algorithm."""
+    return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, n)]
 
 
 _ALIGN = 64  # bytes between workspace region starts: numpy's allocation is 16-aligned, as complex128 needs

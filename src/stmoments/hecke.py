@@ -289,6 +289,8 @@ def trace_average_probe(K: int, x: float) -> TraceAverageProbe:
     averaging regime of interest is far out of reach, so this is a small-K
     diagnostic and never a pass/fail quantity.
     """
+    if K < 1:
+        raise ValueError(f"the trace-average probe needs K >= 1, got K = {K}, x = {x}")
     window = primes_in_window(x)
     weights = [k for k in range(12, K + 1, 2) if dim_cusp_forms(k)]
     if weights:  # the largest prime and weight first: one solve per prime, and the Hurwitz cap before any
@@ -304,6 +306,6 @@ def trace_average_probe(K: int, x: float) -> TraceAverageProbe:
     return TraceAverageProbe(
         value=total,
         scale=scale,
-        ratio=total / scale if scale else float("nan"),
+        ratio=total / scale,
         per_weight=tuple(per_weight),
     )

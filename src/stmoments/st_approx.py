@@ -24,8 +24,9 @@ coefficient deviation from the exact mode is O(M^(-2/3)); the achieved
 deviation is recorded in ``cert``.
 
 A coefficient set has two evaluators, Clenshaw's `eval_traces` on u and
-`cosine_grid_blocks` on s (any list of sets of one degree, on one grid), which
-`verify` checks against each other; prime sums read f_m from `chebycomb.f_rows`.
+`cosine_grid_blocks` on s (any list of sets of one degree, on one grid, in
+blocks of about `GRID_BLOCK_VALUES` values a set), which `verify` checks
+against each other; prime sums read f_m from `chebycomb.f_rows`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 100_000  # largest degree M of a coefficient set (`sandwich_coeffs` grows as M^2)
+GRID_BLOCK_VALUES = 8192  # values of one set in a `cosine_grid_blocks` block
 
 
 class CoeffMode(Enum):
@@ -115,9 +117,13 @@ def cosine_grid_blocks(coeff_sets: list[BSCoefficients], n: int) -> Iterator[tup
 
     Split angles: with R = isqrt(n-1) + 1 and j = qR + r, cos(m t_j) =
     cos(m qR h) cos(m r h) - sin(m qR h) sin(m r h), h = pi/(n-1), so a block
-    of 64 q-rows is, per set, two products of its q-tables times 2 s[m]
-    against (M, R) tables of cos(m r h) and sin(m r h), all built once.  Each
-    m j is reduced mod 2(n-1) in integers, so every angle lies in [0, 2 pi).
+    of q-rows is, per set, two products of its q-tables times 2 s[m] against
+    (M, R) tables of cos(m r h) and sin(m r h), all built once.  Each m j is
+    reduced mod 2(n-1) in integers, so every angle lies in [0, 2 pi).  A block
+    has max(1, GRID_BLOCK_VALUES // R) q-rows, a count set by R alone, so each
+    set holds about GRID_BLOCK_VALUES values a block however many sets share
+    the call.  Every block is a new array: one already yielded stays valid
+    after the next one is made.
     """
     if n < 2:
         raise ValueError(f"a grid on [0, pi] needs n >= 2 points, got n = {n}")
@@ -130,9 +136,9 @@ def cosine_grid_blocks(coeff_sets: list[BSCoefficients], n: int) -> Iterator[tup
     r_angles = np.outer(ms, np.arange(R)) % period * h
     cos_r, sin_r = np.cos(r_angles), np.sin(r_angles, out=r_angles)  # no third (M, R) array
     per_set = [(2.0 * c.s[1:M + 1], c.const_term + (c.s[2] if M >= 2 else 0.0)) for c in coeff_sets]
-    rows = -(-n // R)
-    for q0 in range(0, rows, 64):
-        q_angles = np.outer(np.arange(q0, min(q0 + 64, rows)) * R, ms) % period * h
+    rows, step = -(-n // R), max(1, GRID_BLOCK_VALUES // R)
+    for q0 in range(0, rows, step):
+        q_angles = np.outer(np.arange(q0, min(q0 + step, rows)) * R, ms) % period * h
         cos_q, sin_q = np.cos(q_angles), np.sin(q_angles, out=q_angles)
         block = np.empty((len(coeff_sets), len(q_angles), R))
         for values, (s, d0) in zip(block, per_set):  # each set's products written in place

@@ -244,6 +244,14 @@ def _bracket_check(iv: Interval) -> CheckResult:
                   f"{violations} violations, per-curve gap {gap:.1e}")
 
 
+def _grid_angles(start: int, stop: int, n: int) -> np.ndarray:
+    """t_j = j pi/(n-1) for start <= j < stop, the same bits as np.linspace(0, pi, n)[start:stop]."""
+    t = np.arange(start, stop) * (math.pi / (n - 1))
+    if stop == n:
+        t[-1] = math.pi
+    return t
+
+
 def suite_bs() -> list[CheckResult]:
     out = []
     for i, iv in enumerate(_TEST_INTERVALS):
@@ -255,11 +263,10 @@ def suite_bs() -> list[CheckResult]:
                               f"{res.gap:.3e} <= {res.bound:.3e}"))
         out.append(_check(f"Parseval gap decreasing I{i+1}", gaps[0] > gaps[1] > gaps[2]))
 
-    thetas = np.linspace(0.0, math.pi, BS_GRID_POINTS)
     sides = [(i, iv, side) for i, iv in enumerate(_TEST_INTERVALS) for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
     slacks = [math.inf] * len(sides)  # min of S^+ - chi, or chi - S^-, a block of the grid at a time
-    for start, values in cosine_grid_blocks([sandwich_coeffs(iv, BS_M, side) for _, iv, side in sides], thetas.size):
-        t = thetas[start:start + values.shape[1]]
+    for start, values in cosine_grid_blocks([sandwich_coeffs(iv, BS_M, side) for _, iv, side in sides], BS_GRID_POINTS):
+        t = _grid_angles(start, start + values.shape[1], BS_GRID_POINTS)
         for k, ((_, iv, side), row) in enumerate(zip(sides, values)):
             gap = row - ((t >= iv.alpha) & (t <= iv.beta))  # S - chi
             slacks[k] = min(slacks[k], float((gap if side is CoeffMode.MAJORANT else -gap).min()))

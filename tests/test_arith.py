@@ -197,12 +197,15 @@ def test_smooth_length_is_least_5_smooth_at_or_above():
                 n //= q
         return n == 1
 
-    for n in range(1, 5001):
+    for n in range(1, 10_001):
         least = n
         while not is_smooth(least):
             least += 1
         assert _smooth_length(n) == least
     assert _smooth_length(0) == 1
+    # every prime up to MAX_PRIME asks for at most (3 MAX_PRIME - 1) / 2; the table reaches 2 MAX_PRIME
+    assert _smooth_length(1_499_999) == _smooth_length(1_500_000) == 1_500_000
+    assert _smooth_length(2 * MAX_PRIME) == 2 * MAX_PRIME
 
 
 def test_prime_cap_stops_before_allocating():

@@ -143,6 +143,8 @@ def test_cli_exit_codes(capsys):
          "need M >= 16 for the sandwich construction, got M = 8"),
         (["hurwitz", "--max-n", "2"], "max_n must be at least 3, got max_n = 2"),
         (["probe", "hyp2", "--a", "0", "--b", "0"], "Delta(a, b) = 0 is not an elliptic curve: a = 0, b = 0"),
+        (["probe", "hyp1", "--K", "0", "--x", "100"], "the trace-average probe needs K >= 1, got K = 0, x = 100.0"),
+        (["probe", "hyp1", "--K", "-4", "--x", "100"], "the trace-average probe needs K >= 1, got K = -4, x = 100.0"),
         (["probe", "hyp2", "--x", "100", "--y", "200"], "need 0 <= y < x, got x = 100.0, y = 200.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "1"], "need x > 1 for the (log x)^c scale, got x = 1.0"),
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "0.5"], "need x > 1 for the (log x)^c scale, got x = 0.5"),
@@ -281,6 +283,19 @@ def test_cli_clt_csv(tmp_path, capsys):
     # 7x7 box minus the three singular pairs (0,0) and (-3, +-2)
     assert len(lines) == 1 + 46
     assert "np.float64" not in lines[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hurwitz", "--max-n", "50"],
+    ["bs", "--alpha", "0", "--beta", "1.5", "--M", "10"],
+    ["moments", "--x", "100", "--A", "3", "--B", "3", "--alpha", "0", "--beta", "1.5"],
+    ["clt", "--x", "100", "--A", "3", "--B", "3", "--alpha", "0", "--beta", "1.5"],
+])
+def test_cli_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.csv"
+    assert run(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
 def test_cli_hurwitz_csv(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_product_expand_against_basis_conversion(ms):
 
 
 def test_product_expand_relations_small():
-    levels = exponent_product_tables(24)
+    levels = list(exponent_product_tables(24))
     multisets = [tuple(ms) for exps, _ in levels for ms in exps.tolist()]
     assert len(multisets) == 7337 and set(multisets) == set(all_exponent_multisets(24))
     assert max(int(rows.max()) for _, rows in levels) == 653_752  # far below the 2^24 that f_m(2) = m + 1 allows
@@ -151,9 +152,20 @@ def test_product_expand_relations_small():
             assert all(v == 0 for c, v in enumerate(row) if c > s or (c - s) % 2)
             if len(ms) == 2:
                 assert row[0] == (1 if ms[0] == ms[1] else 0)
-    assert exponent_product_tables(0) == []
+    assert list(exponent_product_tables(0)) == []
     with pytest.raises(ValueError, match="need total <= 62, got total = 63"):
         exponent_product_tables(63)
+
+
+def test_product_tables_are_made_one_level_at_a_time():
+    # a generator: the levels of total 24 hold about 1.9 MB together, two adjacent ones about 0.7 MB
+    tracemalloc.start()
+    try:
+        rows = sum(len(exps) for exps, _ in exponent_product_tables(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 7337 and peak < 1_000_000
 
 
 def test_melzak_examples():

@@ -346,6 +346,13 @@ def test_trace_average_probe():
     assert bigger.value >= probe.value  # sum of nonnegative contributions
 
 
+@pytest.mark.parametrize("K", [0, -4])
+def test_trace_average_probe_refuses_k_below_one_first(K):
+    # x = inf would be the window's budget error, so K is checked before any prime or solve
+    with pytest.raises(ValueError, match=f"^the trace-average probe needs K >= 1, got K = {K}, x = inf$"):
+        trace_average_probe(K, math.inf)
+
+
 def test_q_expansion_caps_stop_before_allocating():
     tracemalloc.start()
     try:

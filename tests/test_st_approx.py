@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from stmoments.arith_curves import CurveParams, Interval, SumCondition, count_in_interval, primes_in_window
 from stmoments.errors import BudgetError
 from stmoments.st_approx import (
+    GRID_BLOCK_VALUES,
     MAX_DEGREE,
     CoeffMode,
     _sin_multiples,
@@ -22,6 +23,7 @@ from stmoments.st_approx import (
     sandwich_error_bound,
     st_measure,
 )
+from stmoments.verify import _TEST_INTERVALS, BS_GRID_POINTS, BS_M, _grid_angles
 
 INTERVALS = [
     Interval(0.0, math.pi / 2),
@@ -200,7 +202,7 @@ def test_eval_cosine_matches_direct_sum(M):
             tol = 64 * M * eps * float(np.abs(coeffs.s[1:]).sum())
             assert float(np.max(np.abs(got - want))) <= tol, (coeffs.mode, n)
     blocks = [values.shape[1] for _, values in cosine_grid_blocks(coeff_sets, 20_001)]
-    assert len(blocks) == 3 and blocks[-1] < blocks[0]  # R = 142: q-rows 64 + 64 + 13, the last block partial
+    assert len(blocks) == 3 and blocks[-1] < blocks[0]  # R = 142: q-rows 57 + 57 + 27, the last block partial
     for n in (1, 0):
         with pytest.raises(ValueError, match=f"needs n >= 2 points, got n = {n}"):
             next(cosine_grid_blocks(coeff_sets, n))
@@ -215,6 +217,31 @@ def test_cosine_grid_blocks_many_sets_equal_one_set_calls(M):
         together = grid_values(coeff_sets, n)  # also checks that the blocks cover 0..n-1 once each
         for coeffs, row in zip(coeff_sets, together):
             assert np.array_equal(grid_values([coeffs], n)[0], row), (coeffs.mode, n)
+
+
+def test_cosine_grid_blocks_hold_one_block_at_a_time():
+    # the six sets of `verify`'s pointwise checks at its n: blocks of
+    # GRID_BLOCK_VALUES // R q-rows, so a reader that keeps the last block while
+    # the next is made holds the two (M, R) tables and two small blocks
+    coeff_sets = [sandwich_coeffs(iv, BS_M, side) for iv in _TEST_INTERVALS
+                  for side in (CoeffMode.MAJORANT, CoeffMode.MINORANT)]
+    R = math.isqrt(BS_GRID_POINTS - 1) + 1
+    tracemalloc.start()
+    try:
+        widths = [values.shape[1] for _, values in cosine_grid_blocks(coeff_sets, BS_GRID_POINTS)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths[0] == GRID_BLOCK_VALUES // R * R == 25 * 317 and sum(widths) == BS_GRID_POINTS
+    assert peak < 2_500_000
+
+
+@pytest.mark.parametrize("n", [2, 3, 2001, 20_001, BS_GRID_POINTS])
+def test_block_angles_are_the_linspace_bits(n):
+    # `suite_bs` makes each block's angles, not the whole grid, and still reads the linspace's bits
+    blocks = [(start, values.shape[1]) for start, values in cosine_grid_blocks([exact_st_coeffs(INTERVALS[0], 1)], n)]
+    joined = np.concatenate([_grid_angles(start, start + width, n) for start, width in blocks])
+    assert joined.tobytes() == np.linspace(0.0, math.pi, n).tobytes()
 
 
 def test_cosine_grid_blocks_refuses_no_sets_and_mixed_degrees():
