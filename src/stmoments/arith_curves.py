@@ -322,35 +322,30 @@ class _Workspace:
     end in it, each starting a multiple of _ALIGN bytes in and holding what
     the last prime left there, so arrays that never live together share
     one block.  "scratch" holds in turn the FFT series and spectra, a block's
-    twist reduction and quotient, and the b-tiles, and a sweep ``reserve``s
-    it for the largest; "base", "good", "index" and "table" keep their own.
-    Per-prime arrays grow like p and a sweep's blocks hold about PAIR_BLOCK
-    pairs at any p, so a buffer is first allocated with p_max / p times the
-    bytes asked for.  Outside a sweep each call makes its own `_Workspace(p)`.
+    twist reduction and quotient, and the b-tiles; "base", "good", "index"
+    and "table" keep their own.  A request that does not fit replaces the
+    buffer by one of max(request, twice the old) bytes, so a sweep allocates
+    each buffer a few times at most, and views handed out earlier keep the
+    old one alive, values and all, until they go.  The outgrown buffer is
+    then freed, which raises glibc's dynamic mmap threshold (mallopt(3)):
+    later large temporaries, numpy's per-call FFT scratch among them, reuse
+    heap pages instead of taking fresh ones from the OS on every call.
+    Outside a sweep each call makes its own `_Workspace()`.
     """
 
-    def __init__(self, p_max: int):
-        self.p_max = p_max
+    def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
 
-    def regions(self, name: str, p: int, *layout: tuple) -> list[np.ndarray]:
+    def regions(self, name: str, *layout: tuple) -> list[np.ndarray]:
         """One view per (shape, dtype) of ``layout``, laid end to end in buffer ``name``."""
-        buf, start, views = self.reserve(name, p, layout), 0, []
+        starts, end = [], 0
         for shape, dtype in layout:
-            views.append(np.ndarray(shape, dtype, buf, start))
-            start += -(-views[-1].nbytes // _ALIGN) * _ALIGN
-        return views
-
-    def reserve(self, name: str, p: int, *layouts: tuple) -> np.ndarray:
-        """Buffer ``name``, replaced only when it cannot hold each of ``layouts``."""
-        ends = [0] * len(layouts)
-        for i, layout in enumerate(layouts):
-            for shape, dtype in layout:
-                ends[i] = -(-ends[i] // _ALIGN) * _ALIGN + math.prod(shape) * np.dtype(dtype).itemsize
+            starts.append(-(-end // _ALIGN) * _ALIGN)
+            end = starts[-1] + math.prod(shape) * np.dtype(dtype).itemsize
         buf = self._flat.get(name)
-        if buf is None or buf.size < max(ends):
-            buf = self._flat[name] = np.empty(math.ceil(max(ends) * max(1.0, self.p_max / p)), np.uint8)
-        return buf
+        if buf is None or buf.size < end:
+            buf = self._flat[name] = np.empty(max(end, 0 if buf is None else 2 * buf.size), np.uint8)
+        return [np.ndarray(shape, dtype, buf, start) for (shape, dtype), start in zip(layout, starts)]
 
 
 def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
@@ -370,7 +365,7 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
     asks only for the base rows, inside `_twist_index`, and tests compare
     the twist grids with all p rows.
     """
-    work = work or _Workspace(p)
+    work = work or _Workspace()
     traces = np.empty((len(a_residues), p), np.int64) if out is None else out
     live = [i for i, a in enumerate(a_residues) if p % 3 != 2 or a % p]
     if len(live) < len(traces):
@@ -384,7 +379,9 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
     cubes = xs * xs
     cubes *= xs  # exact in int64 for p <= MAX_PRIME
     cubes %= p
-    series, spectra = work.regions("scratch", p, *_fft_layout(p, rows))
+    size = _smooth_length(p + half - 1)  # reversed histograms and chi, then their spectra
+    series, spectra = work.regions("scratch", ((rows + 1, size), np.float64),
+                                   ((rows + 1, size // 2 + 1), np.complex128))
     series[:, p:] = 0.0
     for k, i in enumerate(live):
         t = int(a_residues[i]) * xs
@@ -400,17 +397,6 @@ def _trace_rows(p: int, a_residues: np.ndarray, work: _Workspace | None = None,
     traces[live, :half] = corr
     np.multiply(traces[:, half - 1:0:-1], chi[-1], out=traces[:, half:])
     return traces
-
-
-def _fft_layout(p: int, n_rows: int) -> tuple:
-    """`_trace_rows`' "scratch" layout for n_rows residues: reversed histograms and chi, then their spectra."""
-    size = _smooth_length(p + (p + 1) // 2 - 1)
-    return ((n_rows + 1, size), np.float64), ((n_rows + 1, size // 2 + 1), np.complex128)
-
-
-def _reduction_dtype(p: int) -> type:
-    """The twist reduction's dtype: uint32 for p < 2^16, where b d^-3 < p^2 fits, and int64 above."""
-    return np.uint32 if p < 1 << 16 else np.int64
 
 
 def _twist_base(p: int) -> tuple[int, int, int]:
@@ -430,18 +416,19 @@ def _twist_factors(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspac
     mask Delta(a0, b') != 0 mod p, false only at b' = 0 for a0 = 0 and at
     b'^2 = -4 a0^3 / 27 otherwise.  Row a, with d^2 = a / a0 (d from a table
     of square roots), has offset (row of a0, negated when chi(d) = -1) * p and
-    d^-3 = d^(p-4) mod p; ``d_inv3`` and ``b_res`` come in `_reduction_dtype`.
+    d^-3 = d^(p-4) mod p; ``d_inv3`` and ``b_res`` come in uint32 for
+    p < 2^16, where the reduction's b d^-3 < p^2 fits, and in int64 above.
     """
-    work = work or _Workspace(p)
+    work = work or _Workspace()
     chi = _legendre_table(p)
     base_res = _twist_base(p)
     n = base_res[2]
-    (base,) = work.regions("base", p, ((6, p), np.int64))
+    (base,) = work.regions("base", ((6, p), np.int64))
     np.negative(_trace_rows(p, base_res, work, out=base[:3]), out=base[3:])
     ys = np.arange((p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[ys * ys % p] = ys  # y^2 are distinct for 0 <= y <= (p - 1) / 2
-    (good,) = work.regions("good", p, ((6, p), bool))
+    (good,) = work.regions("good", ((6, p), bool))
     good[:] = True
     inv27 = pow(27, p - 2, p)
     for i, a0 in enumerate(base_res):
@@ -458,7 +445,7 @@ def _twist_factors(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspac
         if e & 1:
             d_inv3 = d_inv3 * power % p
         power, e = power * power % p, e >> 1
-    dtype = _reduction_dtype(p)
+    dtype = np.uint32 if p < 1 << 16 else np.int64
     return base, good, (row * p, d_inv3.astype(dtype), np.asarray(b_res, dtype=np.int64).astype(dtype))
 
 
@@ -466,12 +453,12 @@ def _index_rows(p: int, offsets: np.ndarray, d_inv3: np.ndarray, b_res: np.ndarr
     """Twist index rows offsets[i] + b_res d_inv3[i] mod p (`_twist_factors`) as intp
     in ``work``'s "index", reduced in b_res's dtype as x - (x // p) p in "scratch"."""
     shape = (len(offsets), len(b_res))
-    twist, quotient = work.regions("scratch", p, (shape, b_res.dtype), (shape, b_res.dtype))
+    twist, quotient = work.regions("scratch", (shape, b_res.dtype), (shape, b_res.dtype))
     np.multiply(b_res[None, :], d_inv3[:, None], out=twist)
     np.floor_divide(twist, p, out=quotient)
     quotient *= p
     twist -= quotient
-    return np.add(twist, offsets[:, None], out=work.regions("index", p, (shape, np.intp))[0])
+    return np.add(twist, offsets[:, None], out=work.regions("index", (shape, np.intp))[0])
 
 
 def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace | None = None):
@@ -481,7 +468,7 @@ def _twist_index(p: int, a_res: np.ndarray, b_res: np.ndarray, work: _Workspace 
     ``good.take(index)`` are the traces and good mask over a_res x b_res, all
     three in ``work``.  The work is O(p log p + len(a_res) len(b_res)).
     """
-    work = work or _Workspace(p)
+    work = work or _Workspace()
     base, good, factors = _twist_factors(p, a_res, b_res, work)
     return base, good, _index_rows(p, *factors, work)
 

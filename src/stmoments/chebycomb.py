@@ -143,9 +143,9 @@ def u_product_expand(ms: Sequence[int]) -> dict[int, int]:
     """
     ms = list(ms)
     if not ms:
-        raise ValueError("need at least one exponent")
+        raise ValueError(f"need at least one exponent, got ms = {ms}")
     if any(m < 1 for m in ms):
-        raise ValueError("exponents must be >= 1")
+        raise ValueError(f"exponents must be >= 1, got ms = {ms}")
     acc: dict[int, int] = {ms[0]: 1}
     for m in ms[1:]:
         acc = product_rule_fold(acc, {m: 1})
@@ -165,7 +165,7 @@ def melzak_eval(f: PowerPoly, x, y, n: int) -> tuple[Fraction, Fraction]:
     x C(x+n, n) / (x+a) = prod_{i != a} (p + iq) / (q^n n!).
     """
     if f.degree > n:
-        raise ValueError("polynomial degree exceeds n")
+        raise ValueError(f"polynomial degree exceeds n, got degree = {f.degree}, n = {n}")
     x = Fraction(x)
     y = Fraction(y)
     if x.denominator == 1 and -n <= x <= 0:
@@ -196,7 +196,7 @@ def a_lk(l: int, k: int) -> int:
     identity forces A_{l,k} = 0 for l < k and A_{k,k} = 1; tests assert this.
     """
     if not 0 <= l <= k:
-        raise ValueError("need 0 <= l <= k")
+        raise ValueError(f"need 0 <= l <= k, got l = {l}, k = {k}")
     return sum((-1) ** (k - j) * math.comb(k + j, k - j) * _birch_weight(j, l) for j in range(l, k + 1))
 
 
@@ -233,9 +233,9 @@ def partition_coeff(blocks: Sequence[Sequence[int]]) -> int:
     flat = [i for block in blocks for i in block]
     n = len(flat)
     if n == 0 or any(len(b) == 0 for b in blocks):
-        raise ValueError("blocks must be nonempty")
+        raise ValueError(f"blocks must be nonempty, got blocks = {blocks}")
     if set(flat) != set(range(1, n + 1)) or len(set(flat)) != n:
-        raise ValueError("blocks must partition {1, ..., n}")
+        raise ValueError(f"blocks must partition {{1, ..., n}}, got blocks = {blocks}")
     k = len(blocks)
     coeff = (-1) ** (n - k)
     for block in blocks:
@@ -264,7 +264,7 @@ def distinct_sum(n: int, block_sum: Callable[[tuple[int, ...]], object]):
 def gaussian_moment_constant(t: int) -> int:
     """t-th moment of a standard Gaussian: 0 for odd t, (t-1)!! for even t."""
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise ValueError(f"t must be >= 1, got t = {t}")
     if t % 2 == 1:
         return 0
     return math.factorial(t) // (2 ** (t // 2) * math.factorial(t // 2))

@@ -69,7 +69,7 @@ class ReducedForm:
 
 def _check_class_number_arg(n: int) -> None:
     if n <= 0 or n % 4 not in (0, 3):
-        raise ValueError("class numbers need N > 0 with N = 0 or 3 mod 4")
+        raise ValueError(f"class numbers need N > 0 with N = 0 or 3 mod 4, got N = {n}")
 
 
 def reduced_forms(n: int) -> list[ReducedForm]:

@@ -64,7 +64,7 @@ class FactoredInteger:
     @classmethod
     def from_int(cls, n: int) -> "FactoredInteger":
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, got n = {n}")
         m = n
         factors = []
         d = 2
@@ -79,7 +79,7 @@ class FactoredInteger:
         if m > 1:
             factors.append((m, 1))
         if any(p < 5 for p, _ in factors):
-            raise ValueError("prime factors below 5 are excluded throughout")
+            raise ValueError(f"prime factors below 5 are excluded throughout, got n = {n}")
         return cls(n=n, factors=tuple(factors))
 
     @property

@@ -54,7 +54,7 @@ MAX_BASIS_TERMS = 2501  # q-expansion terms of one Miller basis: weight 60 (dim 
 def dim_cusp_forms(k: int) -> int:
     """dim S_k for the full modular group."""
     if k < 0:
-        raise ValueError("weight must be nonnegative")
+        raise ValueError(f"weight must be nonnegative, got k = {k}")
     if k % 2 == 1 or k == 2:
         return 0
     if k % 12 == 2:
@@ -109,7 +109,7 @@ def eisenstein_qexp(weight: int, n_terms: int) -> list[int]:
     elif weight == 6:
         scale, power = -504, 5
     else:
-        raise ValueError("only weights 4 and 6 are needed here")
+        raise ValueError(f"only weights 4 and 6 are needed here, got weight = {weight}")
     sig = _sigma_list(power, n_terms)
     return [1] + [scale * s for s in sig[1:]]
 
@@ -150,7 +150,7 @@ def miller_basis(k: int, n_terms: int) -> list[tuple[int, ...]]:
     if d == 0:
         return []
     if n_terms < d + 1:
-        raise ValueError("n_terms too small to echelonize the basis")
+        raise ValueError(f"n_terms too small to echelonize the basis, got n_terms = {n_terms}, need {d + 1} at k = {k}")
     e4, e6, delta = _modular_series(n_terms)
     rows: list[list[int]] = []
     for j in range(1, d + 1):
@@ -196,7 +196,8 @@ def hecke_trace(k: int, p: int, basis: list[tuple[int, ...]] | None = None) -> T
     if basis is None:
         basis = miller_basis(k, needed)
     if len(basis[0]) < needed:
-        raise ValueError("basis precision too small for this prime")
+        raise ValueError(f"basis precision too small for this prime, got {len(basis[0])} terms, "
+                         f"need {needed} at k = {k}, p = {p}")
     total = 0
     for j, f in enumerate(basis, start=1):
         total += f[j * p]

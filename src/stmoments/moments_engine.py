@@ -60,10 +60,8 @@ from .arith_curves import (
     SumCondition,
     _box_prime_data,
     _delta_zeros,
-    _fft_layout,
     _index_rows,
     _kept,
-    _reduction_dtype,
     _sieve_limit,
     _trace_rows,  # not used here; the benchmark's tracer and its tests look it up on this module
     _window_limit,
@@ -293,7 +291,7 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
     counting = [isinstance(ch, Interval) for ch in channels]
     accs = [np.zeros((n_a, n_b), dtype=np.min_scalar_type(window.count) if count else np.float64)
             for count in counting]
-    work = _Workspace(window.primes[-1])
+    work = _Workspace()
     step = max(1, _EVAL_BLOCK // (2 * math.isqrt(4 * window.primes[-1]) + 1))  # primes per block
     for first in range(0, window.count, step):
         block = window.primes[first:first + step]
@@ -304,11 +302,8 @@ def _sweep_box(window: PrimeWindow, A: int, B: int, channels: list) -> tuple[np.
         for p, n in zip(block, map(len, values)):
             period_a, period_b = min(n_a, p), min(n_b, p)
             rows = min(period_a, max(1, PAIR_BLOCK // period_b))  # period rows per block
-            tables = work.regions("table", p, *(((rows, period_b), acc.dtype) for acc in accs))
-            tiling = [((rows, n_b), acc.dtype) for acc in accs] if period_b < n_b else []
-            if p == window.primes[0]:  # "scratch" first holds the largest of the transforms, the reduction and tiles
-                work.reserve("scratch", p, _fft_layout(p, 3), 2 * [((rows, period_b), _reduction_dtype(p))], tiling)
-            tiles = work.regions("scratch", p, *tiling) if tiling else tables
+            tables = work.regions("table", *(((rows, period_b), acc.dtype) for acc in accs))
+            tiles = work.regions("scratch", *(((rows, n_b), acc.dtype) for acc in accs)) if period_b < n_b else tables
             base, good, (offsets, d_inv3, b_res) = _box_prime_data(p, a_vals, b_vals, work)
             at_base = [ev[start:start + n][base] for ev in evaluated]
             masked = [(good & at if count else np.where(_kept(good, ch[1]), at, 0.0)).astype(acc.dtype, copy=False)
@@ -378,22 +373,30 @@ def _plan_grid(plan: MomentPlan, grid: FamilyGrid | None):
     return grid, _count_table(grid, plan.exclude_axes)
 
 
+def _dropped_rectangles(a_vals: np.ndarray, b_vals: np.ndarray, exclude_axes: bool) -> list:
+    """The one selection rule: row and column masks of the disjoint
+    rectangles of the box a plan drops, the zeros of Delta (`_delta_zeros`)
+    and, under ``exclude_axes``, the row a = 0 and the column b = 0.  (0, 0),
+    the zero at k = 0, lies on both axes, so there only k >= 1 is listed, and
+    the column leaves it out."""
+    zeros = _delta_zeros(a_vals, b_vals)
+    if not exclude_axes:
+        return zeros
+    return zeros[1:] + [(a_vals == 0, np.ones(len(b_vals), bool)), (a_vals != 0, b_vals == 0)]
+
+
 def _count_table(grid: FamilyGrid, exclude_axes: bool) -> tuple[np.ndarray, np.ndarray]:
     """The distinct counts of the pairs a plan selects, ascending, and their
     multiplicities; every statistic of the sample is a function of this
     table.  The whole box is bincounted PAIR_BLOCK pairs at a time
     (`np.bincount` widens its input to intp), then the few pairs off the
-    selection are taken out: the zeros of Delta (`_delta_zeros`) and, under
-    ``exclude_axes``, the lines a = 0 and b = 0.  No box-sized copy is made."""
+    selection (`_dropped_rectangles`) are taken out.  No box-sized copy is made."""
     a_vals, b_vals, counts = grid.a_vals, grid.b_vals, grid.counts
     mult = np.zeros(grid.pi_tilde + 1, dtype=np.intp)
     rows = max(1, PAIR_BLOCK // len(b_vals))
     for i in range(0, len(a_vals), rows):
         mult += np.bincount(counts[i:i + rows].ravel(), minlength=len(mult))
-    zeros = _delta_zeros(a_vals, b_vals)
-    dropped = [counts[np.ix_(r, c)].ravel() for r, c in (zeros[1:] if exclude_axes else zeros)]
-    if exclude_axes:  # (0, 0), the zero at k = 0, lies on both lines
-        dropped += [counts[a_vals == 0].ravel(), counts[np.ix_(a_vals != 0, b_vals == 0)].ravel()]
+    dropped = [counts[np.ix_(r, c)].ravel() for r, c in _dropped_rectangles(a_vals, b_vals, exclude_axes)]
     mult -= np.bincount(np.concatenate(dropped), minlength=len(mult))
     values = np.flatnonzero(mult)
     return values, mult[values]
@@ -572,10 +575,10 @@ class CltSample:
     """The standardized error sample over the selected pairs of a box.  It
     holds no per-pair array of its own: ``grid_counts`` is a read-only view of
     the plan's grid, and ``size`` comes from its count table.  ``selection``
-    (`nonsingular_mask` of the box, less the axes under ``exclude_axes``) and
-    ``counts`` (the selected counts in box order, in the grid's narrow dtype)
-    are built on first read and kept; ``a``, ``b``, ``errors`` and
-    ``standardized`` are rebuilt on each access."""
+    (the box less `_dropped_rectangles`) and ``counts`` (the selected counts
+    in box order, in the grid's narrow dtype) are built on first read and
+    kept; ``a``, ``b``, ``errors`` and ``standardized`` are rebuilt on each
+    access."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
@@ -593,9 +596,9 @@ class CltSample:
 
     @cached_property
     def selection(self) -> np.ndarray:
-        mask = nonsingular_mask(self.a_vals, self.b_vals)
-        if self.exclude_axes:
-            mask[self.a_vals == 0] = mask[:, self.b_vals == 0] = False
+        mask = np.ones((len(self.a_vals), len(self.b_vals)), dtype=bool)
+        for rows, cols in _dropped_rectangles(self.a_vals, self.b_vals, self.exclude_axes):
+            mask[np.ix_(rows, cols)] = False
         return mask
 
     @cached_property

@@ -243,7 +243,7 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
     narrowed arc would be empty.
     """
     if side not in (CoeffMode.MAJORANT, CoeffMode.MINORANT):
-        raise ValueError("side must be a sandwich mode")
+        raise ValueError(f"side must be a sandwich mode, got side = {side}")
     if M < 16:
         raise ValueError(f"need M >= 16 for the sandwich construction, got M = {M}")
     exact = exact_st_coeffs(interval, M)  # for cert; first, so MAX_DEGREE is checked before the O(M^2) kernel
@@ -256,7 +256,8 @@ def sandwich_coeffs(interval: Interval, M: int, side: CoeffMode) -> BSCoefficien
         lo = alpha + h if alpha > 0 else 0.0
         hi = beta - h if beta < math.pi else math.pi
         if lo >= hi:
-            raise ValueError("interval narrower than the smoothing margin")
+            raise ValueError(f"interval narrower than the smoothing margin, got alpha = {alpha}, "
+                             f"beta = {beta}, M = {M}, h = {h:.6g}")
     lambdas = _jackson_lambdas(N)
     kmax = len(lambdas) - 1  # 2N-2 <= M-2
     arc = _arc_cosine_coeffs(lo, hi, kmax)

@@ -141,13 +141,34 @@ def _trace_rows_prime_length(p, a_residues):
 class _RecordingWorkspace(_Workspace):
     """A `_Workspace` that keeps the (name, layout) of every request."""
 
-    def __init__(self, p_max):
-        super().__init__(p_max)
+    def __init__(self):
+        super().__init__()
         self.layouts = []
 
-    def regions(self, name, p, *layout):
+    def regions(self, name, *layout):
         self.layouts.append((name, layout))
-        return super().regions(name, p, *layout)
+        return super().regions(name, *layout)
+
+
+def test_views_keep_their_values_when_a_buffer_grows():
+    # a request that does not fit gets max(request, twice the old) bytes; the
+    # views handed out before keep the old buffer and its values
+    work = _Workspace()
+    (small,) = work.regions("scratch", ((3, 5), np.int64))
+    small[:] = np.arange(15).reshape(3, 5)
+    first = work._flat["scratch"]
+    assert first.nbytes == 120
+    counts, values = work.regions("scratch", ((10,), np.uint8), ((25,), np.float64))  # 64 + 200 bytes
+    assert work._flat["scratch"].nbytes == 264 and values.ctypes.data % 64 == counts.ctypes.data % 64
+    values[:], counts[:] = -1.0, 7
+    (wide,) = work.regions("scratch", ((40,), np.float64))  # 320 bytes: twice 264
+    assert work._flat["scratch"].nbytes == 528
+    wide[:] = 3.0
+    assert np.array_equal(small, np.arange(15).reshape(3, 5)) and small.base is first
+    assert np.all(values == -1.0) and np.all(counts == 7)
+    assert not any(np.shares_memory(wide, view) for view in (small, counts, values))
+    (again,) = work.regions("scratch", ((2, 5), np.int64))  # fits: a view of the current buffer
+    assert np.shares_memory(again, wide)
 
 
 # both classes of p mod 4 (the reflection's sign chi(-1)) and of p mod 3 (the
@@ -155,7 +176,7 @@ class _RecordingWorkspace(_Workspace):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 103, 1009, 1019, 49999, 65519, 65537, 99991])
 def test_trace_rows_base_rows_equal_prime_length_fft(p):
     base = _twist_base(p)
-    work = _RecordingWorkspace(p)
+    work = _RecordingWorkspace()
     rows = _trace_rows(p, base, work)
     assert rows.dtype == np.int64 and rows.shape == (3, p)
     assert np.array_equal(rows, _trace_rows_prime_length(p, base))
@@ -304,7 +325,7 @@ def test_twist_index_dtype_boundary(p, dtype):
     assert len(singular) >= 6
     b_good = [0, 1, p - 2, p - 1]
     b_res = b_good + [b for _, b in singular]
-    work = _RecordingWorkspace(p)
+    work = _RecordingWorkspace()
     base, good, index = _twist_index(p, np.array(a_res), np.array(b_res), work)
     assert base.shape == good.shape == (6, p) and base.dtype == np.int64
     assert index.dtype == np.intp and index.shape == (len(a_res), len(b_res))

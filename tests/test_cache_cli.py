@@ -150,6 +150,9 @@ def test_cli_exit_codes(capsys):
         (["probe", "hyp2", "--a", "1", "--b", "1", "--x", "0.5"], "need x > 1 for the (log x)^c scale, got x = 0.5"),
         (["moments", "--x", "100", "--A", "1", "--B", "1", "--M", "-3"] + interval, "need M >= 1, got M = -3"),
         (["moments", "--x", "100", "--A", "1", "--B", "1", "--M", "0"] + interval, "need M >= 1, got M = 0"),
+        (["trace", "--k", "-2", "--p", "7"], "weight must be nonnegative, got k = -2"),
+        (["bs", "--mode", "minor", "--alpha", "1.0", "--beta", "1.05", "--M", "16"],
+         "interval narrower than the smoothing margin, got alpha = 1.0, beta = 1.05, M = 16, h = 0.25"),
     ):
         assert run(argv) == 2
         out, err = capsys.readouterr()

@@ -193,7 +193,7 @@ def test_store_caps(monkeypatch):
         (12, 100003, BudgetError, f"Hurwitz table N = 400012 exceeds the cap MAX_HURWITZ_N = {MAX_HURWITZ_N}"),
         (12, 2, ValueError, "the class-number route needs a prime p >= 5, got p = 2"),
         (13, 9, ValueError, "the class-number route needs a prime p >= 5, got p = 9"),
-        (-2, 7, ValueError, "weight must be nonnegative"),
+        (-2, 7, ValueError, "weight must be nonnegative, got k = -2"),
     ):
         with pytest.raises(error, match=f"^{message}$"):
             store.trace(k, p)

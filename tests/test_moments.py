@@ -33,6 +33,7 @@ from stmoments.moments_engine import (
     MAX_MOMENT_ORDER,
     PAIR_BLOCK,
     _EVAL_BLOCK,
+    CltSample,
     MomentPlan,
     Profile,
     almost_all_report,
@@ -753,33 +754,50 @@ def test_no_result_shares_memory_with_a_workspace(monkeypatch):
 
 
 def _recorded_regions(monkeypatch) -> list:
-    """(name, p, buffer id, views) of every `_Workspace.regions` call from now on;
-    the views stay alive, so no buffer id is reused."""
+    """(name, buffer, views) of every `_Workspace.regions` call from now on;
+    buffers and views stay alive, so no buffer id is reused."""
     from stmoments import arith_curves
 
     calls, regions = [], arith_curves._Workspace.regions
 
-    def recording(self, name, p, *layout):
-        views = regions(self, name, p, *layout)
-        calls.append((name, p, id(self._flat[name]), views))
+    def recording(self, name, *layout):
+        views = regions(self, name, *layout)
+        calls.append((name, self._flat[name], views))
         return views
 
     monkeypatch.setattr(arith_curves._Workspace, "regions", recording)
     return calls
 
 
+def _request(buffer, views) -> int:
+    """The bytes one `regions` call asked of ``buffer``: the end of its last view."""
+    return max(view.ctypes.data + view.nbytes for view in views) - buffer.ctypes.data
+
+
+def _check_growth(work, calls) -> None:
+    """The growth rule on one sweep's calls: a buffer is replaced only by one
+    at least twice its size that holds the request, each name is allocated
+    at most three times, and ``work`` ends with each name's last buffer."""
+    for name, buffer in work._flat.items():
+        buffers = []
+        for n, buf, views in calls:
+            if n == name and not any(buf is seen for seen in buffers):
+                buffers.append(buf)
+                assert buf.nbytes >= _request(buf, views), name
+        assert 1 <= len(buffers) <= 3 and buffers[-1] is buffer, (name, len(buffers))
+        for old, new in zip(buffers, buffers[1:]):
+            assert new.nbytes >= 2 * old.nbytes, name
+
+
 def test_one_workspace_per_sweep(monkeypatch):
-    """A sweep makes one workspace with one byte buffer per name, and every
-    buffer it ends with was allocated at the first prime, with room for the
-    window's largest: no later prime replaces one."""
+    """A sweep makes one workspace with one uint8 byte buffer per name, and
+    each buffer grows by doubling: at most three allocations a name."""
     made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
-    window = primes_in_window(500.0)
-    _sweep_box(window, 300, 200, MIXED_CHANNELS[:2])
-    assert len(made) == 1 and made[0].p_max == window.primes[-1]
+    _sweep_box(primes_in_window(500.0), 300, 200, MIXED_CHANNELS[:2])
+    assert len(made) == 1
     assert set(made[0]._flat) == {"scratch", "base", "good", "index", "table"}
     assert all(buffer.dtype == np.uint8 for buffer in made[0]._flat.values())
-    for name, buffer in made[0]._flat.items():
-        assert {id_ for n, p, id_, _ in calls if n == name and p > window.primes[0]} == {id(buffer)}
+    _check_growth(made[0], calls)
 
 
 def test_sweep_temporaries_share_one_block(monkeypatch):
@@ -794,7 +812,11 @@ def test_sweep_temporaries_share_one_block(monkeypatch):
     _sweep_box(window, 300, 200, MIXED_CHANNELS[:2])
     p = max(q for q in window.primes if q < 401)  # the largest prime whose period table is tiled along b
     rows = PAIR_BLOCK // p
-    scratch = [views for name, q, _, views in calls if name == "scratch" and q == p]
+    k, primes = -1, []  # each prime's calls open with its one "table" request
+    for name, _, _ in calls:
+        k += name == "table"
+        primes.append(window.primes[k])
+    scratch = [views for (name, _, views), q in zip(calls, primes) if name == "scratch" and q == p]
     twists = [views for views in scratch if views[0].shape[1] == p]
     assert [[view.shape for view in views] for views in twists] == [[(r, p)] * 2 for r in (rows, rows, p - 2 * rows)]
     tiles, = [views for views in scratch if views[0].shape[1] == 401]  # all channels' tiles in one request
@@ -805,24 +827,21 @@ def test_sweep_temporaries_share_one_block(monkeypatch):
     assert sum(buffer.nbytes for buffer in made[0]._flat.values()) <= 9_980_017 - 1_992_008
 
 
-def test_mixed_sweep_allocates_each_buffer_once(monkeypatch):
+def test_mixed_sweep_allocates_each_buffer_by_doubling(monkeypatch):
     """A sweep with a uint8 count channel and a float64 channel asks for all
     of a prime's channel tables, and all of its tiles, in one request each,
-    and for the tiles before the base rows' transforms, which share their
-    block: every buffer is allocated once, at the first prime, and never
-    replaced."""
+    so its buffers follow the growth rule as a one-channel sweep's do."""
     made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
     _sweep_box(primes_in_window(500.0), 300, 200, [HALF, (exact_st_coeffs(GEN, 16), SumCondition.SKIP_BAD_ONLY)])
     assert len(made) == 1 and set(made[0]._flat) == {"scratch", "base", "good", "index", "table"}
-    for name, buffer in made[0]._flat.items():
-        assert {id_ for n, _, id_, _ in calls if n == name} == {id(buffer)}, name
+    _check_growth(made[0], calls)
 
 
-def test_first_scratch_request_covers_every_later_one(monkeypatch):
+def test_scratch_is_at_most_twice_its_largest_request(monkeypatch):
     """At x = 1000, half box 600, a block's twist reduction and quotient
-    (about 523 KB at p = 503) outgrow its b-tiles (about 156 KB), yet
-    "scratch" is allocated once, for the larger; every named buffer of that
-    sweep and of the workload-shaped ones is allocated once."""
+    (about 523 KB at p = 503) outgrow its b-tiles (about 156 KB); "scratch"
+    ends at most twice its largest request, and every named buffer of that
+    sweep and of the workload-shaped ones follows the growth rule."""
     made, calls = _recorded_workspaces(monkeypatch), _recorded_regions(monkeypatch)
     for x, half in ((1000.0, 600), (2000.0, 900), (3000.0, 50), (2000.0, 60), (500.0, 1000)):
         made.clear()
@@ -830,10 +849,10 @@ def test_first_scratch_request_covers_every_later_one(monkeypatch):
         _sweep_box(primes_in_window(x), half, half, [HALF])
         (work,) = made
         assert set(work._flat) == {"scratch", "base", "good", "index", "table"}, (x, half)
-        for name, buffer in work._flat.items():
-            assert {id_ for n, _, id_, _ in calls if n == name} == {id(buffer)}, (x, half, name)
+        _check_growth(work, calls)
         if (x, half) == (1000.0, 600):
-            assert work._flat["scratch"].nbytes <= 1_040_000
+            largest = max(_request(buffer, views) for name, buffer, views in calls if name == "scratch")
+            assert work._flat["scratch"].nbytes <= 2 * largest
 
 
 @pytest.mark.parametrize("pair_block", [1, 1000, 10 ** 9])
@@ -1032,7 +1051,7 @@ def test_box_prime_data_against_fft_rows(p, A, B):
     # boxes wider than p in a, in b, and in both, all with A != B
     a_vals = np.arange(-A, A + 1, dtype=np.int64)
     b_vals = np.arange(-B, B + 1, dtype=np.int64)
-    work = _Workspace(p)
+    work = _Workspace()
     base, good, (offsets, d_inv3, b_res) = _box_prime_data(p, a_vals, b_vals, work)
     assert base.shape == good.shape == (6, p) and len(offsets) == len(d_inv3) == min(len(a_vals), p)
     assert np.array_equal(b_res, b_vals[:p] % p)
@@ -1409,6 +1428,8 @@ def test_count_table_equals_the_masked_selection(x, A, B, sub):
             got = _count_table(box, exclude_axes)
             assert np.array_equal(got[0], values) and np.array_equal(got[1], mult)
             assert got[0].dtype == got[1].dtype == np.intp
+            sample = CltSample(box.a_vals, box.b_vals, exclude_axes, box.counts, *[None] * 9)  # reads only these
+            assert np.array_equal(sample.selection, selected)
 
 
 @pytest.mark.parametrize("A, B, error, message", [
